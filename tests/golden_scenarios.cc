@@ -76,6 +76,31 @@ auto RunScaleFleet(Emit emit) {
   return emit(sharded.merged().trace, &sharded.merged().metrics);
 }
 
+// The crossed topology's cloud-fetch chain: every visit is followed by a
+// windowed fetch served from the next shard, on a placement calibrated from
+// a serial run (as bench/scale_fleet does), so the golden pins the
+// placement, the ring's send windows and the cross-shard deliveries.
+template <typename Emit>
+auto RunScaleFleetCrossed(Emit emit) {
+  FleetOptions options;
+  options.nym_count = 8;
+  options.nyms_per_host = 2;
+  options.topology = FleetTopology::kCrossed;
+  constexpr int kShards = 2;
+  {
+    ShardedSimulation calibration(17, ShardPlan{kShards, /*threads=*/1});
+    ShardedFleet probe(calibration, options, 17);
+    probe.Run();
+    options.placement = BalancedPlacement(probe.HostWeights(), kShards, 17);
+  }
+  ShardedSimulation sharded(17, ShardPlan{kShards, /*threads=*/1});
+  sharded.EnableObservability(/*record_wall_time=*/false);
+  ShardedFleet fleet(sharded, options, 17);
+  fleet.Run();
+  sharded.MergeObservability();
+  return emit(sharded.merged().trace, &sharded.merged().metrics);
+}
+
 // Promoted fuzz survivors: the checked-in .nymfuzz corpus entry is the
 // single source of truth for the scenario; its base (threads=1) run is
 // re-emitted through the fuzz runner's golden hook. A digest drift shows
@@ -113,9 +138,11 @@ Bytes EmitNbt(const TraceRecorder& trace, const MetricsRegistry* metrics) {
 std::string Fig5Small() { return RunFig5(EmitJson); }
 std::string Fig7Small() { return RunFig7(EmitJson); }
 std::string ScaleFleetSmall() { return RunScaleFleet(EmitJson); }
+std::string ScaleFleetCrossedSmall() { return RunScaleFleetCrossed(EmitJson); }
 Bytes Fig5SmallNbt() { return RunFig5(EmitNbt); }
 Bytes Fig7SmallNbt() { return RunFig7(EmitNbt); }
 Bytes ScaleFleetSmallNbt() { return RunScaleFleet(EmitNbt); }
+Bytes ScaleFleetCrossedSmallNbt() { return RunScaleFleetCrossed(EmitNbt); }
 
 constexpr char kParallelBurst[] = "parallel-burst-collision-23.nymfuzz";
 constexpr char kParallelEcho[] = "parallel-windowed-echo-17.nymfuzz";
@@ -135,6 +162,7 @@ const std::vector<GoldenScenario>& GoldenScenarios() {
       {"fig5_small", &Fig5Small, &Fig5SmallNbt},
       {"fig7_small", &Fig7Small, &Fig7SmallNbt},
       {"scale_fleet_small", &ScaleFleetSmall, &ScaleFleetSmallNbt},
+      {"scale_fleet_crossed_small", &ScaleFleetCrossedSmall, &ScaleFleetCrossedSmallNbt},
       {"parallel_burst_collision_23", &ParallelBurstCollision, &ParallelBurstCollisionNbt},
       {"parallel_windowed_echo_17", &ParallelWindowedEcho, &ParallelWindowedEchoNbt},
       {"adversary_planted_cookie_23", &AdversaryPlantedCookie, &AdversaryPlantedCookieNbt},
