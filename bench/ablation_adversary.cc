@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,6 +36,11 @@
 using namespace nymix;
 
 namespace {
+
+constexpr char kUsage[] =
+    "usage: ablation_adversary [--n=8,16] [--generations=2,3] [--threads=1,2,4]\n"
+    "                          [--shards=4] [--seed=7] [--out=BENCH_adversary.json]\n"
+    "                          [--stats-out=...] [--trace-out=...]\n";
 
 struct RowResult {
   int n = 0;
@@ -157,20 +163,6 @@ void EmitRow(JsonWriter& w, const RowResult& row) {
   w.EndObject();
 }
 
-std::vector<int> ParseIntList(const std::string& list) {
-  std::vector<int> out;
-  size_t pos = 0;
-  while (pos < list.size()) {
-    size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = list.size();
-    }
-    out.push_back(std::stoi(list.substr(pos, comma - pos)));
-    pos = comma + 1;
-  }
-  return out;
-}
-
 std::string StatsKey(const RowResult& row) {
   return "n" + std::to_string(row.n) + ".g" + std::to_string(row.generations) + "." +
          row.workload + "." + row.plant;
@@ -186,20 +178,46 @@ int main(int argc, char** argv) {
   int shards = 4;
   uint64_t seed = 7;
   std::string out_path = "BENCH_adversary.json";
+  // Malformed, empty or out-of-range values and unknown flags are usage
+  // errors (exit 2): a typo must not abort mid-sweep or run a default sweep.
+  auto usage_error = [](const std::string& message) {
+    std::fprintf(stderr, "ablation_adversary: %s\n%s", message.c_str(), kUsage);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--n=", 0) == 0) {
-      ns = ParseIntList(arg.substr(4));
-    } else if (arg.rfind("--generations=", 0) == 0) {
-      generations_list = ParseIntList(arg.substr(14));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads_list = ParseIntList(arg.substr(10));
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::stoi(arg.substr(9));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::stoull(arg.substr(7));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
+    const std::string arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    if (arg == "--help") {
+      std::printf("%s", kUsage);
+      return 0;
+    } else if (flag == "--n" || flag == "--generations" || flag == "--threads" ||
+               flag == "--shards") {
+      std::optional<std::vector<int>> list = ParseIntList(value, 1);
+      if (!list.has_value() || (flag == "--shards" && list->size() != 1)) {
+        return usage_error("malformed " + flag + " \"" + value + "\" (want positive integers" +
+                           (flag == "--shards" ? ")" : ", comma-separated)"));
+      }
+      if (flag == "--n") {
+        ns = std::move(*list);
+      } else if (flag == "--generations") {
+        generations_list = std::move(*list);
+      } else if (flag == "--threads") {
+        threads_list = std::move(*list);
+      } else {
+        shards = list->front();
+      }
+    } else if (flag == "--seed") {
+      std::optional<uint64_t> parsed = ParseUint64(value);
+      if (!parsed.has_value()) {
+        return usage_error("malformed --seed \"" + value + "\"");
+      }
+      seed = *parsed;
+    } else if (flag == "--out") {
+      out_path = value;
+    } else if (!BenchStats::OwnsFlag(argv[i])) {
+      return usage_error("unknown argument \"" + arg + "\"");
     }
   }
 

@@ -1,5 +1,6 @@
 #include "bench/bench_stats.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,7 +24,36 @@ const char* FlagValue(const char* arg, const char* flag) {
   return nullptr;
 }
 
+// The whole of `text` as one decimal number, or nullopt.
+template <typename T>
+std::optional<T> ParseWhole(std::string_view text) {
+  T value{};
+  auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || error != std::errc() || end != text.data() + text.size()) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 }  // namespace
+
+std::optional<std::vector<int>> ParseIntList(std::string_view text, int min_value) {
+  std::vector<int> values;
+  while (true) {
+    size_t comma = text.find(',');
+    std::optional<int> value = ParseWhole<int>(text.substr(0, comma));
+    if (!value.has_value() || *value < min_value) {
+      return std::nullopt;
+    }
+    values.push_back(*value);
+    if (comma == std::string_view::npos) {
+      return values;
+    }
+    text.remove_prefix(comma + 1);
+  }
+}
+
+std::optional<uint64_t> ParseUint64(std::string_view text) { return ParseWhole<uint64_t>(text); }
 
 void JsonWriter::BeforeValue() {
   if (pending_key_) {
@@ -144,6 +174,11 @@ BenchStats::BenchStats(std::string bench_name, int argc, char** argv)
   if (!trace_path_.empty()) {
     obs_.trace.set_enabled(true);
   }
+}
+
+bool BenchStats::OwnsFlag(const char* arg) {
+  return FlagValue(arg, "--stats-out") != nullptr || FlagValue(arg, "--trace-out") != nullptr ||
+         FlagValue(arg, "--trace-format") != nullptr;
 }
 
 void BenchStats::Attach(Simulation& sim) {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -88,11 +89,22 @@ class JsonWriter {
   bool pending_key_ = false;
 };
 
+// Strict flag values for the bench CLIs. ParseIntList reads "8,64,256":
+// every element a decimal int >= min_value. Both return nullopt on empty
+// input (or an empty element), trailing junk, a sign where none fits, or
+// overflow — the caller turns that into a usage error (exit 2).
+std::optional<std::vector<int>> ParseIntList(std::string_view text, int min_value);
+std::optional<uint64_t> ParseUint64(std::string_view text);
+
 class BenchStats {
  public:
   // Parses --stats-out= / --trace-out= out of argv; other arguments are
   // left for the bench itself.
   BenchStats(std::string bench_name, int argc, char** argv);
+
+  // True for the flags the constructor consumes, so a bench's own parser
+  // can reject everything else as unknown.
+  static bool OwnsFlag(const char* arg);
 
   // Hooks a simulation's event loop into the shared Observability. Call
   // once per simulation; each attached run is laid out after the previous

@@ -56,6 +56,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -73,6 +74,13 @@
 using namespace nymix;
 
 namespace {
+
+constexpr char kUsage[] =
+    "usage: scale_fleet [--n=8,64,256,1024] [--mode=both|incremental|full]\n"
+    "                   [--full-recompute] [--out=BENCH_scale.json] [--seed=13]\n"
+    "                   [--threads=1,8] [--shards=8] [--topology=isolated|crossed]\n"
+    "                   [--warm-start[=CKPT]] [--stats-out=...] [--trace-out=...]\n"
+    "                   [--trace-format=json|nbt]\n";
 
 constexpr int kNymsPerHost = 8;
 constexpr int kVisitsPerGeneration = 2;
@@ -616,48 +624,55 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_scale.json";
   uint64_t seed = 13;
   WarmStart warm;
+  // Bad CLI input is a usage error (exit 2, matching the bench_stats
+  // --trace-format contract), not an internal invariant failure — a typo'd
+  // sweep script should get a usage line, not an abort or a default run.
+  auto usage_error = [](const std::string& message) {
+    std::fprintf(stderr, "scale_fleet: %s\n%s", message.c_str(), kUsage);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--n=", 0) == 0) {
-      ns.clear();
-      std::string list = arg.substr(4);
-      size_t pos = 0;
-      while (pos < list.size()) {
-        size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) {
-          comma = list.size();
-        }
-        ns.push_back(std::stoi(list.substr(pos, comma - pos)));
-        pos = comma + 1;
+    const std::string arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    if (arg == "--help") {
+      std::printf("%s", kUsage);
+      return 0;
+    } else if (flag == "--n" || flag == "--threads") {
+      std::optional<std::vector<int>> list = ParseIntList(value, 1);
+      if (!list.has_value()) {
+        return usage_error("malformed " + flag + " \"" + value +
+                           "\" (want positive integers, comma-separated)");
       }
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      std::string list = arg.substr(10);
-      size_t pos = 0;
-      while (pos < list.size()) {
-        size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) {
-          comma = list.size();
-        }
-        threads_list.push_back(std::stoi(list.substr(pos, comma - pos)));
-        pos = comma + 1;
+      (flag == "--n" ? ns : threads_list) = std::move(*list);
+    } else if (flag == "--shards") {
+      std::optional<std::vector<int>> list = ParseIntList(value, 1);
+      if (!list.has_value() || list->size() != 1) {
+        return usage_error("malformed --shards \"" + value + "\" (want a positive integer)");
       }
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::stoi(arg.substr(9));
-    } else if (arg.rfind("--mode=", 0) == 0) {
-      mode = arg.substr(7);
-    } else if (arg.rfind("--topology=", 0) == 0) {
-      topology = arg.substr(11);
+      shards = list->front();
+    } else if (flag == "--seed") {
+      std::optional<uint64_t> parsed = ParseUint64(value);
+      if (!parsed.has_value()) {
+        return usage_error("malformed --seed \"" + value + "\"");
+      }
+      seed = *parsed;
+    } else if (flag == "--mode") {
+      mode = value;
+    } else if (flag == "--topology") {
+      topology = value;
     } else if (arg == "--full-recompute") {
       mode = "full";
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::stoull(arg.substr(7));
+    } else if (flag == "--out") {
+      out_path = value;
     } else if (arg == "--warm-start") {
       warm.enabled = true;
-    } else if (arg.rfind("--warm-start=", 0) == 0) {
+    } else if (flag == "--warm-start") {
       warm.enabled = true;
-      warm.path = arg.substr(13);
+      warm.path = value;
+    } else if (!BenchStats::OwnsFlag(argv[i])) {
+      return usage_error("unknown argument \"" + arg + "\"");
     }
   }
   if (warm.enabled) {
@@ -677,9 +692,6 @@ int main(int argc, char** argv) {
     std::printf("# warm start: checkpoint %s (%zu entries)\n", warm.path.c_str(),
                 warm.store.size());
   }
-  // Bad CLI input is a usage error (exit 2, matching the bench_stats
-  // --trace-format contract), not an internal invariant failure — a typo'd
-  // sweep script should get a usage line, not a NYMIX_CHECK abort.
   if (mode != "both" && mode != "incremental" && mode != "full") {
     std::fprintf(stderr, "scale_fleet: unknown --mode \"%s\"\n", mode.c_str());
     std::fprintf(stderr, "usage: scale_fleet [--mode=both|incremental|full]\n");
@@ -724,7 +736,6 @@ int main(int argc, char** argv) {
   std::vector<ThreadedPointResult> threaded;
   bool identity_ok = true;
   if (!threads_list.empty()) {
-    NYMIX_CHECK_MSG(shards >= 1, "--shards must be >= 1");
     std::printf("# sharded executor: %d shards, topology: %s, hardware threads: %d\n", shards,
                 topology.c_str(), ThreadPool::HardwareThreads());
     for (int n : ns) {

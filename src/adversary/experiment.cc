@@ -10,17 +10,6 @@
 namespace nymix {
 namespace {
 
-// Same retry budgets as the core fleet: generous against transient failure,
-// finite against a schedule that never heals.
-constexpr int kMaxVisitRetries = 64;
-constexpr int kMaxCreateRetries = 8;
-
-// Every cluster boots from a copy of the same release stick (content is a
-// pure function of these, like src/core/fleet).
-constexpr const char* kImageName = "nymix";
-constexpr uint64_t kImageSeed = 42;
-constexpr uint64_t kImageSizeBytes = 64 * kMiB;
-
 // The four-site workloads. Canonical names/domains; each cluster registers
 // replicas under "h<c>-" / "h<c>." prefixes (a shard's DNS would otherwise
 // overwrite duplicate names across clusters). Distinct byte sizes per site
@@ -56,6 +45,20 @@ std::vector<WebsiteProfile> WorkloadProfiles(WorkloadMix mix) {
   return {alpha, beta, gamma, delta};
 }
 
+FleetDriver::Config DriverConfig(const AdversaryOptions& options) {
+  NYMIX_CHECK(options.generations >= 1);
+  NYMIX_CHECK(options.passes_per_generation >= 1);
+  FleetDriver::Config config;
+  config.nym_count = options.nym_count;
+  config.nyms_per_host = options.nyms_per_host;
+  config.generations = options.generations;
+  config.passes_per_generation = options.passes_per_generation;
+  config.think_label = "adversary.think";
+  config.name_prefix = "adv-h";
+  config.tor = options.tor;
+  return config;
+}
+
 }  // namespace
 
 std::string_view LeakPlantName(LeakPlant plant) {
@@ -88,175 +91,73 @@ std::string_view WorkloadMixName(WorkloadMix mix) {
 
 AdversaryExperiment::AdversaryExperiment(ShardedSimulation& sharded,
                                          const AdversaryOptions& options, uint64_t seed)
-    : sharded_(sharded), options_(options), seed_(seed) {
-  NYMIX_CHECK(options_.nym_count >= 1);
-  NYMIX_CHECK(options_.nyms_per_host >= 1);
-  NYMIX_CHECK(options_.generations >= 1);
-  NYMIX_CHECK(options_.passes_per_generation >= 1);
-  site_profiles_ = WorkloadProfiles(options_.workload);
-
-  const int shards = sharded_.shard_count();
-  for (int s = 0; s < shards; ++s) {
-    shard_states_.push_back(std::make_unique<ShardState>(
-        Mix64(seed ^ Fnv1a64("adversary.think") ^ static_cast<uint64_t>(s))));
-  }
-
-  // One base image per shard, as in src/core/fleet: the Merkle-verification
-  // cache must not be shared across concurrently-running shards.
-  std::vector<std::shared_ptr<BaseImage>> images;
-  for (int s = 0; s < shards; ++s) {
-    images.push_back(BaseImage::CreateDistribution(kImageName, kImageSeed, kImageSizeBytes));
-  }
-
-  const int hosts = (options_.nym_count + options_.nyms_per_host - 1) / options_.nyms_per_host;
-  for (int c = 0; c < hosts; ++c) {
-    const int shard = c % shards;
-    Simulation& sim = sharded_.shard(shard);
-    auto cluster = std::make_unique<Cluster>();
-    cluster->shard = shard;
-    cluster->host = std::make_unique<HostMachine>(sim, HostConfig{});
-    cluster->tor = std::make_unique<TorNetwork>(sim, options_.tor);
-    cluster->manager = std::make_unique<NymManager>(
-        *cluster->host, images[static_cast<size_t>(shard)], cluster->tor.get(), nullptr);
-    const std::string prefix = "h" + std::to_string(c);
-    for (size_t i = 0; i < site_profiles_.size(); ++i) {
-      WebsiteProfile replica = site_profiles_[i];
-      replica.name = prefix + "-" + replica.name;
-      replica.domain = prefix + "." + replica.domain;
-      SiteReplica entry;
-      entry.site = std::make_unique<Website>(sim, replica);
-      entry.exit_tap = std::make_unique<PassiveObserver>(
-          TapSite::kExit, c * static_cast<int>(site_profiles_.size()) + static_cast<int>(i));
-      entry.site->access_link()->AttachTap(entry.exit_tap.get());
-      cluster->sites.push_back(std::move(entry));
-    }
-    cluster->entry_tap = std::make_unique<PassiveObserver>(TapSite::kEntry, c);
-    cluster->host->uplink()->AttachTap(cluster->entry_tap.get());
-    clusters_.push_back(std::move(cluster));
-  }
-
-  slots_.resize(static_cast<size_t>(options_.nym_count));
+    : options_(options),
+      seed_(seed),
+      site_profiles_(WorkloadProfiles(options.workload)),
+      driver_(sharded, DriverConfig(options), seed, *this) {
+  born_.resize(static_cast<size_t>(options_.nym_count));
   records_by_slot_.resize(static_cast<size_t>(options_.nym_count));
-  for (int i = 0; i < options_.nym_count; ++i) {
-    slots_[static_cast<size_t>(i)].cluster = i / options_.nyms_per_host;
-    ++ShardOf(i).total_slots;
-  }
 }
 
 AdversaryExperiment::~AdversaryExperiment() = default;
 
-void AdversaryExperiment::Run() {
-  for (int i = 0; i < options_.nym_count; ++i) {
-    SpawnNym(i);
+void AdversaryExperiment::BuildCluster(int index, FleetCluster& cluster, Simulation& sim) {
+  const std::string prefix = "h" + std::to_string(index);
+  ClusterTaps taps;
+  for (size_t i = 0; i < site_profiles_.size(); ++i) {
+    WebsiteProfile replica = site_profiles_[i];
+    replica.name = prefix + "-" + replica.name;
+    replica.domain = prefix + "." + replica.domain;
+    cluster.sites.push_back(std::make_unique<Website>(sim, replica));
+    taps.exits.push_back(std::make_unique<PassiveObserver>(
+        TapSite::kExit, index * static_cast<int>(site_profiles_.size()) + static_cast<int>(i)));
+    cluster.sites.back()->access_link()->AttachTap(taps.exits.back().get());
   }
-  sharded_.RunUntilIdle();
-  for (int s = 0; s < sharded_.shard_count(); ++s) {
-    const ShardState& state = *shard_states_[static_cast<size_t>(s)];
-    NYMIX_CHECK(state.finished_slots == state.total_slots);
-  }
+  taps.entry = std::make_unique<PassiveObserver>(TapSite::kEntry, index);
+  cluster.host->uplink()->AttachTap(taps.entry.get());
+  taps_.push_back(std::move(taps));
 }
 
-SimDuration AdversaryExperiment::ThinkTime(ShardState& shard) {
-  return Millis(500 + static_cast<SimDuration>(shard.think_prng.NextBelow(1500)));
-}
-
-void AdversaryExperiment::SpawnNym(int slot) {
-  Slot& state = slots_[static_cast<size_t>(slot)];
-  const int epoch = state.epoch;
-  const int host = state.cluster;
-  std::string name = "adv-h" + std::to_string(host) + "-s" +
-                     std::to_string(slot % options_.nyms_per_host) + "-g" +
-                     std::to_string(state.generation);
+NymManager::CreateOptions AdversaryExperiment::CreateOptionsFor(int slot) {
   NymManager::CreateOptions create;
   if (options_.plant == LeakPlant::kReusedCircuit) {
     // Same-host nyms share the pin key, so they land on the same exit per
     // destination — the stream-isolation failure the exit probe catches.
-    create.circuit_reuse_key =
-        Mix64(seed_ ^ Fnv1a64("adversary.reuse") ^ static_cast<uint64_t>(host));
+    create.circuit_reuse_key = Mix64(seed_ ^ Fnv1a64("adversary.reuse") ^
+                                     static_cast<uint64_t>(driver_.slot(slot).cluster));
   }
-  ClusterOf(slot).manager->CreateNym(
-      name, create, [this, slot, epoch](Result<Nym*> nym, NymStartupReport) {
-        Slot& state = slots_[static_cast<size_t>(slot)];
-        if (state.finished || state.epoch != epoch) {
-          if (nym.ok()) {
-            Status ignored = ClusterOf(slot).manager->TerminateNym(*nym);
-            (void)ignored;
-          }
-          return;
-        }
-        ShardState& shard = ShardOf(slot);
-        if (!nym.ok()) {
-          if (++state.create_retries > kMaxCreateRetries) {
-            AbandonSlot(slot);
-            return;
-          }
-          sharded_.shard(ClusterOf(slot).shard)
-              .loop()
-              .ScheduleAfter(ThinkTime(shard), [this, slot] { SpawnNym(slot); });
-          return;
-        }
-        state.create_retries = 0;
-        state.nym = *nym;
-        state.visits_done = 0;
-        state.born = sharded_.shard(ClusterOf(slot).shard).now();
-        if (options_.plant == LeakPlant::kSharedCookieJar) {
-          // The bled jar: every nym on this host presents the same
-          // host-scoped cookie values (a sync-service bleed, §3.3).
-          Cluster& cluster = ClusterOf(slot);
-          std::map<std::string, std::string> jar;
-          for (size_t i = 0; i < cluster.sites.size(); ++i) {
-            jar[cluster.sites[i].site->profile().domain] =
-                "leak-h" + std::to_string(state.cluster) + "-" + site_profiles_[i].name;
-          }
-          state.nym->browser()->ImportCookies(jar);
-        }
-        VisitNext(slot, epoch);
-      });
+  return create;
 }
 
-void AdversaryExperiment::VisitNext(int slot, int epoch) {
-  Cluster& cluster = ClusterOf(slot);
-  Slot& state = slots_[static_cast<size_t>(slot)];
-  if (state.finished || state.epoch != epoch) {
-    return;
+void AdversaryExperiment::OnNymReady(int slot) {
+  const int host = driver_.slot(slot).cluster;
+  FleetCluster& cluster = driver_.cluster(host);
+  born_[static_cast<size_t>(slot)] = driver_.Now(slot);
+  if (options_.plant == LeakPlant::kSharedCookieJar) {
+    // The bled jar: every nym on this host presents the same host-scoped
+    // cookie values (a sync-service bleed, §3.3).
+    std::map<std::string, std::string> jar;
+    for (size_t i = 0; i < cluster.sites.size(); ++i) {
+      jar[cluster.sites[i]->profile().domain] =
+          "leak-h" + std::to_string(host) + "-" + site_profiles_[i].name;
+    }
+    driver_.slot(slot).nym->browser()->ImportCookies(jar);
   }
-  Website& site =
-      *cluster.sites[static_cast<size_t>(state.visits_done) % cluster.sites.size()].site;
-  state.nym->browser()->Visit(site, [this, slot, epoch](Result<SimTime> done) {
-    Cluster& cluster = ClusterOf(slot);
-    ShardState& shard = *shard_states_[static_cast<size_t>(cluster.shard)];
-    Slot& state = slots_[static_cast<size_t>(slot)];
-    if (state.finished || state.epoch != epoch) {
-      return;
-    }
-    if (!done.ok()) {
-      if (++state.visit_retries > kMaxVisitRetries) {
-        AbandonSlot(slot);
-        return;
-      }
-      sharded_.shard(cluster.shard)
-          .loop()
-          .ScheduleAfter(ThinkTime(shard), [this, slot, epoch] { VisitNext(slot, epoch); });
-      return;
-    }
-    state.visit_retries = 0;
-    ++shard.visits;
-    ++state.visits_done;
-    sharded_.shard(cluster.shard)
-        .loop()
-        .ScheduleAfter(ThinkTime(shard), [this, slot, epoch] { Advance(slot, epoch); });
-  });
+}
+
+void AdversaryExperiment::BeforeTerminate(int slot) {
+  records_by_slot_[static_cast<size_t>(slot)].push_back(SnapshotNym(slot));
 }
 
 NymRecord AdversaryExperiment::SnapshotNym(int slot) {
-  Slot& state = slots_[static_cast<size_t>(slot)];
-  Cluster& cluster = ClusterOf(slot);
+  const FleetDriver::Slot& state = driver_.slot(slot);
+  const FleetCluster& cluster = driver_.cluster(state.cluster);
   NymRecord record;
   record.host = state.cluster;
   record.slot = slot;
   record.generation = state.generation;
-  record.born = state.born;
-  record.died = sharded_.shard(cluster.shard).now();
+  record.born = born_[static_cast<size_t>(slot)];
+  record.died = driver_.Now(slot);
 
   BrowserModel* browser = state.nym->browser();
   Anonymizer* anonymizer = state.nym->anonymizer();
@@ -265,7 +166,7 @@ NymRecord AdversaryExperiment::SnapshotNym(int slot) {
   bool uploaded = false;
   for (size_t i = 0; i < cluster.sites.size(); ++i) {
     const std::string& key = site_profiles_[i].name;  // canonical, cluster-invariant
-    const std::string& domain = cluster.sites[i].site->profile().domain;
+    const std::string& domain = cluster.sites[i]->profile().domain;
     if (browser->HasCookieFor(domain)) {
       record.cookies[key] = browser->CookieFor(domain);
     }
@@ -306,48 +207,6 @@ NymRecord AdversaryExperiment::SnapshotNym(int slot) {
   return record;
 }
 
-void AdversaryExperiment::Advance(int slot, int epoch) {
-  Slot& state = slots_[static_cast<size_t>(slot)];
-  if (state.finished || state.epoch != epoch) {
-    return;
-  }
-  const int target = options_.passes_per_generation * static_cast<int>(site_profiles_.size());
-  if (state.visits_done < target) {
-    VisitNext(slot, epoch);
-    return;
-  }
-  // Churn boundary: snapshot what this instance exposed, then wipe it.
-  records_by_slot_[static_cast<size_t>(slot)].push_back(SnapshotNym(slot));
-  ++state.generation;
-  Status terminated = ClusterOf(slot).manager->TerminateNym(state.nym);
-  NYMIX_CHECK_MSG(terminated.ok(), terminated.ToString().c_str());
-  state.nym = nullptr;
-  if (state.generation >= options_.generations) {
-    FinishSlot(slot);
-    return;
-  }
-  ++ShardOf(slot).churns;
-  SpawnNym(slot);
-}
-
-void AdversaryExperiment::AbandonSlot(int slot) {
-  Slot& state = slots_[static_cast<size_t>(slot)];
-  state.finished = true;
-  if (state.nym != nullptr) {
-    Status ignored = ClusterOf(slot).manager->TerminateNym(state.nym);
-    (void)ignored;
-    state.nym = nullptr;
-  }
-  FinishSlot(slot);
-}
-
-void AdversaryExperiment::FinishSlot(int slot) {
-  Slot& state = slots_[static_cast<size_t>(slot)];
-  state.finished = true;
-  ShardState& shard = ShardOf(slot);
-  ++shard.finished_slots;
-}
-
 AdversaryReport AdversaryExperiment::Analyze() const {
   // Flatten in (cluster, slot, generation) order — slots are already
   // cluster-major, and per-slot records are generation-ordered.
@@ -359,16 +218,16 @@ AdversaryReport AdversaryExperiment::Analyze() const {
   std::vector<FlowObservation> exit_flows;
   uint64_t tap_packets = 0;
   uint64_t tap_bytes = 0;
-  for (const auto& cluster : clusters_) {
-    const auto& entry = cluster->entry_tap->flows();
+  for (const ClusterTaps& taps : taps_) {
+    const auto& entry = taps.entry->flows();
     entry_flows.insert(entry_flows.end(), entry.begin(), entry.end());
-    tap_packets += cluster->entry_tap->packets_seen();
-    tap_bytes += cluster->entry_tap->bytes_seen();
-    for (const auto& replica : cluster->sites) {
-      const auto& exit = replica.exit_tap->flows();
+    tap_packets += taps.entry->packets_seen();
+    tap_bytes += taps.entry->bytes_seen();
+    for (const auto& exit_tap : taps.exits) {
+      const auto& exit = exit_tap->flows();
       exit_flows.insert(exit_flows.end(), exit.begin(), exit.end());
-      tap_packets += replica.exit_tap->packets_seen();
-      tap_bytes += replica.exit_tap->bytes_seen();
+      tap_packets += exit_tap->packets_seen();
+      tap_bytes += exit_tap->bytes_seen();
     }
   }
 
@@ -404,22 +263,6 @@ void AdversaryExperiment::ExportMetrics(const AdversaryReport& report, MetricsRe
   metrics.GetCounter("adversary.flows.exit")->Increment(report.exit_flows);
   metrics.GetCounter("adversary.taps.packets")->Increment(report.tap_packets);
   metrics.GetCounter("adversary.taps.bytes")->Increment(report.tap_bytes);
-}
-
-uint64_t AdversaryExperiment::visits() const {
-  uint64_t total = 0;
-  for (const auto& state : shard_states_) {
-    total += state->visits;
-  }
-  return total;
-}
-
-uint64_t AdversaryExperiment::churns() const {
-  uint64_t total = 0;
-  for (const auto& state : shard_states_) {
-    total += state->churns;
-  }
-  return total;
 }
 
 }  // namespace nymix

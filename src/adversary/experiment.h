@@ -2,20 +2,23 @@
 // with the adversary's taps, plus deliberately plantable isolation
 // failures — the executable form of the paper's tracking-protection claim.
 //
-// Fleet shape mirrors ShardedFleet (src/core/fleet.h): N nyms over
-// ceil(N / nyms_per_host) host clusters placed round-robin onto shards;
-// every slot spawns, visits the workload's site list with think time,
-// churns (terminate + replace) once per generation. On top of that:
+// The fleet itself is a FleetDriver configuration (src/core/fleet_driver.h):
+// N nyms over ceil(N / nyms_per_host) host clusters placed round-robin
+// onto shards; every slot spawns, visits its cluster's four sites with
+// think time, and churns (terminate + replace) once per generation. The
+// experiment plugs in through the driver's hooks:
 //
-//   * A PassiveObserver at every host uplink (entry vantage) and every
-//     destination's access link (exit vantage).
-//   * Per-cluster replicas of the workload's four sites (a shard's DNS is
-//     cluster-local; names are prefixed "h<c>." so replicas coexist, while
-//     the canonical site key — the profile name — stays cluster-invariant
-//     for cross-host linkage analysis).
-//   * A ground-truth NymRecord snapshotted at each churn: which cookies,
-//     exit indices, and upload stains this instance actually exposed.
-//   * Optional leak plants — the isolation failures the oracles must catch:
+//   * Cluster build: per-cluster replicas of the workload's four sites (a
+//     shard's DNS is cluster-local; names are prefixed "h<c>." so replicas
+//     coexist, while the canonical site key — the profile name — stays
+//     cluster-invariant for cross-host linkage analysis), a PassiveObserver
+//     at every destination's access link (exit vantage) and one at the host
+//     uplink (entry vantage).
+//   * Pre-terminate: a ground-truth NymRecord snapshotted at each churn —
+//     which cookies, exit indices, and upload stains this instance actually
+//     exposed.
+//   * Create options / nym-ready: the optional leak plants, the isolation
+//     failures the oracles must catch:
 //       kSharedCookieJar  — same-host nyms import one cookie jar (§3.3)
 //       kReusedCircuit    — same-host nyms pin exits per destination (§3.5)
 //       kDisabledScrub    — uploads skip the SaniVM and keep EXIF (§3.6)
@@ -33,9 +36,7 @@
 
 #include "src/adversary/attacks.h"
 #include "src/adversary/observer.h"
-#include "src/core/nym_manager.h"
-#include "src/parallel/sharded_sim.h"
-#include "src/workload/website.h"
+#include "src/core/fleet_driver.h"
 
 namespace nymix {
 
@@ -88,15 +89,15 @@ struct AdversaryReport {
   uint64_t tap_bytes = 0;
 };
 
-class AdversaryExperiment {
+class AdversaryExperiment : private FleetHooks {
  public:
   // Builds every cluster, site replica, and tap up front. `sharded` must
   // outlive the experiment; its plan fixes the cluster partition.
   AdversaryExperiment(ShardedSimulation& sharded, const AdversaryOptions& options, uint64_t seed);
-  ~AdversaryExperiment();
+  ~AdversaryExperiment() override;
 
   // Spawns every slot's first nym and drives the executor to quiescence.
-  void Run();
+  void Run() { driver_.Run(); }
 
   // Runs every attack over the collected observations (call after Run).
   AdversaryReport Analyze() const;
@@ -106,78 +107,44 @@ class AdversaryExperiment {
   static void ExportMetrics(const AdversaryReport& report, MetricsRegistry& metrics);
 
   // Post-run aggregates, summed in shard-id order.
-  uint64_t visits() const;
-  uint64_t churns() const;
-  int host_count() const { return static_cast<int>(clusters_.size()); }
+  uint64_t visits() const { return driver_.Total(&FleetDriver::ShardState::visits); }
+  uint64_t churns() const { return driver_.Total(&FleetDriver::ShardState::churns); }
+  int host_count() const { return driver_.host_count(); }
 
   // Tap access for the metadata-only negative tests.
   const PassiveObserver& entry_observer(int host) const {
-    return *clusters_[static_cast<size_t>(host)]->entry_tap;
+    return *taps_[static_cast<size_t>(host)].entry;
   }
 
  private:
-  struct SiteReplica {
-    std::unique_ptr<Website> site;
-    std::unique_ptr<PassiveObserver> exit_tap;
+  // One cluster's vantages: its uplink, and each site replica's access
+  // link (in site order).
+  struct ClusterTaps {
+    std::unique_ptr<PassiveObserver> entry;
+    std::vector<std::unique_ptr<PassiveObserver>> exits;
   };
 
-  struct Cluster {
-    int shard = 0;
-    std::unique_ptr<HostMachine> host;
-    std::unique_ptr<TorNetwork> tor;
-    std::unique_ptr<NymManager> manager;
-    std::vector<SiteReplica> sites;  // one per workload site, this cluster's replica
-    std::unique_ptr<PassiveObserver> entry_tap;
-  };
+  // FleetHooks.
+  void BuildCluster(int index, FleetCluster& cluster, Simulation& sim) override;
+  NymManager::CreateOptions CreateOptionsFor(int slot) override;
+  void OnNymReady(int slot) override;
+  // Churn boundary: record what this instance exposed before it is wiped.
+  void BeforeTerminate(int slot) override;
 
-  struct Slot {
-    int cluster = 0;
-    Nym* nym = nullptr;
-    SimTime born = 0;
-    int visits_done = 0;  // within the current generation
-    int generation = 0;
-    int visit_retries = 0;
-    int create_retries = 0;
-    bool finished = false;
-    int epoch = 0;
-  };
-
-  struct ShardState {
-    Prng think_prng;
-    int total_slots = 0;
-    int finished_slots = 0;
-    uint64_t visits = 0;
-    uint64_t churns = 0;
-
-    explicit ShardState(uint64_t seed) : think_prng(seed) {}
-  };
-
-  Cluster& ClusterOf(int slot) {
-    return *clusters_[static_cast<size_t>(slots_[static_cast<size_t>(slot)].cluster)];
-  }
-  ShardState& ShardOf(int slot) {
-    return *shard_states_[static_cast<size_t>(ClusterOf(slot).shard)];
-  }
-
-  void SpawnNym(int slot);
-  void VisitNext(int slot, int epoch);
-  void Advance(int slot, int epoch);
-  void FinishSlot(int slot);
-  void AbandonSlot(int slot);
-  SimDuration ThinkTime(ShardState& shard);
   // Ground truth at churn time: cookies, exit map, upload stain.
   NymRecord SnapshotNym(int slot);
 
-  ShardedSimulation& sharded_;
   AdversaryOptions options_;
   uint64_t seed_ = 0;
   std::vector<WebsiteProfile> site_profiles_;  // canonical (unprefixed) workload
-  std::vector<std::unique_ptr<Cluster>> clusters_;
-  std::vector<Slot> slots_;
-  std::vector<std::unique_ptr<ShardState>> shard_states_;
-  // Ground truth per slot, appended in generation order (shard-local
-  // writes; flattened slot-major for analysis).
+  std::vector<ClusterTaps> taps_;              // one per cluster
+  // Per slot: when its current nym came up, and its ground truth appended
+  // in generation order (shard-local writes; flattened slot-major for
+  // analysis).
+  std::vector<SimTime> born_;
   std::vector<std::vector<NymRecord>> records_by_slot_;
+  // Last: its constructor calls back into the hooks above.
+  FleetDriver driver_;
 };
 
 }  // namespace nymix

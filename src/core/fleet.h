@@ -1,44 +1,37 @@
-// ShardedFleet: a fleet of Nymix host clusters driven through the parallel
-// executor — the "core accepts a shard plan" integration point.
+// ShardedFleet: the scale_fleet workload as a configuration of FleetDriver
+// (src/core/fleet_driver.h) — the "core accepts a shard plan" integration
+// point.
 //
-// The workload is the scale_fleet benchmark's: N nyms over ceil(N/8) hosts,
-// each host a cluster with its own test Tor deployment and destination
-// site, every nym visiting its cluster's site with think time and one
-// churn (terminate + replace) per slot. Hosts are assigned to shards
-// round-robin by creation index (ShardForIndex), so the partition — and
-// therefore every per-shard seed stream — depends only on (seed,
-// plan.shards), never on the thread count.
+// N nyms over ceil(N/8) hosts, each host a cluster with its own test Tor
+// deployment and one destination site, every nym visiting that site with
+// think time and one churn (terminate + replace) per slot. Hosts go to
+// shards by the placement (round-robin by creation index when empty), so
+// the partition — and therefore every per-shard seed stream — depends only
+// on (seed, plan.shards, placement), never on the thread count.
 //
-// Thread confinement: all per-slot callbacks run on the owning shard's
-// event loop, so every mutable field they touch (slot state, think Prng,
-// visit/churn counters) is per-shard. The only cross-shard operations are
-// the executor's epoch barrier and the post-run aggregations below.
-//
-// KSM: each host's daemon scans periodically while its shard has active
-// slots; when a shard's last slot finishes, a shard-local event stops that
-// shard's daemons (a periodic daemon would otherwise keep its loop from
-// ever going idle). ReconcileKsm() then runs the deterministic cross-host
-// reconcile (src/hv/ksm_fleet.h) over all hosts in creation order.
+// What the fleet adds to the driver:
+//   * KSM: each host's daemon scans periodically while its shard has active
+//     slots; when a shard's last slot finishes, the shard-finished hook
+//     stops that shard's daemons (a periodic daemon would otherwise keep its
+//     loop from ever going idle). A shard-local event snapshots each host's
+//     content histogram at ksm_snapshot_time; ReconcileKsm() runs the
+//     deterministic cross-host reconcile (src/hv/ksm_fleet.h) over them in
+//     host creation order.
+//   * Crossed topology: the post-visit hook interleaves a windowed cloud
+//     fetch, served from the next shard over a CrossShardChannel ring,
+//     before the driver's Advance.
 #ifndef SRC_CORE_FLEET_H_
 #define SRC_CORE_FLEET_H_
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "src/core/nym_manager.h"
+#include "src/core/fleet_driver.h"
 #include "src/hv/ksm_fleet.h"
-#include "src/parallel/sharded_sim.h"
-#include "src/workload/website.h"
 
 namespace nymix {
-
-// The distribution image every fleet host boots from — a copy of the same
-// release stick. Exposed so warm-start paths (bench/scale_fleet) can
-// acquire checkpointed images with the identical identity.
-inline constexpr const char* kFleetImageName = "nymix";
-inline constexpr uint64_t kFleetImageSeed = 42;
-inline constexpr uint64_t kFleetImageSizeBytes = 64 * kMiB;
 
 // How the fleet's clusters relate across shards.
 //
@@ -111,16 +104,16 @@ struct FleetOptions {
   }
 };
 
-class ShardedFleet {
+class ShardedFleet : private FleetHooks {
  public:
   // Builds every cluster up front (constructors only schedule shard-local
   // events). `sharded` must outlive the fleet; its plan fixes the host
   // partition.
   ShardedFleet(ShardedSimulation& sharded, const FleetOptions& options, uint64_t seed);
-  ~ShardedFleet();
+  ~ShardedFleet() override;
 
   // Spawns every slot's first nym and drives the executor to quiescence.
-  void Run();
+  void Run() { driver_.Run(); }
 
   // --- Scenario hooks (src/fuzz) ---------------------------------------
   // Schedules a VM crash + recovery on `host` at virtual time `at`: the
@@ -128,30 +121,36 @@ class ShardedFleet {
   // rebooted through NymManager::RecoverNym. Shard-local (the event runs on
   // the owning shard's loop), so thread count still cannot change a byte.
   // Call before Run().
-  void ScheduleVmCrash(int host, SimTime at);
+  void ScheduleVmCrash(int host, SimTime at) { driver_.ScheduleVmCrash(host, at); }
 
   // Per-host internals for scenario fault schedules (uplink flaps, relay
   // crashes). Only shard-local events may touch them while running.
-  HostMachine& host_machine(int host) { return *clusters_[static_cast<size_t>(host)]->host; }
-  TorNetwork& tor(int host) { return *clusters_[static_cast<size_t>(host)]->tor; }
+  HostMachine& host_machine(int host) { return *driver_.cluster(host).host; }
+  TorNetwork& tor(int host) { return *driver_.cluster(host).tor; }
 
   // Post-run aggregates, summed over shards in shard-id order.
-  uint64_t visits() const;
-  uint64_t churns() const;
+  uint64_t visits() const { return driver_.Total(&FleetDriver::ShardState::visits); }
+  uint64_t churns() const { return driver_.Total(&FleetDriver::ShardState::churns); }
   // Crossed topology: completed cloud fetch rounds (one request + one reply
   // crossing shards each).
-  uint64_t cloud_fetches() const;
+  uint64_t cloud_fetches() const { return driver_.Total(&FleetDriver::ShardState::cloud_fetches); }
   // Observed per-host activity (visits + cloud fetches + churns) — the
   // weight vector BalancedPlacement bin-packs on. Meaningful after Run();
   // hosts that did nothing report weight 1 so the pack stays total.
-  std::vector<double> HostWeights() const;
+  std::vector<double> HostWeights() const { return driver_.HostWeights(); }
   // Fault-path aggregates: failed visits that were retried, failed creates
   // that were retried, slots abandoned after the create-retry budget, and
   // VM crash/recovery cycles executed by ScheduleVmCrash.
-  uint64_t visit_failures() const;
-  uint64_t create_failures() const;
-  uint64_t slots_abandoned() const;
-  uint64_t vm_recoveries() const;
+  uint64_t visit_failures() const {
+    return driver_.Total(&FleetDriver::ShardState::visit_failures);
+  }
+  uint64_t create_failures() const {
+    return driver_.Total(&FleetDriver::ShardState::create_failures);
+  }
+  uint64_t slots_abandoned() const {
+    return driver_.Total(&FleetDriver::ShardState::slots_abandoned);
+  }
+  uint64_t vm_recoveries() const { return driver_.Total(&FleetDriver::ShardState::vm_recoveries); }
   uint64_t events_executed() const;
   uint64_t waterfills_full() const;
   uint64_t waterfills_component() const;
@@ -164,28 +163,13 @@ class ShardedFleet {
   // snapshotted at ksm_snapshot_time, in host creation order.
   FleetKsmStats ReconcileKsm() const;
 
-  int host_count() const { return static_cast<int>(clusters_.size()); }
+  int host_count() const { return driver_.host_count(); }
 
   // Per-host access for checkpoint/restore (src/core/fleet_checkpoint).
-  NymManager& manager(int host) { return *clusters_[static_cast<size_t>(host)]->manager; }
-  int shard_of_host(int host) const { return clusters_[static_cast<size_t>(host)]->shard; }
+  NymManager& manager(int host) { return *driver_.cluster(host).manager; }
+  int shard_of_host(int host) const { return driver_.cluster(host).shard; }
 
  private:
-  struct Cluster {
-    int shard = 0;
-    // Crossed topology: seeded per-host workload heterogeneity (visits per
-    // generation scale by this), and the observed activity count feeding
-    // HostWeights(). Both shard-local.
-    int visit_multiplier = 1;
-    uint64_t weight_events = 0;
-    std::unique_ptr<HostMachine> host;
-    std::unique_ptr<TorNetwork> tor;
-    std::unique_ptr<NymManager> manager;
-    std::unique_ptr<Website> site;
-    // Captured at ksm_snapshot_time by a shard-local event.
-    std::map<uint64_t, uint64_t> ksm_snapshot;
-  };
-
   // One cross-shard cloud edge: shard s's nyms fetch from the gateway
   // hosted on shard (s+1) % K over `channel`. Sinks are owned here; the
   // channel belongs to the executor.
@@ -195,70 +179,23 @@ class ShardedFleet {
     std::unique_ptr<PacketSink> client;   // lives in the client shard
   };
 
-  struct Slot {
-    int cluster = 0;
-    Nym* nym = nullptr;
-    int visits_done = 0;
-    int generation = 0;
-    // Consecutive failed visits / waits for a recovering VM; resets on the
-    // next successful visit. Exceeding the budget abandons the slot so a
-    // pathological fault schedule still quiesces.
-    int visit_retries = 0;
-    int create_retries = 0;
-    // Set by FinishSlot/AbandonSlot; late callbacks (a retry timer, a VM
-    // recovery) check it and stand down instead of reviving the slot.
-    bool finished = false;
-    // Drive-chain generation. A VM crash severs the slot's in-flight visit
-    // chain (the nym's deferred work evaporates at its lifetime guards, so
-    // no failure callback ever comes back); the crash bumps the epoch and
-    // the recovery callback starts the one replacement chain. Continuations
-    // carry the epoch they belong to and stand down when stale, so a timer
-    // surviving from the severed chain can never double-drive the slot.
-    int epoch = 0;
-  };
+  // FleetHooks.
+  void BuildCluster(int index, FleetCluster& cluster, Simulation& sim) override;
+  bool ClaimAfterVisit(int slot, int epoch) override;
+  void OnShardFinished(int shard) override;
 
-  // Everything a worker thread mutates while running one shard's epoch.
-  struct ShardState {
-    Prng think_prng;
-    int total_slots = 0;
-    int finished_slots = 0;
-    uint64_t visits = 0;
-    uint64_t churns = 0;
-    uint64_t cloud_fetches = 0;
-    uint64_t visit_failures = 0;
-    uint64_t create_failures = 0;
-    uint64_t slots_abandoned = 0;
-    uint64_t vm_recoveries = 0;
-
-    explicit ShardState(uint64_t seed) : think_prng(seed) {}
-  };
-
-  Cluster& ClusterOf(int slot) { return *clusters_[static_cast<size_t>(slots_[static_cast<size_t>(slot)].cluster)]; }
-  ShardState& ShardOf(int slot) { return *shard_states_[static_cast<size_t>(ClusterOf(slot).shard)]; }
-
-  void SpawnNym(int slot);
-  void VisitNext(int slot, int epoch);
-  // Post-visit step: crossed fleets interleave a windowed cloud fetch
-  // before Advance; isolated fleets go straight to Advance.
-  void NextAction(int slot, int epoch);
-  void StartCloudFetch(int slot, int epoch);
   void SendCloudFetch(int slot, int epoch);
   void HandleCloudReply(const std::string& annotation);
-  void Advance(int slot, int epoch);
-  int VisitTarget(int slot);
-  void FinishSlot(int slot);
-  // Writes the slot off (retry budget spent, or recovery failed): tears
-  // down any live nym best-effort and retires the slot so Run() quiesces.
-  void AbandonSlot(int slot);
-  SimDuration ThinkTime(ShardState& shard);
 
   ShardedSimulation& sharded_;
   FleetOptions options_;
+  uint64_t seed_ = 0;
   bool crossed_ = false;  // kCrossed effective (needs >= 2 shards)
-  std::vector<std::unique_ptr<Cluster>> clusters_;
-  std::vector<Slot> slots_;
-  std::vector<std::unique_ptr<ShardState>> shard_states_;
+  // Per host, captured at ksm_snapshot_time by a shard-local event.
+  std::vector<std::map<uint64_t, uint64_t>> ksm_snapshots_;
   std::vector<CloudEdge> cloud_edges_;  // index = client shard
+  // Last: its constructor calls back into the hooks above.
+  FleetDriver driver_;
 };
 
 }  // namespace nymix
