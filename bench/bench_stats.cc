@@ -152,7 +152,7 @@ std::ostream& JsonWriter::RawValue() {
   return out_;
 }
 
-BenchStats::BenchStats(std::string bench_name, int argc, char** argv)
+BenchStats::BenchStats(std::string bench_name, int argc, char** argv, OtherArgs other)
     : bench_name_(std::move(bench_name)) {
   for (int i = 1; i < argc; ++i) {
     if (const char* value = FlagValue(argv[i], "--stats-out")) {
@@ -161,6 +161,13 @@ BenchStats::BenchStats(std::string bench_name, int argc, char** argv)
       trace_path_ = value;
     } else if (const char* value = FlagValue(argv[i], "--trace-format")) {
       trace_format_ = value;
+    } else if (other == kRejectOtherArgs) {
+      std::fprintf(stderr, "%s: unknown argument \"%s\"\n", bench_name_.c_str(), argv[i]);
+      std::fprintf(stderr,
+                   "usage: %s [--stats-out=<path>] [--trace-out=<path>] "
+                   "[--trace-format=json|nbt]\n",
+                   bench_name_.c_str());
+      std::exit(2);
     }
   }
   if (trace_format_ != "json" && trace_format_ != "nbt") {

@@ -98,9 +98,15 @@ std::optional<uint64_t> ParseUint64(std::string_view text);
 
 class BenchStats {
  public:
-  // Parses --stats-out= / --trace-out= out of argv; other arguments are
-  // left for the bench itself.
-  BenchStats(std::string bench_name, int argc, char** argv);
+  // What the constructor does with arguments that are not its own flags.
+  enum OtherArgs {
+    kPassOtherArgs,    // leave them for the bench's own parser
+    kRejectOtherArgs,  // the bench has no flags of its own: exit 2 with a
+                       // usage line, so a typo never runs the defaults
+  };
+
+  // Parses --stats-out= / --trace-out= / --trace-format= out of argv.
+  BenchStats(std::string bench_name, int argc, char** argv, OtherArgs other = kPassOtherArgs);
 
   // True for the flags the constructor consumes, so a bench's own parser
   // can reject everything else as unknown.

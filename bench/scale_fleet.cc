@@ -3,7 +3,7 @@
 // §5.2 16 GB desktop comfortably fits 8 nymboxes), each host with live KSM
 // scanning, a private test Tor deployment, and a Tor-fetch browsing
 // workload with nym churn (terminate + replace). This is the harness for
-// the incremental hot paths (docs/performance.md): KSM delta scans,
+// the host-cost hot paths (docs/performance.md): closed-form KSM merging,
 // dirty-driven fair-share rescheduling, and the event-loop node pool.
 //
 // Usage:
@@ -26,7 +26,7 @@
 //
 // --mode=both (default) runs every N in both modes and reports the
 // wall-clock speedup; --full-recompute is shorthand for --mode=full (the
-// pre-incremental recompute-the-world reference). Virtual-time results are
+// recompute-the-world FlowScheduler reference; KSM has one implementation). Virtual-time results are
 // mode-independent: the incremental paths are exact, so a --trace-out from
 // an incremental run is byte-identical to one from a full run (asserted by
 // tests/determinism_test.cc).
@@ -301,7 +301,6 @@ class Fleet {
     for (int c = 0; c < hosts; ++c) {
       auto cluster = std::make_unique<Cluster>();
       cluster->host = std::make_unique<HostMachine>(sim_, HostConfig{});
-      cluster->host->ksm().set_full_rescan(full_recompute);
       cluster->tor = std::make_unique<TorNetwork>(sim_, tor_config);
       cluster->manager =
           std::make_unique<NymManager>(*cluster->host, image, cluster->tor.get(), nullptr);

@@ -124,20 +124,19 @@ void ShardedFleet::BuildCluster(int index, FleetCluster& cluster, Simulation& si
                                    static_cast<uint64_t>(index)) %
                              static_cast<uint64_t>(options_.cloud_weight_max));
   }
-  cluster.host->ksm().set_full_rescan(options_.full_recompute);
   sim.flows().set_full_recompute(options_.full_recompute);
   WebsiteProfile profile;
   profile.name = "site-" + std::to_string(index);
   profile.domain = "site" + std::to_string(index) + ".example.com";
   cluster.sites.push_back(std::make_unique<Website>(sim, profile));
   cluster.host->ksm().Start(options_.ksm_interval);
-  // Snapshot this host's shareable-content histogram mid-run for the
-  // cross-host reconcile. A plain scheduled event on the host's own loop:
+  // Snapshot this host's memory contents mid-run for the cross-host
+  // reconcile. A plain scheduled event on the host's own loop:
   // shard-local, so exact virtual-time capture with no cross-thread read.
   ksm_snapshots_.emplace_back();
   HostMachine* host = cluster.host.get();
   sim.loop().ScheduleAt(options_.ksm_snapshot_time, [this, index, host] {
-    ksm_snapshots_[static_cast<size_t>(index)] = host->ksm().ContentHistogram();
+    ksm_snapshots_[static_cast<size_t>(index)] = host->ksm().Snapshot();
   });
 }
 
@@ -229,7 +228,7 @@ uint64_t ShardedFleet::ksm_pages_sharing() const {
 }
 
 FleetKsmStats ShardedFleet::ReconcileKsm() const {
-  return FleetKsmIndex::ReconcileHistograms(ksm_snapshots_);
+  return FleetKsmIndex::Reconcile(ksm_snapshots_);
 }
 
 }  // namespace nymix

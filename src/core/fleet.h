@@ -14,7 +14,7 @@
 //     slots; when a shard's last slot finishes, the shard-finished hook
 //     stops that shard's daemons (a periodic daemon would otherwise keep its
 //     loop from ever going idle). A shard-local event snapshots each host's
-//     content histogram at ksm_snapshot_time; ReconcileKsm() runs the
+//     memory contents at ksm_snapshot_time; ReconcileKsm() runs the
 //     deterministic cross-host reconcile (src/hv/ksm_fleet.h) over them in
 //     host creation order.
 //   * Crossed topology: the post-visit hook interleaves a windowed cloud
@@ -23,7 +23,6 @@
 #ifndef SRC_CORE_FLEET_H_
 #define SRC_CORE_FLEET_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -74,12 +73,13 @@ struct FleetOptions {
   ShardPlacement placement;
   int visits_per_generation = 2;
   int generations = 2;  // one churn (terminate + replace) per slot
-  // Reference-mode toggles (flow waterfill / KSM rescan), for wall-clock
-  // comparison benches. Virtual-time results are identical either way.
+  // Selects the recompute-the-world FlowScheduler reference, for
+  // wall-clock comparison benches. Virtual-time results are identical
+  // either way.
   bool full_recompute = false;
   SimDuration ksm_interval = Seconds(2);
-  // Virtual time at which each host snapshots its KSM content histogram
-  // for the cross-host reconcile (shard-local event, so it is exact and
+  // Virtual time at which each host snapshots its memory contents for
+  // the cross-host reconcile (shard-local event, so it is exact and
   // thread-count-invariant). Mid-run by default: reconciling at the end
   // would see only wiped memory, since every nym terminates.
   SimDuration ksm_snapshot_time = Seconds(30);
@@ -159,8 +159,8 @@ class ShardedFleet : private FleetHooks {
   uint64_t ksm_memories_skipped() const;
   uint64_t ksm_pages_sharing() const;
 
-  // Deterministic cross-host KSM reconcile over the per-host histograms
-  // snapshotted at ksm_snapshot_time, in host creation order.
+  // Deterministic cross-host KSM reconcile over the per-host memory
+  // contents snapshotted at ksm_snapshot_time, in host creation order.
   FleetKsmStats ReconcileKsm() const;
 
   int host_count() const { return driver_.host_count(); }
@@ -192,7 +192,7 @@ class ShardedFleet : private FleetHooks {
   uint64_t seed_ = 0;
   bool crossed_ = false;  // kCrossed effective (needs >= 2 shards)
   // Per host, captured at ksm_snapshot_time by a shard-local event.
-  std::vector<std::map<uint64_t, uint64_t>> ksm_snapshots_;
+  std::vector<std::vector<MemoryContents>> ksm_snapshots_;
   std::vector<CloudEdge> cloud_edges_;  // index = client shard
   // Last: its constructor calls back into the hooks above.
   FleetDriver driver_;

@@ -1,6 +1,7 @@
 #include "src/hv/guest_memory.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace nymix {
 
@@ -12,84 +13,61 @@ namespace {
 uint64_t next_memory_id = 1;
 }  // namespace
 
+uint64_t MemoryContents::mapped_pages() const {
+  if (image == nullptr) {
+    return 0;
+  }
+  return cycles * image->block_count() +
+         std::accumulate(prefixes.begin(), prefixes.end(), uint64_t{0});
+}
+
 GuestMemory::GuestMemory(uint64_t ram_bytes) : GuestMemory(ram_bytes, next_memory_id++) {}
 
 GuestMemory::GuestMemory(uint64_t ram_bytes, uint64_t id)
-    : id_(id),
-      total_pages_((ram_bytes + kPageSize - 1) / kPageSize),
-      zero_pages_(total_pages_),
-      next_unique_tag_(1) {
-  pages_by_content_[kZeroPageContent] = zero_pages_;
-}
-
-uint64_t GuestMemory::ImagePageCount() const {
-  uint64_t count = 0;
-  for (const auto& [content, pages] : image_contents_) {
-    (void)content;
-    count += pages;
-  }
-  return count;
+    : id_(id), total_pages_((ram_bytes + kPageSize - 1) / kPageSize) {
+  contents_.zero_pages = total_pages_;
 }
 
 void GuestMemory::MapImagePages(const BaseImage& image, uint64_t count) {
   ++generation_;
-  count = std::min(count, zero_pages_);
-  uint64_t blocks = image.block_count();
+  const std::shared_ptr<const ImageContents>& view = image.contents();
+  uint64_t blocks = view->block_count();
   NYMIX_CHECK(blocks > 0);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t content = image.BlockContentId(i % blocks);
-    ++pages_by_content_[content];
-    ++image_contents_[content];
+  count = std::min(count, contents_.zero_pages);
+  if (count == 0) {
+    return;
   }
-  zero_pages_ -= count;
-  auto it = pages_by_content_.find(kZeroPageContent);
-  it->second = zero_pages_;
-  if (zero_pages_ == 0) {
-    pages_by_content_.erase(it);
+  if (contents_.image == nullptr) {
+    contents_.image = view;
+  } else {
+    NYMIX_CHECK_MSG(contents_.image->identity() == view->identity(),
+                    "a memory maps one image's content between wipes");
   }
+  contents_.cycles += count / blocks;
+  if (uint64_t prefix = count % blocks; prefix > 0) {
+    contents_.prefixes.insert(
+        std::upper_bound(contents_.prefixes.begin(), contents_.prefixes.end(), prefix), prefix);
+  }
+  contents_.zero_pages -= count;
 }
 
-void GuestMemory::DirtyPages(uint64_t count, Prng& prng) {
-  (void)prng;  // unique pages are count-only; no ids needed
+void GuestMemory::DirtyPages(uint64_t count) {
   ++generation_;
-  count = std::min(count, zero_pages_ + ImagePageCount());
-
-  uint64_t from_zero = std::min(count, zero_pages_);
-  zero_pages_ -= from_zero;
-  if (from_zero > 0) {
-    auto it = pages_by_content_.find(kZeroPageContent);
-    it->second = zero_pages_;
-    if (zero_pages_ == 0) {
-      pages_by_content_.erase(it);
-    }
-  }
-
-  uint64_t remaining = count - from_zero;
-  while (remaining > 0 && !image_contents_.empty()) {
-    auto it = image_contents_.begin();
-    uint64_t take = std::min(remaining, it->second);
-    it->second -= take;
-    auto shared_it = pages_by_content_.find(it->first);
-    shared_it->second -= take;
-    if (shared_it->second == 0) {
-      pages_by_content_.erase(shared_it);
-    }
-    if (it->second == 0) {
-      image_contents_.erase(it);
-    }
-    remaining -= take;
-  }
-  unique_pages_ += count;
-  next_unique_tag_ += count;
+  uint64_t from_zero = std::min(count, contents_.zero_pages);
+  uint64_t from_image = std::min(count - from_zero, contents_.image_pages());
+  contents_.zero_pages -= from_zero;
+  // Mapping is capped at the zero pages, so once copy-on-write reaches the
+  // image no later map adds to it: the mapping is final before `dirtied`
+  // grows, and one cumulative count is exact.
+  contents_.dirtied += from_image;
+  unique_pages_ += from_zero + from_image;
 }
 
 void GuestMemory::Wipe() {
   ++generation_;
-  pages_by_content_.clear();
-  image_contents_.clear();
-  zero_pages_ = total_pages_;
+  contents_ = MemoryContents{};
+  contents_.zero_pages = total_pages_;
   unique_pages_ = 0;
-  pages_by_content_[kZeroPageContent] = zero_pages_;
 }
 
 }  // namespace nymix

@@ -1,8 +1,139 @@
 #include "src/hv/ksm.h"
 
-#include <set>
+#include <algorithm>
+#include <numeric>
+#include <tuple>
 
 namespace nymix {
+
+namespace {
+
+auto MappingKey(const MemoryContents& memory) {
+  return std::tie(memory.image->identity(), memory.cycles, memory.prefixes);
+}
+
+// Pages per content rank that one mapping backs before copy-on-write:
+// block b backs `cycles` pages plus one per prefix above b.
+std::vector<uint64_t> MappedPages(const MemoryContents& memory) {
+  const std::vector<uint32_t>& ranks = memory.image->ranks();
+  std::vector<uint64_t> pages(memory.image->ids().size(), 0);
+  size_t passed = 0;  // prefixes <= block
+  for (uint64_t block = 0; block < ranks.size(); ++block) {
+    while (passed < memory.prefixes.size() && memory.prefixes[passed] <= block) {
+      ++passed;
+    }
+    pages[ranks[block]] += memory.cycles + (memory.prefixes.size() - passed);
+  }
+  return pages;
+}
+
+// Adds `group`, memories that share one mapping, to `totals` (pages per
+// content rank of their image). Copy-on-write took each memory's `dirtied`
+// pages from the lowest rank up: every rank below the memory's boundary
+// rank whole, and the rest from the boundary rank itself.
+void AddMapping(const std::vector<const MemoryContents*>& group, std::vector<uint64_t>& totals) {
+  const std::vector<uint64_t> mapped = MappedPages(*group.front());
+  const size_t ranks = mapped.size();
+  for (size_t rank = 0; rank < ranks; ++rank) {
+    totals[rank] += group.size() * mapped[rank];
+  }
+  std::vector<uint64_t> through;      // pages mapped at ranks <= index
+  std::vector<uint64_t> boundaries;   // memories per boundary rank
+  for (const MemoryContents* memory : group) {
+    if (memory->dirtied == 0) {
+      continue;
+    }
+    if (through.empty()) {
+      through.resize(ranks);
+      std::partial_sum(mapped.begin(), mapped.end(), through.begin());
+      boundaries.assign(ranks + 1, 0);
+    }
+    size_t boundary = static_cast<size_t>(
+        std::upper_bound(through.begin(), through.end(), memory->dirtied) - through.begin());
+    ++boundaries[boundary];
+    if (boundary < ranks) {
+      totals[boundary] -= memory->dirtied - (boundary == 0 ? 0 : through[boundary - 1]);
+    }
+  }
+  uint64_t covering = 0;  // memories whose boundary lies above `rank`
+  for (size_t rank = boundaries.empty() ? 0 : ranks; rank-- > 0;) {
+    covering += boundaries[rank + 1];
+    totals[rank] -= covering * mapped[rank];
+  }
+}
+
+}  // namespace
+
+KsmStats MergeContents(const std::vector<const MemoryContents*>& memories) {
+  uint64_t zero_pages = 0;
+  std::vector<const MemoryContents*> mapped;
+  for (const MemoryContents* memory : memories) {
+    zero_pages += memory->zero_pages;
+    if (memory->image != nullptr) {
+      mapped.push_back(memory);
+    }
+  }
+  std::sort(mapped.begin(), mapped.end(), [](const MemoryContents* a, const MemoryContents* b) {
+    return MappingKey(*a) < MappingKey(*b);
+  });
+
+  // Pages per content rank, one entry per image identity.
+  struct ImageTotals {
+    const ImageContents* image;
+    std::vector<uint64_t> pages;
+  };
+  std::vector<ImageTotals> images;
+  std::vector<const MemoryContents*> group;
+  for (size_t begin = 0; begin < mapped.size();) {
+    const MemoryContents& head = *mapped[begin];
+    group.clear();
+    size_t end = begin;
+    for (; end < mapped.size() && MappingKey(*mapped[end]) == MappingKey(head); ++end) {
+      group.push_back(mapped[end]);
+    }
+    if (images.empty() || images.back().image->identity() != head.image->identity()) {
+      images.push_back({head.image.get(), std::vector<uint64_t>(head.image->ids().size(), 0)});
+    }
+    AddMapping(group, images.back().pages);
+    begin = end;
+  }
+
+  // Equal content ids are one content wherever they come from (the zero
+  // page, or blocks two different images have in common): walk every
+  // image's ascending ids together and merge per id.
+  KsmStats stats;
+  std::vector<size_t> next(images.size(), 0);
+  bool zero_pending = zero_pages > 0;
+  for (;;) {
+    bool any = zero_pending;
+    uint64_t id = kZeroPageContent;
+    for (size_t i = 0; i < images.size(); ++i) {
+      if (next[i] < images[i].pages.size()) {
+        uint64_t candidate = images[i].image->ids()[next[i]];
+        id = any ? std::min(id, candidate) : candidate;
+        any = true;
+      }
+    }
+    if (!any) {
+      break;
+    }
+    uint64_t pages = 0;
+    if (zero_pending && id == kZeroPageContent) {
+      pages += zero_pages;
+      zero_pending = false;
+    }
+    for (size_t i = 0; i < images.size(); ++i) {
+      if (next[i] < images[i].pages.size() && images[i].image->ids()[next[i]] == id) {
+        pages += images[i].pages[next[i]++];
+      }
+    }
+    if (pages > 1) {
+      stats.pages_shared += 1;
+      stats.pages_sharing += pages;
+    }
+  }
+  return stats;
+}
 
 KsmDaemon::KsmDaemon(EventLoop& loop, std::function<std::vector<const GuestMemory*>()> memories)
     : loop_(loop), memories_(std::move(memories)) {}
@@ -26,128 +157,34 @@ void KsmDaemon::RefreshMeters() {
   }
 }
 
-void KsmDaemon::set_full_rescan(bool full) {
-  if (full == full_rescan_) {
-    return;
-  }
-  full_rescan_ = full;
-  // Either direction invalidates the delta baseline: the full path does not
-  // maintain it, so re-entering incremental mode must start from scratch.
-  tracked_.clear();
-  content_counts_.clear();
-  shared_ = 0;
-  sharing_ = 0;
-}
-
-void KsmDaemon::RetotalContent(uint64_t content, uint64_t old_total, uint64_t new_total) {
-  if (old_total > 1) {
-    shared_ -= 1;
-    sharing_ -= old_total;
-  }
-  if (new_total > 1) {
-    shared_ += 1;
-    sharing_ += new_total;
-  }
-  if (new_total == 0) {
-    content_counts_.erase(content);
-  } else {
-    content_counts_[content] = new_total;
-  }
-}
-
-void KsmDaemon::ApplyDelta(TrackedMemory& tracked, const std::map<uint64_t, uint64_t>& next) {
-  // Merge-walk the old and new histograms (both sorted by content id) and
-  // re-total every content whose per-memory count moved.
-  auto old_it = tracked.last_contents.begin();
-  auto new_it = next.begin();
-  auto retotal = [this](uint64_t content, uint64_t was, uint64_t now) {
-    auto idx = content_counts_.find(content);
-    uint64_t old_total = idx == content_counts_.end() ? 0 : idx->second;
-    RetotalContent(content, old_total, old_total - was + now);
-  };
-  while (old_it != tracked.last_contents.end() || new_it != next.end()) {
-    if (new_it == next.end() ||
-        (old_it != tracked.last_contents.end() && old_it->first < new_it->first)) {
-      retotal(old_it->first, old_it->second, 0);
-      ++old_it;
-    } else if (old_it == tracked.last_contents.end() || new_it->first < old_it->first) {
-      retotal(new_it->first, 0, new_it->second);
-      ++new_it;
-    } else {
-      if (old_it->second != new_it->second) {
-        retotal(new_it->first, old_it->second, new_it->second);
-      }
-      ++old_it;
-      ++new_it;
-    }
-  }
-  tracked.last_contents = next;
-}
-
-KsmStats KsmDaemon::FullRescan(const std::vector<const GuestMemory*>& memories,
-                               uint64_t* pages_scanned) {
-  std::map<uint64_t, uint64_t> merged;
-  for (const GuestMemory* memory : memories) {
-    for (const auto& [content, count] : memory->pages_by_content()) {
-      merged[content] += count;
-      *pages_scanned += count;
-    }
-  }
-  memories_merged_ += memories.size();
-  KsmStats stats;
-  for (const auto& [content, count] : merged) {
-    (void)content;
-    if (count > 1) {
-      stats.pages_shared += 1;
-      stats.pages_sharing += count;
-    }
-  }
-  return stats;
-}
-
 KsmStats KsmDaemon::ScanNow() {
   TraceSpan span(loop_.tracer(), loop_.clock(), "hv", "ksm_scan", "ksm");
   RefreshMeters();
   ++passes_;
   uint64_t pages_scanned = 0;
+  uint64_t merged = 0;
   uint64_t skipped = 0;
-  std::vector<const GuestMemory*> memories = memories_();
-
-  if (full_rescan_) {
-    stats_ = FullRescan(memories, &pages_scanned);
-  } else {
-    // Delta pass: re-merge only memories whose generation moved since the
-    // last pass (all of them, on the first pass), and retire memories that
-    // disappeared (VM stopped or destroyed). Deltas are integer-exact and
-    // commutative, so the result is bit-identical to a full re-merge.
-    std::set<uint64_t> seen;
-    for (const GuestMemory* memory : memories) {
-      seen.insert(memory->id());
-      TrackedMemory& tracked = tracked_[memory->id()];
-      if (tracked.last_generation == memory->generation()) {
-        ++skipped;
-        continue;
-      }
-      ++memories_merged_;
-      for (const auto& [content, count] : memory->pages_by_content()) {
-        (void)content;
-        pages_scanned += count;
-      }
-      ApplyDelta(tracked, memory->pages_by_content());
-      tracked.last_generation = memory->generation();
+  std::vector<const MemoryContents*> contents;
+  std::map<uint64_t, uint64_t> generations;
+  for (const GuestMemory* memory : memories_()) {
+    contents.push_back(&memory->contents());
+    generations[memory->id()] = memory->generation();
+    auto last = generations_.find(memory->id());
+    if (last != generations_.end() && last->second == memory->generation()) {
+      ++skipped;
+      continue;
     }
-    static const std::map<uint64_t, uint64_t> kEmptyContents;
-    for (auto it = tracked_.begin(); it != tracked_.end();) {
-      if (seen.count(it->first) == 0) {
-        ApplyDelta(it->second, kEmptyContents);
-        it = tracked_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    stats_ = KsmStats{shared_, sharing_};
+    ++merged;
+    pages_scanned += memory->zero_pages() + memory->image_pages();
   }
+  // Every memory skipped and none retired (the skipped ones are then all
+  // of last pass's memories): nothing moved since the last merge.
+  if (merged > 0 || skipped != generations_.size()) {
+    stats_ = MergeContents(contents);
+  }
+  generations_ = std::move(generations);
 
+  memories_merged_ += merged;
   memories_skipped_ += skipped;
   if (passes_counter_ != nullptr) {
     passes_counter_->Increment();
@@ -188,18 +225,12 @@ void KsmDaemon::Stop() {
   pending_event_ = 0;
 }
 
-std::map<uint64_t, uint64_t> KsmDaemon::ContentHistogram() const {
-  // Rebuilt from the live memories, not from content_counts_: the
-  // incremental index lags mutations made since the last ScanNow and is
-  // empty entirely under full_rescan, while the fleet reconcile
-  // (src/hv/ksm_fleet.h) must see the same histogram either way.
-  std::map<uint64_t, uint64_t> histogram;
+std::vector<MemoryContents> KsmDaemon::Snapshot() const {
+  std::vector<MemoryContents> snapshot;
   for (const GuestMemory* memory : memories_()) {
-    for (const auto& [content, pages] : memory->pages_by_content()) {
-      histogram[content] += pages;
-    }
+    snapshot.push_back(memory->contents());
   }
-  return histogram;
+  return snapshot;
 }
 
 void KsmDaemon::Tick() {

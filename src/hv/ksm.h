@@ -4,15 +4,13 @@
 // boot from the same base image, image-backed pages merge across nyms —
 // the paper measures "over 5% saving at 8 nyms".
 //
-// Scans are incremental: the daemon keeps a host-level content-count index
-// (content hash → pages across all tracked memories) plus, per memory, the
-// write-generation and content histogram it last merged. A pass re-merges
-// only memories whose GuestMemory::generation() moved, applying the
-// histogram delta to the index and to the running shared/sharing
-// aggregates. The invariant (docs/performance.md): after any pass, stats()
-// is bit-identical to what a from-scratch merge over all live memories
-// would produce — enforced by tests/perf_equivalence_test.cc against the
-// reference full-rescan path kept behind set_full_rescan(true).
+// Merging is computed in closed form from each memory's MemoryContents
+// (src/hv/guest_memory.h): no page is enumerated and no per-page state is
+// kept. A pass costs O(image blocks) per distinct mapping (in a fleet, one
+// per VM role) plus O(log blocks) per memory. A pass whose memories
+// all kept their write-generation, with none retired, reuses the last
+// result. tests/ksm_property_test.cc checks the closed form against a
+// brute-force page-array model kept in tests/ksm_model.h.
 #ifndef SRC_HV_KSM_H_
 #define SRC_HV_KSM_H_
 
@@ -36,6 +34,11 @@ struct KsmStats {
   uint64_t bytes_saved() const { return pages_saved() * kPageSize; }
 };
 
+// What one merge over every page `memories` describe yields. Images are
+// matched by content identity, so memories mapped from distinct but
+// identical image objects (one per shard) merge as one image.
+KsmStats MergeContents(const std::vector<const MemoryContents*>& memories);
+
 class KsmDaemon {
  public:
   // `memories` enumerates the live VMs' guest memories at scan time.
@@ -43,9 +46,7 @@ class KsmDaemon {
 
   // One scan pass (instantaneous in virtual time). Real ksmd sweeps
   // incrementally; Nymix's measurement points are all post-stabilization,
-  // so a full merge summary at each tick is the faithful result — this
-  // implementation just reaches it by delta instead of by rescanning the
-  // world.
+  // so a full merge summary at each tick is the faithful result.
   KsmStats ScanNow();
 
   // Enables periodic scanning. Calling Start while already running adopts
@@ -57,43 +58,19 @@ class KsmDaemon {
   const KsmStats& stats() const { return stats_; }
   bool running() const { return running_; }
 
-  // Reference implementation hook: rescan and re-merge everything on every
-  // pass (the pre-incremental behavior). Benches use it for wall-clock
-  // comparison; the equivalence tests assert bit-identical stats against
-  // it. Enabling it drops the incremental state, so switching back starts
-  // from a clean first-scan baseline.
-  void set_full_rescan(bool full);
-  bool full_rescan() const { return full_rescan_; }
+  // Fleet-wide reconcile input (src/hv/ksm_fleet.h): a copy of every live
+  // memory's contents, taken now regardless of when ScanNow last ran.
+  std::vector<MemoryContents> Snapshot() const;
 
-  // Fleet-wide reconcile input (src/hv/ksm_fleet.h): the live content
-  // histogram (content id → total pages) across every tracked memory,
-  // rebuilt from the memories themselves so the result is independent of
-  // scan mode (incremental vs full_rescan) and of when ScanNow last ran.
-  std::map<uint64_t, uint64_t> ContentHistogram() const;
-
-  // Scan-effort introspection (always counted, metrics attached or not).
+  // Scan-effort introspection (always counted, metrics attached or not):
+  // a memory is merged when its generation moved since the last pass (or
+  // it is new) and skipped otherwise.
   uint64_t passes() const { return passes_; }
   uint64_t memories_merged() const { return memories_merged_; }
   uint64_t memories_skipped() const { return memories_skipped_; }
 
  private:
-  // Per-memory delta state, keyed by GuestMemory::id().
-  struct TrackedMemory {
-    uint64_t last_generation = 0;
-    // The content histogram as of the last merge; diffed against the live
-    // histogram to produce index deltas.
-    std::map<uint64_t, uint64_t> last_contents;
-  };
-
   void Tick();
-  // Applies `next` minus `tracked.last_contents` to the content index and
-  // aggregates, then snapshots `next` into the tracked state.
-  void ApplyDelta(TrackedMemory& tracked, const std::map<uint64_t, uint64_t>& next);
-  // Moves one content's total from `old_total` to `new_total`, maintaining
-  // the shared/sharing aggregates.
-  void RetotalContent(uint64_t content, uint64_t old_total, uint64_t new_total);
-  KsmStats FullRescan(const std::vector<const GuestMemory*>& memories,
-                      uint64_t* pages_scanned);
   void RefreshMeters();
 
   EventLoop& loop_;
@@ -103,12 +80,8 @@ class KsmDaemon {
   bool running_ = false;
   uint64_t pending_event_ = 0;
 
-  // --- Incremental index -------------------------------------------------
-  bool full_rescan_ = false;
-  std::map<uint64_t, TrackedMemory> tracked_;      // by GuestMemory::id()
-  std::map<uint64_t, uint64_t> content_counts_;    // content → total pages
-  uint64_t shared_ = 0;   // contents with total > 1
-  uint64_t sharing_ = 0;  // pages under those contents
+  // GuestMemory::id() -> generation, for every memory the last pass saw.
+  std::map<uint64_t, uint64_t> generations_;
 
   uint64_t passes_ = 0;
   uint64_t memories_merged_ = 0;

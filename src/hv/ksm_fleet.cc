@@ -2,48 +2,21 @@
 
 namespace nymix {
 
-namespace {
-
-// Shared/sharing totals a merge pass over `histogram` would produce: every
-// content with more than one page costs one physical page (shared) for all
-// of its mappings (sharing).
-void Totals(const std::map<uint64_t, uint64_t>& histogram, uint64_t* shared,
-            uint64_t* sharing) {
-  for (const auto& [content, pages] : histogram) {
-    (void)content;
-    if (pages > 1) {
-      *shared += 1;
-      *sharing += pages;
-    }
-  }
-}
-
-}  // namespace
-
-FleetKsmStats FleetKsmIndex::Reconcile(const std::vector<const KsmDaemon*>& daemons) {
-  std::vector<std::map<uint64_t, uint64_t>> hosts;
-  hosts.reserve(daemons.size());
-  for (const KsmDaemon* daemon : daemons) {
-    hosts.push_back(daemon->ContentHistogram());
-  }
-  return ReconcileHistograms(hosts);
-}
-
-FleetKsmStats FleetKsmIndex::ReconcileHistograms(
-    const std::vector<std::map<uint64_t, uint64_t>>& hosts) {
+FleetKsmStats FleetKsmIndex::Reconcile(const std::vector<std::vector<MemoryContents>>& hosts) {
   FleetKsmStats stats;
   stats.hosts = hosts.size();
-  std::map<uint64_t, uint64_t> fleet;
-  for (const std::map<uint64_t, uint64_t>& host : hosts) {
-    uint64_t host_shared = 0;
-    uint64_t host_sharing = 0;
-    Totals(host, &host_shared, &host_sharing);
-    stats.local_pages_sharing += host_sharing;
-    for (const auto& [content, pages] : host) {
-      fleet[content] += pages;
+  std::vector<const MemoryContents*> fleet;
+  for (const std::vector<MemoryContents>& host : hosts) {
+    std::vector<const MemoryContents*> local;
+    for (const MemoryContents& memory : host) {
+      local.push_back(&memory);
+      fleet.push_back(&memory);
     }
+    stats.local_pages_sharing += MergeContents(local).pages_sharing;
   }
-  Totals(fleet, &stats.pages_shared, &stats.pages_sharing);
+  KsmStats merged = MergeContents(fleet);
+  stats.pages_shared = merged.pages_shared;
+  stats.pages_sharing = merged.pages_sharing;
   return stats;
 }
 

@@ -3,17 +3,17 @@
 //
 // Each host's KsmDaemon only merges within its own machine — that is the
 // real kernel's scope, and in the parallel executor it is also the shard
-// boundary. The fleet index answers the cross-host question (every Nymix
-// box boots the same release image, so image-backed pages duplicate across
-// hosts exactly as they do across VMs): it folds per-host content
-// histograms into one fleet histogram and re-derives shared/sharing totals.
+// boundary. The fleet reconcile answers the cross-host question (every
+// Nymix box boots the same release image, so image-backed pages duplicate
+// across hosts exactly as they do across VMs): it merges every host's
+// memory contents at once, in the same closed form as a host pass. Each
+// shard builds its own copy of the image; the copies merge because images
+// are matched by content identity, not by object.
 //
-// Determinism: Reconcile is pure — it reads per-host histograms (rebuilt
-// from live memories, scan-mode independent) and merges std::maps in the
-// order the daemons are passed. ShardedFleet passes hosts in creation
-// order, so the result is byte-identical across thread counts and
-// identical between a sharded run and an unsharded one with the same
-// per-host contents.
+// Determinism: Reconcile is pure and reads only the snapshots it is given
+// (MemoryContents copies). Merged totals are sums, so they do not depend on
+// host order, and a sharded run reconciles to the same totals as an
+// unsharded one with the same per-host contents.
 #ifndef SRC_HV_KSM_FLEET_H_
 #define SRC_HV_KSM_FLEET_H_
 
@@ -41,18 +41,11 @@ struct FleetKsmStats {
 
 class FleetKsmIndex {
  public:
-  // Pass daemons in host creation order (the caller's stable order is part
-  // of the determinism contract, though the merged totals are order-
-  // independent anyway since histogram addition commutes). Reads the LIVE
-  // histograms — a fleet whose nyms have all terminated reconciles to zero
-  // by design (§3.4: wiped memory holds nothing to merge).
-  static FleetKsmStats Reconcile(const std::vector<const KsmDaemon*>& daemons);
-
-  // Same reconcile over captured per-host histograms (one per host, in
-  // host creation order) — what ShardedFleet feeds it from its fixed-
-  // virtual-time snapshots, taken while the nyms are still alive.
-  static FleetKsmStats ReconcileHistograms(
-      const std::vector<std::map<uint64_t, uint64_t>>& hosts);
+  // One KsmDaemon::Snapshot() per host, in host creation order. A fleet
+  // whose nyms have all terminated reconciles to zero by design (§3.4:
+  // wiped memory holds nothing to merge), which is why ShardedFleet
+  // snapshots at a fixed virtual time while the nyms are still alive.
+  static FleetKsmStats Reconcile(const std::vector<std::vector<MemoryContents>>& hosts);
 };
 
 }  // namespace nymix

@@ -116,7 +116,7 @@ void VirtualMachine::Boot(std::function<void(SimTime)> on_ready) {
     auto dirty_pages =
         static_cast<uint64_t>(config_.boot_dirty_page_fraction * memory_.total_pages());
     memory_.MapImagePages(*image_, image_pages);
-    memory_.DirtyPages(dirty_pages, sim_.prng());
+    memory_.DirtyPages(dirty_pages);
     state_ = VmState::kRunning;
     if (on_ready) {
       on_ready(sim_.now());

@@ -229,6 +229,12 @@ void ShardedSimulation::RunUntilIdle() {
     active_shards_->Record(static_cast<double>(active_.size()));
     shard_skew_events_->Record(static_cast<double>(events_max - events_min));
     barrier_wait_ms_->Record(active_.size() > 1 ? wall_max - wall_min : 0.0);
+    for (Inbox& inbox : inboxes_) {
+      pump_events_->Increment(inbox.pumps_rescheduled);
+      deliveries_pumped_->Increment(inbox.deliveries_pumped);
+      inbox.pumps_rescheduled = 0;
+      inbox.deliveries_pumped = 0;
+    }
     DispatchDeliveries();
   }
 }
@@ -295,7 +301,7 @@ void ShardedSimulation::PumpInbox(int dst) {
   while (inbox.head < inbox.queue.size() && inbox.queue[inbox.head].deliver_at <= now) {
     CrossShardChannel::PendingDelivery& delivery = inbox.queue[inbox.head];
     ++inbox.head;
-    deliveries_pumped_->Increment();
+    ++inbox.deliveries_pumped;
     delivery.dst_link->DeliverFromRemote(delivery.packet);
     // Release the payload now; the record slot itself is reclaimed in bulk
     // at the next barrier compaction.
@@ -306,7 +312,7 @@ void ShardedSimulation::PumpInbox(int dst) {
     inbox.pump_at = inbox.queue[inbox.head].deliver_at;
     inbox.pump_event =
         loop.ScheduleAt(inbox.pump_at, [this, dst_shard] { PumpInbox(dst_shard); });
-    pump_events_->Increment();
+    ++inbox.pumps_rescheduled;
   } else {
     inbox.queue.clear();
     inbox.head = 0;

@@ -153,6 +153,11 @@ class ShardedSimulation {
     size_t head = 0;
     std::optional<uint64_t> pump_event;  // outstanding pump, if any
     SimTime pump_at = 0;
+    // Counted by the owning shard during its epoch and folded into the
+    // parallel.* counters at the barrier, so no two threads ever write
+    // the same counter.
+    uint64_t pumps_rescheduled = 0;
+    uint64_t deliveries_pumped = 0;
   };
 
   void DispatchDeliveries();

@@ -1,5 +1,8 @@
 #include "src/unionfs/disk_image.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace nymix {
 
 namespace {
@@ -47,6 +50,23 @@ void PopulateDistributionFs(MemFs& fs, const std::string& name, uint64_t seed) {
 
 }  // namespace
 
+ImageContents::ImageContents(const std::vector<Sha256Digest>& block_digests,
+                             const Sha256Digest& identity)
+    : identity_(identity), ranks_(block_digests.size()) {
+  std::vector<std::pair<uint64_t, uint32_t>> by_id;
+  by_id.reserve(block_digests.size());
+  for (size_t block = 0; block < block_digests.size(); ++block) {
+    by_id.emplace_back(DigestPrefix64(block_digests[block]), static_cast<uint32_t>(block));
+  }
+  std::sort(by_id.begin(), by_id.end());
+  for (const auto& [id, block] : by_id) {
+    if (ids_.empty() || ids_.back() != id) {
+      ids_.push_back(id);
+    }
+    ranks_[block] = static_cast<uint32_t>(ids_.size() - 1);
+  }
+}
+
 std::shared_ptr<BaseImage> BaseImage::CreateDistribution(std::string name, uint64_t seed,
                                                          uint64_t size_bytes) {
   NYMIX_CHECK(size_bytes % kDiskBlockSize == 0);
@@ -63,6 +83,8 @@ std::shared_ptr<BaseImage> BaseImage::CreateDistribution(std::string name, uint6
     image->block_digests_.push_back(BlockDigestFor(seed, i));
   }
   image->merkle_ = MerkleTree::Build(image->block_digests_);
+  image->contents_ =
+      std::make_shared<const ImageContents>(image->block_digests_, image->merkle_.root());
   return image;
 }
 
@@ -95,6 +117,11 @@ Result<std::shared_ptr<BaseImage>> BaseImage::CreateDistributionFromCheckpoint(
   PopulateDistributionFs(*image->fs_, image->name_, seed);
   image->block_digests_ = std::move(block_digests);
   image->merkle_ = std::move(merkle);
+  // The published root names the content only if the digests match the
+  // tree; a checkpoint where they drift apart fails VerifyAllBlocks, and
+  // NymManager boots nothing from it.
+  image->contents_ =
+      std::make_shared<const ImageContents>(image->block_digests_, image->merkle_.root());
   return image;
 }
 
@@ -131,6 +158,8 @@ void BaseImage::TamperBlock(uint64_t block_index, uint64_t new_seed) {
   NYMIX_CHECK(block_index < block_digests_.size());
   block_digests_[block_index] = BlockDigestFor(new_seed ^ 0xdeadbeefULL, block_index);
   ++mutation_count_;
+  contents_ = std::make_shared<const ImageContents>(block_digests_,
+                                                    MerkleTree::Build(block_digests_).root());
 }
 
 VmDisk::VmDisk(std::shared_ptr<const BaseImage> base, std::shared_ptr<const MemFs> config,

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/crypto/merkle.h"
 #include "src/unionfs/union_fs.h"
@@ -19,6 +20,29 @@
 namespace nymix {
 
 inline constexpr uint64_t kDiskBlockSize = 4096;
+
+// The content ids of an image's blocks, ranked: what guest memory needs to
+// describe image-backed pages without storing them page by page. Built
+// once, next to the block digests it derives from, and immutable after
+// that, so any number of memories and threads can share it.
+class ImageContents {
+ public:
+  // `identity` names the content: two views with equal identities hold the
+  // same content id in every block, whichever image object built them.
+  ImageContents(const std::vector<Sha256Digest>& block_digests, const Sha256Digest& identity);
+
+  const Sha256Digest& identity() const { return identity_; }
+  uint64_t block_count() const { return ranks_.size(); }
+  // Distinct block content ids, ascending.
+  const std::vector<uint64_t>& ids() const { return ids_; }
+  // Per block, the index into ids() of its content id.
+  const std::vector<uint32_t>& ranks() const { return ranks_; }
+
+ private:
+  Sha256Digest identity_;
+  std::vector<uint64_t> ids_;
+  std::vector<uint32_t> ranks_;
+};
 
 class BaseImage {
  public:
@@ -53,6 +77,11 @@ class BaseImage {
   // 64-bit content identity of a block; identical across VMs using this
   // image, which is what makes KSM effective.
   uint64_t BlockContentId(uint64_t block_index) const;
+
+  // The blocks' current contents as one shared view. Its identity is the
+  // Merkle root of the current block digests. TamperBlock installs a new
+  // view, so memory mapped earlier keeps the content it was mapped with.
+  const std::shared_ptr<const ImageContents>& contents() const { return contents_; }
 
   // Block digest as read "from disk" — reflects tampering.
   Sha256Digest ReadBlockDigest(uint64_t block_index) const;
@@ -89,6 +118,7 @@ class BaseImage {
   std::shared_ptr<MemFs> fs_;
   std::vector<Sha256Digest> block_digests_;  // current on-disk state
   MerkleTree merkle_;                        // built at distribution time
+  std::shared_ptr<const ImageContents> contents_;
   uint64_t mutation_count_ = 0;
   // VerifyAllBlocks memo: last mutation epoch checked and its verdict.
   mutable int64_t verified_mutation_ = -1;

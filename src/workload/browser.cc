@@ -278,7 +278,7 @@ void BrowserModel::Visit(Website& site, std::function<void(Result<SimTime>)> don
             fetch_done(history);
             return;
           }
-          anon_vm_->memory().DirtyPages(profile.memory_dirty_bytes / kPageSize, prng_);
+          anon_vm_->memory().DirtyPages(profile.memory_dirty_bytes / kPageSize);
           sim_.loop().ScheduleAfter(
               config_.render_time,
               [this, alive = std::weak_ptr<char>(alive_), profile, visit_start,

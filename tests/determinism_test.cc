@@ -19,6 +19,7 @@
 #include "src/store/image_checkpoint.h"
 #include "src/store/kv_store.h"
 #include "src/workload/website.h"
+#include "tests/ksm_model.h"
 
 namespace nymix {
 namespace {
@@ -135,10 +136,33 @@ std::string RunFaultScenario(uint64_t seed, bool full_recompute = false) {
   return obs.trace.ToChromeJson();
 }
 
+// The KSM reference: a scan of `host` must merge exactly what the brute-
+// force page-array model merges, rebuilt page by page from the contents of
+// every running memory on it.
+void ExpectKsmMatchesModel(HostMachine& host, const BaseImage& image) {
+  std::vector<PageArrayMemory> models;
+  for (const VirtualMachine* vm : host.vms()) {
+    if (vm->state() != VmState::kStopped) {
+      const GuestMemory& memory = vm->memory();
+      models.push_back(PageArrayMemory::Replay(memory.total_pages(), memory.contents(), image));
+    }
+  }
+  std::vector<const PageArrayMemory*> pointers;
+  for (const PageArrayMemory& model : models) {
+    pointers.push_back(&model);
+  }
+  KsmStats want = BruteForceMerge(pointers);
+  KsmStats got = host.ksm().ScanNow();
+  EXPECT_GT(got.pages_sharing, 0u);
+  EXPECT_EQ(got.pages_shared, want.pages_shared);
+  EXPECT_EQ(got.pages_sharing, want.pages_sharing);
+}
+
 // A compact version of bench/scale_fleet.cc: two host clusters, each with
 // live KSM scanning, a private Tor deployment, and a browsing nym. This
-// covers the other incremental hot path (KSM delta scans) and the whole
-// boot/visit/terminate machinery, at a size small enough for a unit test.
+// covers the whole boot/visit/terminate machinery at a size small enough
+// for a unit test, and checks each host's KSM totals against the page-array
+// model while its nym is alive.
 std::string RunFleetScenario(uint64_t seed, bool full_recompute) {
   Simulation sim(seed);
   sim.flows().set_full_recompute(full_recompute);
@@ -161,7 +185,6 @@ std::string RunFleetScenario(uint64_t seed, bool full_recompute) {
   tor_config.exit_count = 2;
   for (size_t c = 0; c < clusters.size(); ++c) {
     clusters[c].host = std::make_unique<HostMachine>(sim, HostConfig{});
-    clusters[c].host->ksm().set_full_rescan(full_recompute);
     clusters[c].tor = std::make_unique<TorNetwork>(sim, tor_config);
     clusters[c].manager =
         std::make_unique<NymManager>(*clusters[c].host, image, clusters[c].tor.get(), nullptr);
@@ -177,10 +200,12 @@ std::string RunFleetScenario(uint64_t seed, bool full_recompute) {
     Cluster& cluster = clusters[c];
     cluster.manager->CreateNym(
         "nym-" + std::to_string(c), NymManager::CreateOptions{},
-        [&sim, &cluster, &done](Result<Nym*> nym, NymStartupReport) {
+        [&sim, &cluster, &image, &done](Result<Nym*> nym, NymStartupReport) {
           NYMIX_CHECK(nym.ok());
-          (*nym)->browser()->Visit(*cluster.site, [&cluster, nym, &done](Result<SimTime> visit) {
+          (*nym)->browser()->Visit(*cluster.site, [&cluster, &image, nym,
+                                                   &done](Result<SimTime> visit) {
             NYMIX_CHECK(visit.ok());
+            ExpectKsmMatchesModel(*cluster.host, *image);
             NYMIX_CHECK(cluster.manager->TerminateNym(*nym).ok());
             ++done;
           });

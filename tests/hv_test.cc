@@ -25,34 +25,34 @@ TEST(GuestMemoryTest, MapImagePagesSharedAcrossVms) {
   a.MapImagePages(*image, 1000);
   b.MapImagePages(*image, 1000);
   EXPECT_EQ(a.image_pages(), 1000u);
-  EXPECT_EQ(a.pages_by_content().size(), b.pages_by_content().size());
-  // Identical content histograms -> fully mergeable by KSM.
-  EXPECT_EQ(a.pages_by_content(), b.pages_by_content());
+  // Identical contents -> fully mergeable by KSM: every page of both VMs
+  // shares, onto the 1000 mapped block contents plus the zero page.
+  KsmStats merged = MergeContents({&a.contents(), &b.contents()});
+  EXPECT_EQ(merged.pages_sharing, a.total_pages() + b.total_pages());
+  EXPECT_EQ(merged.pages_shared, 1000u + 1);
 }
 
 TEST(GuestMemoryTest, DirtyConsumesZeroThenImage) {
   auto image = TestImage();
-  Prng prng(1);
   GuestMemory memory(4 * kMiB);  // 1024 pages
   memory.MapImagePages(*image, 200);
   EXPECT_EQ(memory.zero_pages(), 824u);
-  memory.DirtyPages(824, prng);
+  memory.DirtyPages(824);
   EXPECT_EQ(memory.zero_pages(), 0u);
   EXPECT_EQ(memory.image_pages(), 200u);
-  memory.DirtyPages(100, prng);  // breaks COW on image pages
+  memory.DirtyPages(100);  // breaks COW on image pages
   EXPECT_EQ(memory.image_pages(), 100u);
   EXPECT_EQ(memory.unique_pages(), 924u);
   // Cannot dirty more than exists.
-  memory.DirtyPages(10'000, prng);
+  memory.DirtyPages(10'000);
   EXPECT_EQ(memory.unique_pages(), memory.total_pages());
 }
 
 TEST(GuestMemoryTest, WipeRestoresZeroState) {
   auto image = TestImage();
-  Prng prng(1);
   GuestMemory memory(4 * kMiB);
   memory.MapImagePages(*image, 100);
-  memory.DirtyPages(500, prng);
+  memory.DirtyPages(500);
   memory.Wipe();
   EXPECT_EQ(memory.zero_pages(), memory.total_pages());
   EXPECT_EQ(memory.unique_pages(), 0u);
@@ -78,11 +78,10 @@ TEST(KsmTest, MergesZeroAndImagePagesAcrossVms) {
 
 TEST(KsmTest, UniquePagesNeverMerge) {
   EventLoop loop;
-  Prng prng(1);
   GuestMemory a(4 * kMiB);
   GuestMemory b(4 * kMiB);
-  a.DirtyPages(1024, prng);
-  b.DirtyPages(1024, prng);
+  a.DirtyPages(1024);
+  b.DirtyPages(1024);
   KsmDaemon ksm(loop, [&] { return std::vector<const GuestMemory*>{&a, &b}; });
   EXPECT_EQ(ksm.ScanNow().pages_sharing, 0u);
 }

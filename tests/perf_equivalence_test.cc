@@ -1,10 +1,11 @@
-// Equivalence tests for the incremental hot paths (docs/performance.md):
-// the KSM delta scanner and the dirty-driven fair-share scheduler must
-// produce results bit-identical to their reference full-recompute
-// implementations (set_full_rescan / set_full_recompute), under randomized
-// seeded stress. The introspection counters double-check that the
-// incremental paths were actually taken — an equivalence test that silently
-// fell back to full recomputation would prove nothing.
+// Equivalence tests for the host-cost hot paths (docs/performance.md): the
+// closed-form KSM merge must match the brute-force page-array model kept in
+// tests/ksm_model.h, and the dirty-driven fair-share scheduler must produce
+// results bit-identical to its full-recompute reference
+// (set_full_recompute), under randomized seeded stress. The introspection
+// counters double-check that the fast paths were actually taken — an
+// equivalence test that silently fell back to recomputing everything would
+// prove nothing.
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "src/hv/ksm.h"
 #include "src/net/simulation.h"
 #include "src/util/prng.h"
+#include "tests/ksm_model.h"
 
 namespace nymix {
 namespace {
@@ -21,50 +23,73 @@ namespace {
 
 class KsmEquivalenceTest : public ::testing::Test {
  protected:
+  // A GuestMemory and its page-array model, driven by the same calls.
+  struct Shadowed {
+    explicit Shadowed(uint64_t ram) : real(ram), model(real.total_pages()) {}
+    void Map(const BaseImage& image, uint64_t count) {
+      real.MapImagePages(image, count);
+      model.MapImagePages(image, count);
+    }
+    void Dirty(uint64_t count) {
+      real.DirtyPages(count);
+      model.DirtyPages(count);
+    }
+    void Wipe() {
+      real.Wipe();
+      model.Wipe();
+    }
+    GuestMemory real;
+    PageArrayMemory model;
+  };
+
   KsmEquivalenceTest()
       : image_(BaseImage::CreateDistribution("img", 7, 8 * kMiB)),
-        incremental_(loop_, [this] { return Enumerate(); }),
-        reference_(loop_, [this] { return Enumerate(); }) {
-    reference_.set_full_rescan(true);
-  }
+        ksm_(loop_, [this] { return Enumerate(); }) {}
 
   std::vector<const GuestMemory*> Enumerate() const {
     std::vector<const GuestMemory*> out;
     for (const auto& memory : memories_) {
-      out.push_back(memory.get());
+      out.push_back(&memory->real);
     }
     return out;
   }
 
-  GuestMemory& AddMemory(uint64_t ram = 64 * kMiB) {
-    memories_.push_back(std::make_unique<GuestMemory>(ram));
+  Shadowed& AddMemory(uint64_t ram = 64 * kMiB) {
+    memories_.push_back(std::make_unique<Shadowed>(ram));
     return *memories_.back();
   }
 
   void ExpectScansAgree() {
-    KsmStats a = incremental_.ScanNow();
-    KsmStats b = reference_.ScanNow();
+    KsmStats a = ksm_.ScanNow();
+    std::vector<const PageArrayMemory*> models;
+    for (const auto& memory : memories_) {
+      models.push_back(&memory->model);
+    }
+    memory_scans_ += memories_.size();
+    KsmStats b = BruteForceMerge(models);
     ASSERT_EQ(a.pages_shared, b.pages_shared);
     ASSERT_EQ(a.pages_sharing, b.pages_sharing);
   }
 
   EventLoop loop_;
   std::shared_ptr<BaseImage> image_;
-  std::vector<std::unique_ptr<GuestMemory>> memories_;
-  KsmDaemon incremental_;
-  KsmDaemon reference_;
+  std::vector<std::unique_ptr<Shadowed>> memories_;
+  KsmDaemon ksm_;
+  // Memories enumerated over all passes: what a daemon that merged every
+  // memory on every pass would count as merged.
+  uint64_t memory_scans_ = 0;
 };
 
 TEST_F(KsmEquivalenceTest, RandomizedMutationsStayBitIdentical) {
   Prng prng(0xBEEF);
   for (int i = 0; i < 4; ++i) {
-    AddMemory().MapImagePages(*image_, 1500 + 200 * static_cast<uint64_t>(i));
+    AddMemory().Map(*image_, 1500 + 200 * static_cast<uint64_t>(i));
   }
   for (int round = 0; round < 60; ++round) {
     switch (prng.NextBelow(6)) {
       case 0:  // a VM boots
         if (memories_.size() < 8) {
-          AddMemory().MapImagePages(*image_, prng.NextInRange(500, 3000));
+          AddMemory().Map(*image_, prng.NextInRange(500, 3000));
         }
         break;
       case 1:  // a VM is destroyed (vanishes from enumeration)
@@ -76,16 +101,13 @@ TEST_F(KsmEquivalenceTest, RandomizedMutationsStayBitIdentical) {
       case 2:  // secure erase at nym termination
         memories_[prng.NextBelow(memories_.size())]->Wipe();
         break;
-      case 3: {  // browser heap growth
-        GuestMemory& memory = *memories_[prng.NextBelow(memories_.size())];
-        memory.DirtyPages(prng.NextInRange(1, 800), prng);
+      case 3:  // browser heap growth
+        memories_[prng.NextBelow(memories_.size())]->Dirty(prng.NextInRange(1, 800));
         break;
-      }
       case 4:  // page-cache growth
-        memories_[prng.NextBelow(memories_.size())]->MapImagePages(
-            *image_, prng.NextInRange(1, 500));
+        memories_[prng.NextBelow(memories_.size())]->Map(*image_, prng.NextInRange(1, 500));
         break;
-      default:  // quiet round: nothing changes, deltas must still agree
+      default:  // quiet round: nothing changes, the totals must still agree
         break;
     }
     ExpectScansAgree();
@@ -93,46 +115,29 @@ TEST_F(KsmEquivalenceTest, RandomizedMutationsStayBitIdentical) {
       return;
     }
   }
-  // The incremental daemon genuinely took the delta path: quiet rounds
-  // skipped clean memories and far fewer merges happened than the
-  // reference's everything-every-pass.
-  EXPECT_GT(incremental_.memories_skipped(), 0u);
-  EXPECT_LT(incremental_.memories_merged(), reference_.memories_merged());
-  EXPECT_EQ(reference_.memories_skipped(), 0u);
+  // The daemon genuinely skipped: quiet rounds left clean memories alone
+  // and far fewer merges happened than one per memory per pass.
+  EXPECT_GT(ksm_.memories_skipped(), 0u);
+  EXPECT_LT(ksm_.memories_merged(), memory_scans_);
 }
 
 TEST_F(KsmEquivalenceTest, FirstScanIsAFullPass) {
-  AddMemory().MapImagePages(*image_, 1000);
-  AddMemory().MapImagePages(*image_, 1000);
+  AddMemory().Map(*image_, 1000);
+  AddMemory().Map(*image_, 1000);
   ExpectScansAgree();
-  EXPECT_EQ(incremental_.memories_skipped(), 0u);
-  EXPECT_EQ(incremental_.memories_merged(), 2u);
-  EXPECT_GT(incremental_.stats().pages_sharing, 0u);
+  EXPECT_EQ(ksm_.memories_skipped(), 0u);
+  EXPECT_EQ(ksm_.memories_merged(), 2u);
+  EXPECT_GT(ksm_.stats().pages_sharing, 0u);
 }
 
 TEST_F(KsmEquivalenceTest, RetiredMemoryLeavesTheIndex) {
-  AddMemory().MapImagePages(*image_, 2000);
-  AddMemory().MapImagePages(*image_, 2000);
+  AddMemory().Map(*image_, 2000);
+  AddMemory().Map(*image_, 2000);
   ExpectScansAgree();
-  uint64_t sharing_with_two = incremental_.stats().pages_sharing;
+  uint64_t sharing_with_two = ksm_.stats().pages_sharing;
   memories_.pop_back();
   ExpectScansAgree();
-  EXPECT_LT(incremental_.stats().pages_sharing, sharing_with_two);
-}
-
-TEST_F(KsmEquivalenceTest, TogglingFullRescanRebuildsFromScratch) {
-  AddMemory().MapImagePages(*image_, 1200);
-  AddMemory().MapImagePages(*image_, 800);
-  ExpectScansAgree();
-  // Switch the incremental daemon to full and back: the delta baseline is
-  // dropped both ways, and the next incremental pass starts clean.
-  incremental_.set_full_rescan(true);
-  ExpectScansAgree();
-  incremental_.set_full_rescan(false);
-  ExpectScansAgree();
-  Prng prng(3);
-  memories_[0]->DirtyPages(300, prng);
-  ExpectScansAgree();
+  EXPECT_LT(ksm_.stats().pages_sharing, sharing_with_two);
 }
 
 TEST(GuestMemoryTest, GenerationBumpsOnEveryMutation) {
@@ -142,8 +147,7 @@ TEST(GuestMemoryTest, GenerationBumpsOnEveryMutation) {
   memory.MapImagePages(*image, 100);
   EXPECT_GT(memory.generation(), generation);
   generation = memory.generation();
-  Prng prng(1);
-  memory.DirtyPages(10, prng);
+  memory.DirtyPages(10);
   EXPECT_GT(memory.generation(), generation);
   generation = memory.generation();
   memory.Wipe();

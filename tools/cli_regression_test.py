@@ -10,9 +10,12 @@ Covers the contracts a shell user (or CI script) relies on:
     (--stats-out= etc.) still pass through.
   * nymfuzz --minimize re-shrinks a checked-in corpus entry: the rewritten
     file replays clean and carries a digest pin.
+  * The benches whose only flags are the BenchStats ones (figures, table,
+    validation, most ablations) reject an unknown flag, a malformed one or
+    a positional argument with exit 2 and a usage line, before running.
 
 Binary paths come from argv (ctest passes $<TARGET_FILE:...>):
-  cli_regression_test.py SCALE_FLEET_BIN NYMFUZZ_BIN CORPUS_DIR ABLATION_ADVERSARY_BIN
+  cli_regression_test.py SCALE_FLEET_BIN NYMFUZZ_BIN CORPUS_DIR ABLATION_ADVERSARY_BIN BENCH_DIR
 
 Only the standard library is used.
 """
@@ -28,6 +31,14 @@ SCALE_FLEET = None
 NYMFUZZ = None
 CORPUS_DIR = None
 ABLATION_ADVERSARY = None
+BENCH_DIR = None
+
+# Benches that take no flags beyond --stats-out/--trace-out/--trace-format.
+BENCH_STATS_ONLY = [
+    "fig3_memory", "fig4_cpu", "fig5_bandwidth", "fig6_storage", "fig7_startup",
+    "tab1_installed_os", "validation", "ablation_anonymizers", "ablation_faults",
+    "ablation_fingerprint", "ablation_guard_persistence", "ablation_ksm", "ablation_staining",
+]
 
 
 class StrictFlagsMixin:
@@ -105,6 +116,24 @@ class AblationAdversaryCliTest(StrictFlagsMixin, unittest.TestCase):
             self.assertTrue(os.path.exists(stats))
 
 
+class BenchStatsOnlyCliTest(unittest.TestCase):
+    BAD_ARGS = ["--nonsense", "--n=abc", "extra", "--stats-out"]
+
+    def test_other_arguments_exit_2_with_usage(self):
+        for name in BENCH_STATS_ONLY:
+            binary = os.path.join(BENCH_DIR, name)
+            self.assertTrue(os.path.isfile(binary), binary)
+            for arg in self.BAD_ARGS:
+                with self.subTest(bench=name, arg=arg), tempfile.TemporaryDirectory() as tmp:
+                    stats = "--stats-out=" + os.path.join(tmp, "stats.json")
+                    proc = subprocess.run([binary, stats, arg], capture_output=True,
+                                          text=True, cwd=tmp)
+                    self.assertEqual(proc.returncode, 2, proc.stderr)
+                    self.assertIn("usage: " + name + " [--stats-out=<path>]", proc.stderr)
+                    self.assertEqual(proc.stdout, "", "usage error ran the bench")
+                    self.assertEqual(os.listdir(tmp), [], "usage error wrote an artifact")
+
+
 class NymfuzzMinimizeTest(unittest.TestCase):
     def test_minimize_rewrites_corpus_entry_that_still_replays(self):
         source = os.path.join(CORPUS_DIR, "adversary-planted-cookie-23.nymfuzz")
@@ -132,12 +161,12 @@ class NymfuzzMinimizeTest(unittest.TestCase):
 
 
 def main():
-    global SCALE_FLEET, NYMFUZZ, CORPUS_DIR, ABLATION_ADVERSARY
-    if len(sys.argv) != 5:
+    global SCALE_FLEET, NYMFUZZ, CORPUS_DIR, ABLATION_ADVERSARY, BENCH_DIR
+    if len(sys.argv) != 6:
         print("usage: cli_regression_test.py SCALE_FLEET_BIN NYMFUZZ_BIN CORPUS_DIR "
-              "ABLATION_ADVERSARY_BIN", file=sys.stderr)
+              "ABLATION_ADVERSARY_BIN BENCH_DIR", file=sys.stderr)
         return 2
-    SCALE_FLEET, NYMFUZZ, CORPUS_DIR, ABLATION_ADVERSARY = sys.argv[1:5]
+    SCALE_FLEET, NYMFUZZ, CORPUS_DIR, ABLATION_ADVERSARY, BENCH_DIR = sys.argv[1:6]
     sys.argv = sys.argv[:1]
     unittest.main()
 
