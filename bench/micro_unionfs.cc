@@ -8,10 +8,8 @@
 namespace nymix {
 namespace {
 
-std::shared_ptr<BaseImage> Image() {
-  static std::shared_ptr<BaseImage> image =
-      BaseImage::CreateDistribution("bench", 1, 16 * kMiB);
-  return image;
+std::shared_ptr<const BaseImage> Image() {
+  return BaseImage::CreateDistribution("bench", 1, 16 * kMiB);
 }
 
 void BM_UnionReadThroughLayers(benchmark::State& state) {

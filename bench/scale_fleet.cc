@@ -13,10 +13,11 @@
 //               [--warm-start[=CKPT]] [--stats-out=...] [--trace-out=...]
 //               [--trace-format=json|nbt]
 //
-// --warm-start restores every fleet's base images from a deterministic
-// image checkpoint (src/store) instead of rebuilding them — O(changed):
-// only an image whose (name, seed, size) identity is missing from the
-// checkpoint gets cold-built (and written back, so the next run is warm).
+// --warm-start restores each fleet's base image from a deterministic
+// image checkpoint (src/store) instead of taking the interned one that
+// BaseImage::CreateDistribution builds once per process: only an image
+// whose (name, seed, size) identity is missing from the checkpoint gets
+// cold-built (and written back, so the next run is warm).
 // The checkpoint file defaults to BENCH_scale.ckpt. Image content is a
 // pure function of its identity, so warm and cold runs produce
 // byte-identical traces — CI's warm-start smoke compares the SHA-256s.
@@ -155,21 +156,16 @@ struct WarmStart {
   KvStore store;
 };
 
-// Restores (or on a miss builds + checkpoints) one distribution image per
-// requested copy. Each copy decodes to a distinct object: shards must not
-// share an image (the Merkle-verification memo is per object and two
-// shards verifying concurrently must not race on it). Returns the wall
-// milliseconds spent, which is the "checkpoint_restore_ms" column.
-double AcquireWarmImages(WarmStart& warm, int copies,
-                         std::vector<std::shared_ptr<BaseImage>>& out) {
+// Restores (or on a miss builds + checkpoints) the distribution image that
+// every host of a run boots from. Returns the wall milliseconds spent,
+// which is the "checkpoint_restore_ms" column.
+double AcquireWarmImage(WarmStart& warm, std::shared_ptr<const BaseImage>& out) {
   // nymlint:allow(determinism-wallclock): restore cost is the measurement; it never feeds virtual time
   auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < copies; ++i) {
-    auto image = AcquireDistributionImage(warm.store, kFleetImageName, kFleetImageSeed,
-                                          kFleetImageSizeBytes);
-    NYMIX_CHECK_MSG(image.ok(), image.status().ToString().c_str());
-    out.push_back(std::move(*image));
-  }
+  auto image = AcquireDistributionImage(warm.store, kFleetImageName, kFleetImageSeed,
+                                        kFleetImageSizeBytes);
+  NYMIX_CHECK_MSG(image.ok(), image.status().ToString().c_str());
+  out = std::move(*image);
   // nymlint:allow(determinism-wallclock): restore cost is the measurement; it never feeds virtual time
   auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -216,7 +212,9 @@ ThreadedPointResult RunThreadedPoint(BenchStats& stats, int n, int shards, int t
   }
   double restore_ms = 0;
   if (warm != nullptr && warm->enabled) {
-    restore_ms = AcquireWarmImages(*warm, shards, options.images);
+    std::shared_ptr<const BaseImage> image;
+    restore_ms = AcquireWarmImage(*warm, image);
+    options.images.assign(static_cast<size_t>(shards), image);
   }
   // nymlint:allow(determinism-wallclock): wall-clock throughput is the measurement; it never feeds virtual time
   auto wall_start = std::chrono::steady_clock::now();
@@ -282,9 +280,10 @@ ThreadedPointResult RunThreadedPoint(BenchStats& stats, int n, int shards, int t
 
 class Fleet {
  public:
-  // `image` null means cold-build; a warm start passes a restored image.
+  // `image` null means the interned release image; a warm start passes a
+  // restored one.
   Fleet(Simulation& sim, int nym_count, uint64_t seed, bool full_recompute,
-        std::shared_ptr<BaseImage> image = nullptr)
+        std::shared_ptr<const BaseImage> image = nullptr)
       : sim_(sim), nym_count_(nym_count), think_prng_(seed ^ 0x5ca1e) {
     sim_.flows().set_full_recompute(full_recompute);
     int hosts = (nym_count + kNymsPerHost - 1) / kNymsPerHost;
@@ -293,8 +292,7 @@ class Fleet {
     tor_config.guard_count = 2;
     tor_config.exit_count = 2;
     // One distribution image for the whole fleet, like every host booting
-    // from a copy of the same Nymix release stick. Sharing the object also
-    // shares the memoized whole-image Merkle verification across hosts.
+    // from the same Nymix release stick.
     if (image == nullptr) {
       image = BaseImage::CreateDistribution(kFleetImageName, kFleetImageSeed, kFleetImageSizeBytes);
     }
@@ -389,12 +387,10 @@ class Fleet {
 
 PointResult RunPoint(BenchStats& stats, bool attach_obs, int n, uint64_t seed,
                      bool full_recompute, WarmStart* warm) {
-  std::shared_ptr<BaseImage> warm_image;
+  std::shared_ptr<const BaseImage> warm_image;
   double restore_ms = 0;
   if (warm != nullptr && warm->enabled) {
-    std::vector<std::shared_ptr<BaseImage>> images;
-    restore_ms = AcquireWarmImages(*warm, 1, images);
-    warm_image = std::move(images.front());
+    restore_ms = AcquireWarmImage(*warm, warm_image);
   }
   // nymlint:allow(determinism-wallclock): wall-clock throughput is the measurement; it never feeds virtual time
   auto wall_start = std::chrono::steady_clock::now();

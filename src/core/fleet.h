@@ -87,13 +87,13 @@ struct FleetOptions {
   // host-local (the real contention is each host's uplink anyway).
   TorNetwork::Config tor = MakeClusterTorConfig();
 
-  // Warm start: pre-built per-shard base images (restored from a
-  // src/store/image_checkpoint). Used when the count matches the shard
-  // plan; otherwise the fleet cold-builds one image per shard. Image
-  // content is a pure function of (name, seed, size) either way, so the
-  // run's event stream — and trace bytes — do not depend on which path
-  // supplied the images.
-  std::vector<std::shared_ptr<BaseImage>> images;
+  // Per-shard base images, which may all be one image (bench/scale_fleet's
+  // warm start restores it from a src/store/image_checkpoint). Used when
+  // the count matches the shard plan; otherwise every shard boots the
+  // interned release image. Image content is a pure function of (name,
+  // seed, size) either way, so the run's event stream — and trace bytes —
+  // do not depend on which path supplied the images.
+  std::vector<std::shared_ptr<const BaseImage>> images;
 
   static TorNetwork::Config MakeClusterTorConfig() {
     TorNetwork::Config config;

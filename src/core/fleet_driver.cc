@@ -38,18 +38,14 @@ FleetDriver::FleetDriver(ShardedSimulation& sharded, Config config, uint64_t see
     }
     sharded_.set_placement_label(placement.Label());
   }
-  // One distribution image per shard, like every host booting from a copy
-  // of the same release stick. Per shard, not fleet-global: the image
-  // memoizes its whole-image Merkle verification, and two shards verifying
-  // concurrently must not race on (or order-depend on) that cache. Content
-  // is a pure function of (name, seed, size), so every copy is identical.
-  std::vector<std::shared_ptr<BaseImage>>& images = config_.images;
+  // Every host boots from the same release image. The interned image is
+  // immutable, so all shards share it read-only.
+  std::vector<std::shared_ptr<const BaseImage>>& images = config_.images;
   if (static_cast<int>(images.size()) != shards) {
     NYMIX_CHECK_MSG(images.empty(), "fleet images must match the shard plan");
-    for (int s = 0; s < shards; ++s) {
-      images.push_back(
-          BaseImage::CreateDistribution(kFleetImageName, kFleetImageSeed, kFleetImageSizeBytes));
-    }
+    images.assign(static_cast<size_t>(shards),
+                  BaseImage::CreateDistribution(kFleetImageName, kFleetImageSeed,
+                                                kFleetImageSizeBytes));
   }
 
   for (int c = 0; c < hosts; ++c) {

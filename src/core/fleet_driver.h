@@ -5,7 +5,7 @@
 // The driver owns N slots over ceil(N / nyms_per_host) host clusters. Each
 // cluster is a HostMachine with its own test Tor deployment and NymManager,
 // placed onto a shard by the ShardPlacement (round-robin when empty), and
-// booting from that shard's copy of the distribution image. Every slot runs
+// booting from the one shared distribution image. Every slot runs
 // the same drive chain:
 //
 //   SpawnNym -> VisitNext -> (think) -> Advance -> ... -> churn -> SpawnNym
@@ -38,9 +38,9 @@
 
 namespace nymix {
 
-// The distribution image every fleet host boots from — a copy of the same
-// release stick. Exposed so warm-start paths (bench/scale_fleet) can
-// acquire checkpointed images with the identical identity.
+// The distribution image every fleet host boots from — the same release
+// stick. Exposed so warm-start paths (bench/scale_fleet) can acquire
+// checkpointed images with the identical identity.
 inline constexpr const char* kFleetImageName = "nymix";
 inline constexpr uint64_t kFleetImageSeed = 42;
 inline constexpr uint64_t kFleetImageSizeBytes = 64 * kMiB;
@@ -96,8 +96,8 @@ class FleetDriver {
     const char* name_prefix = "";   // nym names: <prefix><host>-s<i>-g<n>
     TorNetwork::Config tor;
     ShardPlacement placement;
-    // Per-shard images; empty = cold-build one per shard.
-    std::vector<std::shared_ptr<BaseImage>> images;
+    // Per-shard images; empty = every shard boots the interned release image.
+    std::vector<std::shared_ptr<const BaseImage>> images;
   };
 
   struct Slot {

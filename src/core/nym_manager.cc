@@ -15,7 +15,7 @@ void CopyInto(const MemFs& source, MemFs& destination) {
 
 }  // namespace
 
-NymManager::NymManager(HostMachine& host, std::shared_ptr<BaseImage> image, TorNetwork* tor,
+NymManager::NymManager(HostMachine& host, std::shared_ptr<const BaseImage> image, TorNetwork* tor,
                        DissentServers* dissent, Config config)
     : host_(host), image_(std::move(image)), tor_(tor), dissent_(dissent), config_(config) {
   NYMIX_CHECK(image_ != nullptr);
@@ -101,24 +101,19 @@ Result<Nym*> NymManager::WireNym(const std::string& name, const CreateOptions& o
   if (FindNym(name) != nullptr) {
     return AlreadyExistsError("nym exists: " + name);
   }
-  // §3.4 extension: check every shared base-image block against the
-  // well-known Merkle root before deriving yet another VM from it. The
-  // result is cached until the on-disk image changes.
-  if (config_.verify_base_image &&
-      last_verified_mutation_ != static_cast<int64_t>(image_->mutation_count())) {
-    if (!image_->VerifyAllBlocks()) {
-      // Only on failure is the per-leaf scan worth its cost: find the
-      // first tampered block so the error names it.
-      for (uint64_t block = 0; block < image_->block_count(); ++block) {
-        if (!image_->VerifyBlock(block)) {
-          return FailedPreconditionError("base image block " + std::to_string(block) +
-                                         " failed Merkle verification; refusing to start nym");
-        }
+  // §3.4 extension: no VM derives from a base image whose blocks do not
+  // match the well-known Merkle root. The image checked that when it was
+  // built.
+  if (!image_->verified()) {
+    // Only on failure is the per-leaf scan worth its cost: find the first
+    // tampered block so the error names it.
+    for (uint64_t block = 0; block < image_->block_count(); ++block) {
+      if (!image_->VerifyBlock(block)) {
+        return FailedPreconditionError("base image block " + std::to_string(block) +
+                                       " failed Merkle verification; refusing to start nym");
       }
-      return FailedPreconditionError(
-          "base image failed Merkle verification; refusing to start nym");
     }
-    last_verified_mutation_ = static_cast<int64_t>(image_->mutation_count());
+    return FailedPreconditionError("base image failed Merkle verification; refusing to start nym");
   }
 
   auto nym = std::make_unique<Nym>(name, options.mode, host_.sim());

@@ -45,18 +45,14 @@ struct SaveReceipt {
 class NymManager {
  public:
   struct Config {
-    // §3.4 extension: verify base-image blocks against the Merkle root
-    // before using the image for a new nym (full check, cached per image
-    // revision).
-    bool verify_base_image = true;
     // Archive pipeline throughput (serialize+compress+encrypt), bytes/s.
     uint64_t archive_processing_bps = 50 * kMiB;
   };
 
-  NymManager(HostMachine& host, std::shared_ptr<BaseImage> image, TorNetwork* tor,
+  NymManager(HostMachine& host, std::shared_ptr<const BaseImage> image, TorNetwork* tor,
              DissentServers* dissent)
       : NymManager(host, std::move(image), tor, dissent, Config{}) {}
-  NymManager(HostMachine& host, std::shared_ptr<BaseImage> image, TorNetwork* tor,
+  NymManager(HostMachine& host, std::shared_ptr<const BaseImage> image, TorNetwork* tor,
              DissentServers* dissent, Config config);
   ~NymManager();
 
@@ -120,7 +116,7 @@ class NymManager {
   Nym* FindNym(const std::string& name) const;
   HostMachine& host() { return host_; }
   Simulation& sim() { return host_.sim(); }
-  const std::shared_ptr<BaseImage>& base_image() const { return image_; }
+  const std::shared_ptr<const BaseImage>& base_image() const { return image_; }
 
   // --- Quasi-persistent nyms (§3.5) -----------------------------------
   // Pauses the nym, archives both writable layers (anonymizer state
@@ -172,7 +168,7 @@ class NymManager {
                   SimTime load_started, Status auth, CreateCallback done);
 
   HostMachine& host_;
-  std::shared_ptr<BaseImage> image_;
+  std::shared_ptr<const BaseImage> image_;
   TorNetwork* tor_;
   DissentServers* dissent_;
   Config config_;
@@ -181,7 +177,6 @@ class NymManager {
   // exactly as it was wired (string-keyed: deterministic iteration).
   std::map<std::string, CreateOptions> options_by_name_;
   uint64_t next_nym_seed_ = 1;
-  int64_t last_verified_mutation_ = -1;
 };
 
 }  // namespace nymix

@@ -31,7 +31,7 @@ class Testbed {
   HostMachine& host() { return host_; }
   TorNetwork& tor() { return tor_; }
   DissentServers& dissent() { return dissent_; }
-  const std::shared_ptr<BaseImage>& image() { return image_; }
+  const std::shared_ptr<const BaseImage>& image() { return image_; }
   NymManager& manager() { return manager_; }
   CloudService& cloud() { return cloud_; }
   KernelMirror& mirror() { return mirror_; }
@@ -119,7 +119,7 @@ class Testbed {
   HostMachine host_;
   TorNetwork tor_;
   DissentServers dissent_;
-  std::shared_ptr<BaseImage> image_;
+  std::shared_ptr<const BaseImage> image_;
   NymManager manager_;
   CloudService cloud_;
   KernelMirror mirror_;

@@ -36,7 +36,8 @@ struct KsmStats {
 
 // What one merge over every page `memories` describe yields. Images are
 // matched by content identity, so memories mapped from distinct but
-// identical image objects (one per shard) merge as one image.
+// identical image objects (say, one restored from a checkpoint) merge as
+// one image.
 KsmStats MergeContents(const std::vector<const MemoryContents*>& memories);
 
 class KsmDaemon {

@@ -6,9 +6,9 @@
 // boundary. The fleet reconcile answers the cross-host question (every
 // Nymix box boots the same release image, so image-backed pages duplicate
 // across hosts exactly as they do across VMs): it merges every host's
-// memory contents at once, in the same closed form as a host pass. Each
-// shard builds its own copy of the image; the copies merge because images
-// are matched by content identity, not by object.
+// memory contents at once, in the same closed form as a host pass. Images
+// are matched by content identity, not by object, so a warm-started host
+// whose image was restored from a checkpoint merges with the rest.
 //
 // Determinism: Reconcile is pure and reads only the snapshots it is given
 // (MemoryContents copies). Merged totals are sums, so they do not depend on

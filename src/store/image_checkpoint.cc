@@ -52,7 +52,7 @@ Bytes EncodeImageCheckpoint(const BaseImage& image) {
   return payload;
 }
 
-Result<std::shared_ptr<BaseImage>> DecodeImageCheckpoint(ByteSpan payload) {
+Result<std::shared_ptr<const BaseImage>> DecodeImageCheckpoint(ByteSpan payload) {
   size_t offset = 0;
   NYMIX_ASSIGN_OR_RETURN(Bytes name_bytes, ReadLengthPrefixed(payload, offset));
   NYMIX_ASSIGN_OR_RETURN(uint64_t seed, ReadU64(payload, offset));
@@ -91,15 +91,16 @@ Result<std::shared_ptr<BaseImage>> DecodeImageCheckpoint(ByteSpan payload) {
                                                      std::move(digests), std::move(merkle));
 }
 
-Result<std::shared_ptr<BaseImage>> AcquireDistributionImage(KvStore& store,
-                                                            const std::string& name, uint64_t seed,
-                                                            uint64_t size_bytes,
-                                                            bool* cold_built) {
+Result<std::shared_ptr<const BaseImage>> AcquireDistributionImage(KvStore& store,
+                                                                  const std::string& name,
+                                                                  uint64_t seed,
+                                                                  uint64_t size_bytes,
+                                                                  bool* cold_built) {
   const std::string key = ImageCheckpointKey(name, seed, size_bytes);
   if (store.Contains(key)) {
     Result<ByteSpan> payload = store.Get(key);
     NYMIX_RETURN_IF_ERROR(payload.status());
-    Result<std::shared_ptr<BaseImage>> restored = DecodeImageCheckpoint(*payload);
+    Result<std::shared_ptr<const BaseImage>> restored = DecodeImageCheckpoint(*payload);
     if (restored.ok()) {
       if (cold_built != nullptr) {
         *cold_built = false;
@@ -109,7 +110,7 @@ Result<std::shared_ptr<BaseImage>> AcquireDistributionImage(KvStore& store,
     // A stale or malformed checkpoint falls through to a cold build that
     // overwrites it — warm start must never be able to wedge a bench.
   }
-  std::shared_ptr<BaseImage> image = BaseImage::CreateDistribution(name, seed, size_bytes);
+  std::shared_ptr<const BaseImage> image = BaseImage::CreateDistribution(name, seed, size_bytes);
   store.Put(key, EncodeImageCheckpoint(*image));
   if (cold_built != nullptr) {
     *cold_built = true;

@@ -27,15 +27,16 @@ namespace nymix {
 std::string ImageCheckpointKey(const std::string& name, uint64_t seed, uint64_t size_bytes);
 
 Bytes EncodeImageCheckpoint(const BaseImage& image);
-Result<std::shared_ptr<BaseImage>> DecodeImageCheckpoint(ByteSpan payload);
+Result<std::shared_ptr<const BaseImage>> DecodeImageCheckpoint(ByteSpan payload);
 
 // Find-or-build: returns the (name, seed, size) image from `store` when a
 // valid checkpoint exists, otherwise cold-builds it and writes the
 // checkpoint back. `cold_built`, when non-null, reports which path ran.
-Result<std::shared_ptr<BaseImage>> AcquireDistributionImage(KvStore& store,
-                                                            const std::string& name, uint64_t seed,
-                                                            uint64_t size_bytes,
-                                                            bool* cold_built = nullptr);
+Result<std::shared_ptr<const BaseImage>> AcquireDistributionImage(KvStore& store,
+                                                                  const std::string& name,
+                                                                  uint64_t seed,
+                                                                  uint64_t size_bytes,
+                                                                  bool* cold_built = nullptr);
 
 }  // namespace nymix
 

@@ -1,7 +1,10 @@
 #include "src/unionfs/disk_image.h"
 
 #include <algorithm>
+#include <tuple>
 #include <utility>
+
+#include "src/util/intern_table.h"
 
 namespace nymix {
 
@@ -15,37 +18,39 @@ Sha256Digest BlockDigestFor(uint64_t seed, uint64_t block_index) {
   return Sha256::Hash(material);
 }
 
-void PopulateDistributionFs(MemFs& fs, const std::string& name, uint64_t seed) {
+std::shared_ptr<const MemFs> DistributionFs(const std::string& name, uint64_t seed) {
+  auto fs = std::make_shared<MemFs>();
   Prng prng(seed);
-  NYMIX_CHECK(fs.Mkdir("/etc", true).ok());
-  NYMIX_CHECK(fs.Mkdir("/usr/bin", true).ok());
-  NYMIX_CHECK(fs.Mkdir("/usr/share/" + name, true).ok());
-  NYMIX_CHECK(fs.Mkdir("/var/lib", true).ok());
-  NYMIX_CHECK(fs.Mkdir("/home/user", true).ok());
+  NYMIX_CHECK(fs->Mkdir("/etc", true).ok());
+  NYMIX_CHECK(fs->Mkdir("/usr/bin", true).ok());
+  NYMIX_CHECK(fs->Mkdir("/usr/share/" + name, true).ok());
+  NYMIX_CHECK(fs->Mkdir("/var/lib", true).ok());
+  NYMIX_CHECK(fs->Mkdir("/home/user", true).ok());
 
-  NYMIX_CHECK(fs.WriteFile("/etc/hostname", Blob::FromString(name)).ok());
-  NYMIX_CHECK(fs.WriteFile("/etc/os-release",
+  NYMIX_CHECK(fs->WriteFile("/etc/hostname", Blob::FromString(name)).ok());
+  NYMIX_CHECK(fs->WriteFile("/etc/os-release",
                            Blob::FromString("NAME=" + name + "\nVERSION=14.04\n"))
                   .ok());
   // Default rc.local and network config; configuration layers mask these
   // per-role (§3.4: "network configuration files, the local startup script").
-  NYMIX_CHECK(fs.WriteFile("/etc/rc.local", Blob::FromString("#!/bin/sh\nexit 0\n")).ok());
-  NYMIX_CHECK(fs.WriteFile("/etc/network/interfaces",
+  NYMIX_CHECK(fs->WriteFile("/etc/rc.local", Blob::FromString("#!/bin/sh\nexit 0\n")).ok());
+  NYMIX_CHECK(fs->WriteFile("/etc/network/interfaces",
                            Blob::FromString("auto lo\niface lo inet loopback\n"))
                   .ok());
   NYMIX_CHECK(
-      fs.WriteFile("/etc/xdg/autostart/session.desktop", Blob::FromString("Exec=none\n")).ok());
+      fs->WriteFile("/etc/xdg/autostart/session.desktop", Blob::FromString("Exec=none\n")).ok());
 
   // Application binaries as sized synthetic blobs; each VM role runs a
   // subset of these from the shared base image.
   NYMIX_CHECK(
-      fs.WriteFile("/usr/bin/chromium", Blob::Synthetic(90 * kMiB, prng.NextU64(), 0.6)).ok());
-  NYMIX_CHECK(fs.WriteFile("/usr/bin/tor", Blob::Synthetic(6 * kMiB, prng.NextU64(), 0.6)).ok());
+      fs->WriteFile("/usr/bin/chromium", Blob::Synthetic(90 * kMiB, prng.NextU64(), 0.6)).ok());
+  NYMIX_CHECK(fs->WriteFile("/usr/bin/tor", Blob::Synthetic(6 * kMiB, prng.NextU64(), 0.6)).ok());
   NYMIX_CHECK(
-      fs.WriteFile("/usr/bin/dissent", Blob::Synthetic(14 * kMiB, prng.NextU64(), 0.6)).ok());
-  NYMIX_CHECK(fs.WriteFile("/usr/bin/mat", Blob::Synthetic(3 * kMiB, prng.NextU64(), 0.6)).ok());
+      fs->WriteFile("/usr/bin/dissent", Blob::Synthetic(14 * kMiB, prng.NextU64(), 0.6)).ok());
+  NYMIX_CHECK(fs->WriteFile("/usr/bin/mat", Blob::Synthetic(3 * kMiB, prng.NextU64(), 0.6)).ok());
   NYMIX_CHECK(
-      fs.WriteFile("/usr/bin/nym-manager", Blob::Synthetic(2 * kMiB, prng.NextU64(), 0.6)).ok());
+      fs->WriteFile("/usr/bin/nym-manager", Blob::Synthetic(2 * kMiB, prng.NextU64(), 0.6)).ok());
+  return fs;
 }
 
 }  // namespace
@@ -67,28 +72,42 @@ ImageContents::ImageContents(const std::vector<Sha256Digest>& block_digests,
   }
 }
 
-std::shared_ptr<BaseImage> BaseImage::CreateDistribution(std::string name, uint64_t seed,
-                                                         uint64_t size_bytes) {
-  NYMIX_CHECK(size_bytes % kDiskBlockSize == 0);
-  auto image = std::shared_ptr<BaseImage>(new BaseImage());
-  image->name_ = std::move(name);
-  image->seed_ = seed;
-  image->size_bytes_ = size_bytes;
-  image->fs_ = std::make_shared<MemFs>();
-  PopulateDistributionFs(*image->fs_, image->name_, seed);
+BaseImage::BaseImage(std::string name, uint64_t seed, uint64_t size_bytes,
+                     std::shared_ptr<const MemFs> fs, std::vector<Sha256Digest> block_digests,
+                     std::optional<MerkleTree> published)
+    : name_(std::move(name)),
+      seed_(seed),
+      size_bytes_(size_bytes),
+      fs_(std::move(fs)),
+      block_digests_(std::move(block_digests)),
+      merkle_(published.has_value() ? std::move(*published) : MerkleTree::Build(block_digests_)),
+      // The content is named by the root of the digests actually held: the
+      // published root itself when the tree was built from them, otherwise
+      // one bottom-up rebuild, which covers every leaf at once.
+      contents_(std::make_shared<const ImageContents>(
+          block_digests_,
+          published.has_value() ? MerkleTree::Build(block_digests_).root() : merkle_.root())),
+      verified_(contents_->identity() == merkle_.root()) {}
 
-  uint64_t blocks = image->block_count();
-  image->block_digests_.reserve(blocks);
-  for (uint64_t i = 0; i < blocks; ++i) {
-    image->block_digests_.push_back(BlockDigestFor(seed, i));
-  }
-  image->merkle_ = MerkleTree::Build(image->block_digests_);
-  image->contents_ =
-      std::make_shared<const ImageContents>(image->block_digests_, image->merkle_.root());
-  return image;
+std::shared_ptr<const BaseImage> BaseImage::CreateDistribution(std::string name, uint64_t seed,
+                                                               uint64_t size_bytes) {
+  NYMIX_CHECK(size_bytes % kDiskBlockSize == 0);
+  // Never destroyed: no exit-time destructor may race a thread still
+  // reading one of its images.
+  static auto* interned =
+      new InternTable<std::tuple<std::string, uint64_t, uint64_t>, BaseImage>();
+  return interned->FindOrBuild({name, seed, size_bytes}, [&] {
+    std::vector<Sha256Digest> digests;
+    digests.reserve(size_bytes / kDiskBlockSize);
+    for (uint64_t i = 0; i < size_bytes / kDiskBlockSize; ++i) {
+      digests.push_back(BlockDigestFor(seed, i));
+    }
+    return std::shared_ptr<const BaseImage>(new BaseImage(
+        name, seed, size_bytes, DistributionFs(name, seed), std::move(digests), std::nullopt));
+  });
 }
 
-Result<std::shared_ptr<BaseImage>> BaseImage::CreateDistributionFromCheckpoint(
+Result<std::shared_ptr<const BaseImage>> BaseImage::CreateDistributionFromCheckpoint(
     std::string name, uint64_t seed, uint64_t size_bytes, std::vector<Sha256Digest> block_digests,
     MerkleTree merkle) {
   if (size_bytes % kDiskBlockSize != 0) {
@@ -109,20 +128,21 @@ Result<std::shared_ptr<BaseImage>> BaseImage::CreateDistributionFromCheckpoint(
       return InvalidArgumentError("image checkpoint: leaf hashes do not match block digests");
     }
   }
-  auto image = std::shared_ptr<BaseImage>(new BaseImage());
-  image->name_ = std::move(name);
-  image->seed_ = seed;
-  image->size_bytes_ = size_bytes;
-  image->fs_ = std::make_shared<MemFs>();
-  PopulateDistributionFs(*image->fs_, image->name_, seed);
-  image->block_digests_ = std::move(block_digests);
-  image->merkle_ = std::move(merkle);
-  // The published root names the content only if the digests match the
-  // tree; a checkpoint where they drift apart fails VerifyAllBlocks, and
-  // NymManager boots nothing from it.
-  image->contents_ =
-      std::make_shared<const ImageContents>(image->block_digests_, image->merkle_.root());
-  return image;
+  // A drift the spot check misses leaves verified() false, and NymManager
+  // boots nothing from the image.
+  std::shared_ptr<const MemFs> fs = DistributionFs(name, seed);
+  return std::shared_ptr<const BaseImage>(new BaseImage(std::move(name), seed, size_bytes,
+                                                        std::move(fs), std::move(block_digests),
+                                                        std::move(merkle)));
+}
+
+std::shared_ptr<const BaseImage> BaseImage::TamperedCopy(uint64_t block_index,
+                                                         uint64_t new_seed) const {
+  NYMIX_CHECK(block_index < block_digests_.size());
+  std::vector<Sha256Digest> digests = block_digests_;
+  digests[block_index] = BlockDigestFor(new_seed ^ 0xdeadbeefULL, block_index);
+  return std::shared_ptr<const BaseImage>(
+      new BaseImage(name_, seed_, size_bytes_, fs_, std::move(digests), merkle_));
 }
 
 uint64_t BaseImage::BlockContentId(uint64_t block_index) const {
@@ -144,22 +164,9 @@ bool BaseImage::VerifyBlock(uint64_t block_index) const {
 }
 
 bool BaseImage::VerifyAllBlocks() const {
-  if (verified_mutation_ == static_cast<int64_t>(mutation_count_)) {
-    return verified_ok_;
-  }
   // One bottom-up rebuild covers every leaf: the recomputed root matches
   // the published root iff every stored block digest is untampered.
-  verified_ok_ = MerkleTree::Build(block_digests_).root() == merkle_.root();
-  verified_mutation_ = static_cast<int64_t>(mutation_count_);
-  return verified_ok_;
-}
-
-void BaseImage::TamperBlock(uint64_t block_index, uint64_t new_seed) {
-  NYMIX_CHECK(block_index < block_digests_.size());
-  block_digests_[block_index] = BlockDigestFor(new_seed ^ 0xdeadbeefULL, block_index);
-  ++mutation_count_;
-  contents_ = std::make_shared<const ImageContents>(block_digests_,
-                                                    MerkleTree::Build(block_digests_).root());
+  return MerkleTree::Build(block_digests_).root() == merkle_.root();
 }
 
 VmDisk::VmDisk(std::shared_ptr<const BaseImage> base, std::shared_ptr<const MemFs> config,

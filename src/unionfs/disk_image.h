@@ -1,5 +1,6 @@
-// BaseImage: the read-only OS partition on the Nymix USB stick, shared as
-// the bottom union-fs layer by the host and every AnonVM/CommVM (§3.4).
+// BaseImage: the read-only OS partition on the Nymix USB stick, one
+// immutable object shared as the bottom union-fs layer by the host and
+// every AnonVM/CommVM (§3.4).
 // It exposes a block-level view (content ids + Merkle tree) so the
 // hypervisor can verify blocks against a well-known root before handing
 // them to a VM, and so KSM can dedup identically-backed guest pages.
@@ -10,6 +11,7 @@
 #define SRC_UNIONFS_DISK_IMAGE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,29 +48,39 @@ class ImageContents {
 
 class BaseImage {
  public:
-  // Builds a synthetic distribution image: `size_bytes` of blocks whose
+  // The synthetic distribution image: `size_bytes` of blocks whose
   // contents derive from `seed`, plus a populated root filesystem
   // (/etc, /usr, browser and anonymizer binaries) used by the union stacks.
-  static std::shared_ptr<BaseImage> CreateDistribution(std::string name, uint64_t seed,
-                                                       uint64_t size_bytes);
+  // Interned: every call with an equal (name, seed, size_bytes), on any
+  // thread, returns the same image, built once per process. Its published
+  // root is built from these same digests, so it verifies by construction.
+  static std::shared_ptr<const BaseImage> CreateDistribution(std::string name, uint64_t seed,
+                                                             uint64_t size_bytes);
 
   // Warm-start path: rebuilds an image from checkpointed block digests and
   // Merkle levels (src/store/image_checkpoint), skipping the per-block
-  // hashing and tree build that dominate CreateDistribution. The cheap
-  // synthetic filesystem is repopulated from (name, seed) as usual, so the
-  // result is indistinguishable from a cold-built image. Fails when the
+  // hashing that dominates a cold build. The cheap synthetic filesystem is
+  // repopulated from (name, seed) as usual. Not interned. Fails when the
   // digest count does not match `size_bytes` or the leaf hashes do not
-  // correspond to the digests (spot-checked).
-  static Result<std::shared_ptr<BaseImage>> CreateDistributionFromCheckpoint(
+  // correspond to the digests (spot-checked); a checkpoint whose digests
+  // drifted from its tree elsewhere yields an image whose verified() is
+  // false.
+  static Result<std::shared_ptr<const BaseImage>> CreateDistributionFromCheckpoint(
       std::string name, uint64_t seed, uint64_t size_bytes,
       std::vector<Sha256Digest> block_digests, MerkleTree merkle);
+
+  // Simulates another OS modifying the partition while the USB stick was
+  // plugged in elsewhere: a new, non-interned image whose block
+  // `block_index` changed while the published root did not, so its
+  // verified() is false. This image is left as it was.
+  std::shared_ptr<const BaseImage> TamperedCopy(uint64_t block_index, uint64_t new_seed) const;
 
   const std::string& name() const { return name_; }
   uint64_t seed() const { return seed_; }
   uint64_t size_bytes() const { return size_bytes_; }
   uint64_t block_count() const { return size_bytes_ / kDiskBlockSize; }
 
-  // Current on-disk block digest table (checkpoint source).
+  // On-disk block digest table (checkpoint source).
   const std::vector<Sha256Digest>& block_digests() const { return block_digests_; }
 
   // Shared read-only filesystem view of the image.
@@ -78,9 +90,8 @@ class BaseImage {
   // image, which is what makes KSM effective.
   uint64_t BlockContentId(uint64_t block_index) const;
 
-  // The blocks' current contents as one shared view. Its identity is the
-  // Merkle root of the current block digests. TamperBlock installs a new
-  // view, so memory mapped earlier keeps the content it was mapped with.
+  // The blocks' contents as one shared view. Its identity is the Merkle
+  // root of the block digests this image holds.
   const std::shared_ptr<const ImageContents>& contents() const { return contents_; }
 
   // Block digest as read "from disk" — reflects tampering.
@@ -89,40 +100,36 @@ class BaseImage {
   const MerkleTree& merkle() const { return merkle_; }
   const Sha256Digest& merkle_root() const { return merkle_.root(); }
 
+  // Whether every block matches the published root (§3.4), fixed when the
+  // image was built. Equal to VerifyAllBlocks(), without its cost.
+  bool verified() const { return verified_; }
+
   // Verifies a block read against the well-known root (§3.4 mechanism).
   bool VerifyBlock(uint64_t block_index) const;
 
   // Verifies every block at once by rebuilding the tree bottom-up and
   // comparing the recomputed root against the published one. Equivalent to
   // VerifyBlock over all blocks but ~8x cheaper (one tree rebuild instead
-  // of a log-depth proof per leaf), and memoized by mutation_count so
-  // repeated full-image checks between tampers are free. Used by the
-  // hypervisor's pre-boot whole-image check.
+  // of a log-depth proof per leaf). Recomputed on every call; verified()
+  // must equal it.
   bool VerifyAllBlocks() const;
 
-  // Simulates another OS modifying the partition while the USB stick was
-  // plugged in elsewhere: the stored block changes, the published root
-  // does not.
-  void TamperBlock(uint64_t block_index, uint64_t new_seed);
-
-  // Bumped on every TamperBlock; verification layers use it to cache a
-  // full-image check.
-  uint64_t mutation_count() const { return mutation_count_; }
-
  private:
-  BaseImage() = default;
+  // Fixes the image's digests and its verdict. Without a `published` tree,
+  // the tree is built from `block_digests` and verifies by construction;
+  // with one, the tree is rebuilt from the digests and its root compared
+  // against the published root.
+  BaseImage(std::string name, uint64_t seed, uint64_t size_bytes, std::shared_ptr<const MemFs> fs,
+            std::vector<Sha256Digest> block_digests, std::optional<MerkleTree> published);
 
-  std::string name_;
-  uint64_t seed_ = 0;
-  uint64_t size_bytes_ = 0;
-  std::shared_ptr<MemFs> fs_;
-  std::vector<Sha256Digest> block_digests_;  // current on-disk state
-  MerkleTree merkle_;                        // built at distribution time
-  std::shared_ptr<const ImageContents> contents_;
-  uint64_t mutation_count_ = 0;
-  // VerifyAllBlocks memo: last mutation epoch checked and its verdict.
-  mutable int64_t verified_mutation_ = -1;
-  mutable bool verified_ok_ = false;
+  const std::string name_;
+  const uint64_t seed_;
+  const uint64_t size_bytes_;
+  const std::shared_ptr<const MemFs> fs_;
+  const std::vector<Sha256Digest> block_digests_;  // on-disk state
+  const MerkleTree merkle_;                        // published at distribution time
+  const std::shared_ptr<const ImageContents> contents_;
+  const bool verified_;
 };
 
 class VmDisk {

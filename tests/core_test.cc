@@ -85,7 +85,7 @@ struct CoreRig {
   HostMachine host;
   TorNetwork tor;
   DissentServers dissent;
-  std::shared_ptr<BaseImage> image;
+  std::shared_ptr<const BaseImage> image;
   NymManager manager;
   CloudService cloud;
   WebsiteDirectory sites;
@@ -161,14 +161,19 @@ TEST(NymManagerTest, HomogeneousFingerprintsAcrossNyms) {
 
 TEST(NymManagerTest, TamperedBaseImageRefused) {
   CoreRig rig;
-  rig.image->TamperBlock(3, 999);
+  NymManager tampered(rig.host, rig.image->TamperedCopy(3, 999), &rig.tor, &rig.dissent);
   bool done = false;
-  rig.manager.CreateNym("victim", {}, [&](Result<Nym*> nym, NymStartupReport) {
+  tampered.CreateNym("victim", {}, [&](Result<Nym*> nym, NymStartupReport) {
     EXPECT_EQ(nym.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(nym.status().message().find("block 3 "), std::string::npos)
+        << nym.status().ToString();
     done = true;
   });
   rig.sim.RunUntil([&] { return done; });
-  EXPECT_EQ(rig.manager.nyms().size(), 0u);
+  EXPECT_EQ(tampered.nyms().size(), 0u);
+  // The clean interned image the tampered copy came from still boots.
+  EXPECT_NE(rig.CreateNymOrDie("clean"), nullptr);
+  EXPECT_EQ(rig.manager.nyms().size(), 1u);
 }
 
 TEST(NymManagerTest, ConfigLayersDifferentiateRoles) {

@@ -5,7 +5,7 @@
 namespace nymix {
 namespace {
 
-std::shared_ptr<BaseImage> TestImage() {
+std::shared_ptr<const BaseImage> TestImage() {
   return BaseImage::CreateDistribution("nymix", 42, 64 * kMiB);
 }
 

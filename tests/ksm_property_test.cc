@@ -32,7 +32,7 @@ constexpr uint64_t kRamPages[] = {40, 97, 256, 300};
 
 // Second image: some blocks repeat within it and some repeat the release
 // image's, so contents are shared across images with different identities.
-std::shared_ptr<BaseImage> OtherImage(const BaseImage& release) {
+std::shared_ptr<const BaseImage> OtherImage(const BaseImage& release) {
   std::vector<Sha256Digest> digests;
   auto unique = BaseImage::CreateDistribution("other", 9, kOtherBlocks * kDiskBlockSize);
   for (uint64_t block = 0; block < kOtherBlocks; ++block) {
@@ -144,16 +144,29 @@ struct Coverage {
   }
 };
 
-// One run of a call sequence over kHosts hosts. Each host owns its own
-// copies of both images (as each shard builds its own), a loop with metrics
-// on, a daemon over its running memories, and the model's bookkeeping of
-// which memories the daemon's last pass saw unchanged.
+// A distinct image object with `image`'s content identity, as a host that
+// restored its image from a checkpoint boots.
+std::shared_ptr<const BaseImage> RestoredCopy(const BaseImage& image) {
+  auto copy = BaseImage::CreateDistributionFromCheckpoint(
+      image.name(), image.seed(), image.size_bytes(), image.block_digests(), image.merkle());
+  NYMIX_CHECK(copy.ok());
+  return *copy;
+}
+
+// One run of a call sequence over kHosts hosts. Host 0 boots the interned
+// release image and the others restored copies of it; each host builds its
+// own copy of the second image. So every image has several objects, which
+// KSM must match by content identity. Each host also has a loop with
+// metrics on, a daemon over its running memories, and the model's
+// bookkeeping of which memories the daemon's last pass saw unchanged.
 class World {
  public:
   World() {
     for (int h = 0; h < kHosts; ++h) {
       auto host = std::make_unique<Host>();
-      host->release = BaseImage::CreateDistribution("nymix", 7, kReleaseBlocks * kDiskBlockSize);
+      host->release =
+          h == 0 ? BaseImage::CreateDistribution("nymix", 7, kReleaseBlocks * kDiskBlockSize)
+                 : RestoredCopy(*hosts_.front()->release);
       host->other = OtherImage(*host->release);
       host->obs.metrics.set_enabled(true);
       host->loop.set_observability(&host->obs);
@@ -229,8 +242,8 @@ class World {
 
  private:
   struct Host {
-    std::shared_ptr<BaseImage> release;
-    std::shared_ptr<BaseImage> other;
+    std::shared_ptr<const BaseImage> release;
+    std::shared_ptr<const BaseImage> other;
     Observability obs;
     EventLoop loop;
     std::unique_ptr<KsmDaemon> ksm;

@@ -72,7 +72,7 @@ class KsmEquivalenceTest : public ::testing::Test {
   }
 
   EventLoop loop_;
-  std::shared_ptr<BaseImage> image_;
+  std::shared_ptr<const BaseImage> image_;
   std::vector<std::unique_ptr<Shadowed>> memories_;
   KsmDaemon ksm_;
   // Memories enumerated over all passes: what a daemon that merged every

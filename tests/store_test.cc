@@ -419,7 +419,7 @@ TEST(ImageCheckpointTest, KeyFormat) {
 TEST(ImageCheckpointTest, EncodeDecodeRoundTrip) {
   auto image = BaseImage::CreateDistribution("tiny", 7, kMiB);
   Bytes payload = EncodeImageCheckpoint(*image);
-  Result<std::shared_ptr<BaseImage>> restored = DecodeImageCheckpoint(payload);
+  Result<std::shared_ptr<const BaseImage>> restored = DecodeImageCheckpoint(payload);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ((*restored)->name(), "tiny");
   EXPECT_EQ((*restored)->seed(), 7u);
@@ -444,20 +444,20 @@ TEST(ImageCheckpointTest, DecodeRejectsDamage) {
 TEST(ImageCheckpointTest, AcquireColdThenWarm) {
   KvStore store;
   bool cold_built = false;
-  Result<std::shared_ptr<BaseImage>> first =
+  Result<std::shared_ptr<const BaseImage>> first =
       AcquireDistributionImage(store, "img", 9, kMiB, &cold_built);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_TRUE(cold_built);
   EXPECT_TRUE(store.Contains(ImageCheckpointKey("img", 9, kMiB)));
 
-  Result<std::shared_ptr<BaseImage>> second =
+  Result<std::shared_ptr<const BaseImage>> second =
       AcquireDistributionImage(store, "img", 9, kMiB, &cold_built);
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(cold_built);  // warm path
   // Bit-equal artifacts: the restored image is indistinguishable.
   EXPECT_EQ((*second)->merkle_root(), (*first)->merkle_root());
   EXPECT_EQ((*second)->block_digests(), (*first)->block_digests());
-  // Distinct objects — callers may hand them to different shards.
+  // Distinct objects: the cold build is interned, a restore is not.
   EXPECT_NE(second->get(), first->get());
 }
 
@@ -465,12 +465,12 @@ TEST(ImageCheckpointTest, MalformedCheckpointFallsBackToColdBuild) {
   KvStore store;
   store.PutString(ImageCheckpointKey("img", 9, kMiB), "not a checkpoint");
   bool cold_built = false;
-  Result<std::shared_ptr<BaseImage>> image =
+  Result<std::shared_ptr<const BaseImage>> image =
       AcquireDistributionImage(store, "img", 9, kMiB, &cold_built);
   ASSERT_TRUE(image.ok()) << image.status().ToString();
   EXPECT_TRUE(cold_built);
   // The bad entry was repaired in place; the next acquire is warm.
-  Result<std::shared_ptr<BaseImage>> again =
+  Result<std::shared_ptr<const BaseImage>> again =
       AcquireDistributionImage(store, "img", 9, kMiB, &cold_built);
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE(cold_built);

@@ -259,27 +259,29 @@ TEST(BaseImageTest, MerkleVerificationCatchesTampering) {
   for (uint64_t i = 0; i < image->block_count(); ++i) {
     EXPECT_TRUE(image->VerifyBlock(i));
   }
-  image->TamperBlock(5, 999);
-  EXPECT_FALSE(image->VerifyBlock(5));
-  EXPECT_TRUE(image->VerifyBlock(4));  // other blocks still verify
+  auto tampered = image->TamperedCopy(5, 999);
+  EXPECT_FALSE(tampered->VerifyBlock(5));
+  EXPECT_TRUE(tampered->VerifyBlock(4));  // other blocks still verify
+  EXPECT_TRUE(image->VerifyBlock(5));     // the original is untouched
 }
 
 TEST(BaseImageTest, VerifyAllBlocksMatchesPerBlockVerification) {
   auto image = BaseImage::CreateDistribution("nymix", 7, 1 * kMiB);
   EXPECT_TRUE(image->VerifyAllBlocks());
-  // Memoized: the verdict tracks mutation_count, so a repeat is free and a
-  // tamper invalidates it.
+  // Not memoized: a repeat recomputes the same verdict.
   EXPECT_TRUE(image->VerifyAllBlocks());
-  image->TamperBlock(11, 999);
-  EXPECT_FALSE(image->VerifyAllBlocks());
-  EXPECT_FALSE(image->VerifyAllBlocks());
-  // A second tamper moves the epoch again; still corrupt.
-  image->TamperBlock(12, 1000);
-  EXPECT_FALSE(image->VerifyAllBlocks());
+  auto tampered = image->TamperedCopy(11, 999);
+  EXPECT_FALSE(tampered->VerifyAllBlocks());
+  EXPECT_FALSE(tampered->VerifyAllBlocks());
+  // A copy of the copy still checks against the published root; still
+  // corrupt.
+  auto twice = tampered->TamperedCopy(12, 1000);
+  EXPECT_FALSE(twice->VerifyAllBlocks());
   // Batch and per-block verdicts agree block by block.
-  for (uint64_t i = 0; i < image->block_count(); ++i) {
-    EXPECT_EQ(image->VerifyBlock(i), i != 11 && i != 12) << "block " << i;
+  for (uint64_t i = 0; i < twice->block_count(); ++i) {
+    EXPECT_EQ(twice->VerifyBlock(i), i != 11 && i != 12) << "block " << i;
   }
+  EXPECT_TRUE(image->VerifyAllBlocks());
 }
 
 TEST(VmDiskTest, UnionStackWithConfigLayer) {

@@ -49,7 +49,7 @@ struct BrowserRig {
 
   Simulation sim;
   HostMachine host;
-  std::shared_ptr<BaseImage> image;
+  std::shared_ptr<const BaseImage> image;
   WebsiteDirectory sites;
   VirtualMachine* anon_vm = nullptr;
   Link* vm_uplink = nullptr;

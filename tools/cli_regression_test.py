@@ -13,9 +13,12 @@ Covers the contracts a shell user (or CI script) relies on:
   * The benches whose only flags are the BenchStats ones (figures, table,
     validation, most ablations) reject an unknown flag, a malformed one or
     a positional argument with exit 2 and a usage line, before running.
+  * nbt2json rejects any '-'-prefixed argument but --recover with exit 2
+    and a usage line instead of opening it as a path, and answers --help.
 
 Binary paths come from argv (ctest passes $<TARGET_FILE:...>):
   cli_regression_test.py SCALE_FLEET_BIN NYMFUZZ_BIN CORPUS_DIR ABLATION_ADVERSARY_BIN BENCH_DIR
+                         NBT2JSON_BIN
 
 Only the standard library is used.
 """
@@ -32,6 +35,7 @@ NYMFUZZ = None
 CORPUS_DIR = None
 ABLATION_ADVERSARY = None
 BENCH_DIR = None
+NBT2JSON = None
 
 # Benches that take no flags beyond --stats-out/--trace-out/--trace-format.
 BENCH_STATS_ONLY = [
@@ -134,6 +138,33 @@ class BenchStatsOnlyCliTest(unittest.TestCase):
                     self.assertEqual(os.listdir(tmp), [], "usage error wrote an artifact")
 
 
+class Nbt2JsonCliTest(unittest.TestCase):
+    BAD_ARGS = [["--nonsense"], ["-x"], ["--recover=1"], ["-"], ["in.nbt", "--nonsense"],
+                ["in.nbt", "out.json", "extra"]]
+
+    def test_unknown_flags_exit_2_with_usage(self):
+        for args in self.BAD_ARGS:
+            with self.subTest(args=args), tempfile.TemporaryDirectory() as tmp:
+                proc = subprocess.run([NBT2JSON, *args], capture_output=True, text=True,
+                                      cwd=tmp)
+                self.assertEqual(proc.returncode, 2, proc.stderr)
+                self.assertIn("usage: nbt2json", proc.stderr)
+                self.assertNotIn("NOT_FOUND", proc.stderr)
+                self.assertEqual(proc.stdout, "")
+                self.assertEqual(os.listdir(tmp), [], "usage error wrote an artifact")
+
+    def test_help_exits_0_with_usage(self):
+        proc = subprocess.run([NBT2JSON, "--help"], capture_output=True, text=True)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("usage: nbt2json", proc.stdout)
+
+    def test_missing_input_still_exits_1(self):
+        proc = subprocess.run([NBT2JSON, "/nonexistent/trace.nbt"], capture_output=True,
+                              text=True)
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertIn("nbt2json:", proc.stderr)
+
+
 class NymfuzzMinimizeTest(unittest.TestCase):
     def test_minimize_rewrites_corpus_entry_that_still_replays(self):
         source = os.path.join(CORPUS_DIR, "adversary-planted-cookie-23.nymfuzz")
@@ -161,12 +192,12 @@ class NymfuzzMinimizeTest(unittest.TestCase):
 
 
 def main():
-    global SCALE_FLEET, NYMFUZZ, CORPUS_DIR, ABLATION_ADVERSARY, BENCH_DIR
-    if len(sys.argv) != 6:
+    global SCALE_FLEET, NYMFUZZ, CORPUS_DIR, ABLATION_ADVERSARY, BENCH_DIR, NBT2JSON
+    if len(sys.argv) != 7:
         print("usage: cli_regression_test.py SCALE_FLEET_BIN NYMFUZZ_BIN CORPUS_DIR "
-              "ABLATION_ADVERSARY_BIN BENCH_DIR", file=sys.stderr)
+              "ABLATION_ADVERSARY_BIN BENCH_DIR NBT2JSON_BIN", file=sys.stderr)
         return 2
-    SCALE_FLEET, NYMFUZZ, CORPUS_DIR, ABLATION_ADVERSARY, BENCH_DIR = sys.argv[1:6]
+    SCALE_FLEET, NYMFUZZ, CORPUS_DIR, ABLATION_ADVERSARY, BENCH_DIR, NBT2JSON = sys.argv[1:7]
     sys.argv = sys.argv[:1]
     unittest.main()
 

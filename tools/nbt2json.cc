@@ -3,10 +3,12 @@
 // --trace-format=json. CI uses it to prove the NBT path lossless:
 //   nbt2json run.nbt run.json && cmp run.json cold_run.json
 //
-// Usage: nbt2json <input.nbt> [output.json]
+// Usage: nbt2json [--recover] <input.nbt> [output.json]
 //   - with one argument the JSON goes to stdout
 //   - --recover tolerates a torn/corrupted tail (longest valid prefix);
 //     without it any damage is a hard error
+//   - --help prints the usage line and exits 0; any other argument that
+//     starts with '-', or a third path, prints it and exits 2
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -14,24 +16,35 @@
 #include "src/store/file_io.h"
 #include "src/store/nbt.h"
 
+namespace {
+
+constexpr const char* kUsage = "usage: nbt2json [--recover] <input.nbt> [output.json]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   bool recover = false;
   std::string in_path;
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
     if (std::strcmp(argv[i], "--recover") == 0) {
       recover = true;
+    } else if (argv[i][0] == '-' || !out_path.empty()) {
+      // An unknown flag is a usage error, never a path to open.
+      std::fputs(kUsage, stderr);
+      return 2;
     } else if (in_path.empty()) {
       in_path = argv[i];
-    } else if (out_path.empty()) {
-      out_path = argv[i];
     } else {
-      std::fprintf(stderr, "usage: nbt2json [--recover] <input.nbt> [output.json]\n");
-      return 2;
+      out_path = argv[i];
     }
   }
   if (in_path.empty()) {
-    std::fprintf(stderr, "usage: nbt2json [--recover] <input.nbt> [output.json]\n");
+    std::fputs(kUsage, stderr);
     return 2;
   }
 
