@@ -8,29 +8,20 @@
 //
 // Usage:
 //   scale_fleet [--n=8,64,256,1024] [--mode=both|incremental|full]
-//               [--full-recompute] [--out=BENCH_scale.json] [--seed=13]
+//               [--out=BENCH_scale.json] [--seed=13]
 //               [--threads=1,8] [--shards=8] [--topology=isolated|crossed]
-//               [--warm-start[=CKPT]] [--stats-out=...] [--trace-out=...]
-//               [--trace-format=json|nbt]
+//               [--stats-out=...] [--trace-out=...] [--trace-format=json|nbt]
 //
-// --warm-start restores each fleet's base image from a deterministic
-// image checkpoint (src/store) instead of taking the interned one that
-// BaseImage::CreateDistribution builds once per process: only an image
-// whose (name, seed, size) identity is missing from the checkpoint gets
-// cold-built (and written back, so the next run is warm).
-// The checkpoint file defaults to BENCH_scale.ckpt. Image content is a
-// pure function of its identity, so warm and cold runs produce
-// byte-identical traces — CI's warm-start smoke compares the SHA-256s.
-// Each run records "checkpoint_restore_ms" (time spent in the restore
-// path) and each threaded point records "trace_encode_ms" (trace
-// serialization cost); tools/bench_diff.py gates both warn-only.
+// Every run is one ShardedFleet (src/core/fleet.h) booting the interned
+// distribution image. The serial "incremental" and "full" series run it on
+// a one-shard, one-thread plan; the threaded series below on --shards.
 //
 // --mode=both (default) runs every N in both modes and reports the
-// wall-clock speedup; --full-recompute is shorthand for --mode=full (the
-// recompute-the-world FlowScheduler reference; KSM has one implementation). Virtual-time results are
-// mode-independent: the incremental paths are exact, so a --trace-out from
-// an incremental run is byte-identical to one from a full run (asserted by
-// tests/determinism_test.cc).
+// wall-clock speedup; --mode=full selects the recompute-the-world
+// FlowScheduler reference (KSM has one implementation). Virtual-time
+// results are mode-independent: the incremental paths are exact, so a
+// --trace-out from an incremental run is byte-identical to one from a full
+// run (asserted by tests/determinism_test.cc).
 //
 // --threads=T1,T2,... additionally runs each N through the sharded
 // parallel executor (src/parallel) at each thread count, with --shards
@@ -51,12 +42,12 @@
 // weights feed BalancedPlacement; the resulting placement is shared by
 // every thread count of that n. Threaded rows gain "topology",
 // "cloud_fetches" and the parallel.* executor columns (barrier_wait_ms,
-// shard_skew_events, outbox_depth).
+// shard_skew_events, outbox_depth). Each threaded point also records
+// "trace_encode_ms" (trace serialization cost), which tools/bench_diff.py
+// gates warn-only.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -64,13 +55,8 @@
 
 #include "bench/bench_stats.h"
 #include "src/core/fleet.h"
-#include "src/core/nym_manager.h"
 #include "src/crypto/sha256.h"
-#include "src/store/file_io.h"
-#include "src/store/image_checkpoint.h"
-#include "src/store/kv_store.h"
 #include "src/util/thread_pool.h"
-#include "src/workload/website.h"
 
 using namespace nymix;
 
@@ -78,32 +64,9 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: scale_fleet [--n=8,64,256,1024] [--mode=both|incremental|full]\n"
-    "                   [--full-recompute] [--out=BENCH_scale.json] [--seed=13]\n"
+    "                   [--out=BENCH_scale.json] [--seed=13]\n"
     "                   [--threads=1,8] [--shards=8] [--topology=isolated|crossed]\n"
-    "                   [--warm-start[=CKPT]] [--stats-out=...] [--trace-out=...]\n"
-    "                   [--trace-format=json|nbt]\n";
-
-constexpr int kNymsPerHost = 8;
-constexpr int kVisitsPerGeneration = 2;
-constexpr int kGenerations = 2;  // one churn (terminate + replace) per slot
-
-// One host cluster: a 16 GB machine, its own test Tor deployment, and a
-// destination site. Per-cluster Tor keeps flow competition host-local (the
-// real contention is each host's 10 Mbit uplink anyway) instead of welding
-// the whole fleet into one connected component.
-struct Cluster {
-  std::unique_ptr<HostMachine> host;
-  std::unique_ptr<TorNetwork> tor;
-  std::unique_ptr<NymManager> manager;
-  std::unique_ptr<Website> site;
-};
-
-struct SlotState {
-  Nym* nym = nullptr;
-  int visits_done = 0;
-  int generation = 0;
-  bool finished = false;
-};
+    "                   [--stats-out=...] [--trace-out=...] [--trace-format=json|nbt]\n";
 
 struct PointResult {
   int n = 0;
@@ -119,7 +82,6 @@ struct PointResult {
   uint64_t ksm_memories_merged = 0;
   uint64_t ksm_memories_skipped = 0;
   uint64_t ksm_pages_sharing = 0;
-  double checkpoint_restore_ms = 0;
 };
 
 struct ThreadedPointResult {
@@ -145,31 +107,7 @@ struct ThreadedPointResult {
   std::string trace_sha256;
   std::string stats_sha256;
   double trace_encode_ms = 0;
-  double checkpoint_restore_ms = 0;
 };
-
-// Warm-start context: the deterministic image checkpoint store, loaded
-// once per process and saved back after any cold build refreshed it.
-struct WarmStart {
-  bool enabled = false;
-  std::string path = "BENCH_scale.ckpt";
-  KvStore store;
-};
-
-// Restores (or on a miss builds + checkpoints) the distribution image that
-// every host of a run boots from. Returns the wall milliseconds spent,
-// which is the "checkpoint_restore_ms" column.
-double AcquireWarmImage(WarmStart& warm, std::shared_ptr<const BaseImage>& out) {
-  // nymlint:allow(determinism-wallclock): restore cost is the measurement; it never feeds virtual time
-  auto t0 = std::chrono::steady_clock::now();
-  auto image = AcquireDistributionImage(warm.store, kFleetImageName, kFleetImageSeed,
-                                        kFleetImageSizeBytes);
-  NYMIX_CHECK_MSG(image.ok(), image.status().ToString().c_str());
-  out = std::move(*image);
-  // nymlint:allow(determinism-wallclock): restore cost is the measurement; it never feeds virtual time
-  auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
 
 std::string HexDigest(const Sha256Digest& digest) {
   static const char* kHex = "0123456789abcdef";
@@ -202,19 +140,13 @@ ShardPlacement CalibratePlacement(int n, int shards, uint64_t seed) {
 // threaded series measures obs-attached throughput — both thread counts
 // pay the same cost, which is what the speedup ratio needs.
 ThreadedPointResult RunThreadedPoint(BenchStats& stats, int n, int shards, int threads,
-                                     uint64_t seed, WarmStart* warm, bool crossed,
+                                     uint64_t seed, bool crossed,
                                      const ShardPlacement& placement) {
   FleetOptions options;
   options.nym_count = n;
   if (crossed) {
     options.topology = FleetTopology::kCrossed;
     options.placement = placement;
-  }
-  double restore_ms = 0;
-  if (warm != nullptr && warm->enabled) {
-    std::shared_ptr<const BaseImage> image;
-    restore_ms = AcquireWarmImage(*warm, image);
-    options.images.assign(static_cast<size_t>(shards), image);
   }
   // nymlint:allow(determinism-wallclock): wall-clock throughput is the measurement; it never feeds virtual time
   auto wall_start = std::chrono::steady_clock::now();
@@ -247,7 +179,6 @@ ThreadedPointResult RunThreadedPoint(BenchStats& stats, int n, int shards, int t
   result.fleet_pages_sharing = fleet_ksm.pages_sharing;
   result.cross_host_extra_sharing = fleet_ksm.cross_host_extra_sharing();
 
-  result.checkpoint_restore_ms = restore_ms;
   // nymlint:allow(determinism-wallclock): serialization cost is the trace_encode_ms measurement
   auto encode_start = std::chrono::steady_clock::now();
   result.trace_sha256 = HexDigest(Sha256::Hash(sharded.merged().trace.ToChromeJson()));
@@ -278,131 +209,24 @@ ThreadedPointResult RunThreadedPoint(BenchStats& stats, int n, int shards, int t
   return result;
 }
 
-class Fleet {
- public:
-  // `image` null means the interned release image; a warm start passes a
-  // restored one.
-  Fleet(Simulation& sim, int nym_count, uint64_t seed, bool full_recompute,
-        std::shared_ptr<const BaseImage> image = nullptr)
-      : sim_(sim), nym_count_(nym_count), think_prng_(seed ^ 0x5ca1e) {
-    sim_.flows().set_full_recompute(full_recompute);
-    int hosts = (nym_count + kNymsPerHost - 1) / kNymsPerHost;
-    TorNetwork::Config tor_config;
-    tor_config.relay_count = 6;
-    tor_config.guard_count = 2;
-    tor_config.exit_count = 2;
-    // One distribution image for the whole fleet, like every host booting
-    // from the same Nymix release stick.
-    if (image == nullptr) {
-      image = BaseImage::CreateDistribution(kFleetImageName, kFleetImageSeed, kFleetImageSizeBytes);
-    }
-    for (int c = 0; c < hosts; ++c) {
-      auto cluster = std::make_unique<Cluster>();
-      cluster->host = std::make_unique<HostMachine>(sim_, HostConfig{});
-      cluster->tor = std::make_unique<TorNetwork>(sim_, tor_config);
-      cluster->manager =
-          std::make_unique<NymManager>(*cluster->host, image, cluster->tor.get(), nullptr);
-      WebsiteProfile profile;
-      profile.name = "site-" + std::to_string(c);
-      profile.domain = "site" + std::to_string(c) + ".example.com";
-      cluster->site = std::make_unique<Website>(sim_, profile);
-      cluster->host->ksm().Start(Seconds(2));
-      clusters_.push_back(std::move(cluster));
-    }
-    slots_.resize(static_cast<size_t>(nym_count));
-  }
-
-  void Run() {
-    for (int i = 0; i < nym_count_; ++i) {
-      SpawnNym(i);
-    }
-    sim_.RunUntil([this] { return finished_slots_ == nym_count_; });
-    for (auto& cluster : clusters_) {
-      cluster->host->ksm().Stop();
-    }
-  }
-
-  uint64_t visits() const { return total_visits_; }
-  uint64_t churns() const { return total_churns_; }
-  const std::vector<std::unique_ptr<Cluster>>& clusters() const { return clusters_; }
-
- private:
-  Cluster& ClusterOf(int slot) { return *clusters_[static_cast<size_t>(slot / kNymsPerHost)]; }
-
-  void SpawnNym(int slot) {
-    SlotState& state = slots_[static_cast<size_t>(slot)];
-    std::string name = "c" + std::to_string(slot / kNymsPerHost) + "-s" +
-                       std::to_string(slot % kNymsPerHost) + "-g" +
-                       std::to_string(state.generation);
-    ClusterOf(slot).manager->CreateNym(
-        name, NymManager::CreateOptions{}, [this, slot](Result<Nym*> nym, NymStartupReport) {
-          NYMIX_CHECK_MSG(nym.ok(), nym.status().ToString().c_str());
-          slots_[static_cast<size_t>(slot)].nym = *nym;
-          slots_[static_cast<size_t>(slot)].visits_done = 0;
-          VisitNext(slot);
-        });
-  }
-
-  void VisitNext(int slot) {
-    SlotState& state = slots_[static_cast<size_t>(slot)];
-    state.nym->browser()->Visit(*ClusterOf(slot).site, [this, slot](Result<SimTime> done) {
-      NYMIX_CHECK_MSG(done.ok(), done.status().ToString().c_str());
-      ++total_visits_;
-      SlotState& state = slots_[static_cast<size_t>(slot)];
-      ++state.visits_done;
-      // Think time before the next action; acting from a fresh event also
-      // means churn never tears a nym down from inside its own callback.
-      SimDuration think = Millis(500 + static_cast<SimDuration>(think_prng_.NextBelow(1500)));
-      sim_.loop().ScheduleAfter(think, [this, slot] { Advance(slot); });
-    });
-  }
-
-  void Advance(int slot) {
-    SlotState& state = slots_[static_cast<size_t>(slot)];
-    if (state.visits_done < kVisitsPerGeneration) {
-      VisitNext(slot);
-      return;
-    }
-    ++state.generation;
-    NYMIX_CHECK(ClusterOf(slot).manager->TerminateNym(state.nym).ok());
-    state.nym = nullptr;
-    if (state.generation >= kGenerations) {
-      state.finished = true;
-      ++finished_slots_;
-      return;
-    }
-    ++total_churns_;
-    SpawnNym(slot);
-  }
-
-  Simulation& sim_;
-  int nym_count_;
-  Prng think_prng_;
-  std::vector<std::unique_ptr<Cluster>> clusters_;
-  std::vector<SlotState> slots_;
-  int finished_slots_ = 0;
-  uint64_t total_visits_ = 0;
-  uint64_t total_churns_ = 0;
-};
-
+// One serial run: the same fleet on a one-shard, one-thread plan, with
+// `full_recompute` choosing the FlowScheduler mode.
 PointResult RunPoint(BenchStats& stats, bool attach_obs, int n, uint64_t seed,
-                     bool full_recompute, WarmStart* warm) {
-  std::shared_ptr<const BaseImage> warm_image;
-  double restore_ms = 0;
-  if (warm != nullptr && warm->enabled) {
-    restore_ms = AcquireWarmImage(*warm, warm_image);
-  }
+                     bool full_recompute) {
+  FleetOptions options;
+  options.nym_count = n;
+  options.full_recompute = full_recompute;
   // nymlint:allow(determinism-wallclock): wall-clock throughput is the measurement; it never feeds virtual time
   auto wall_start = std::chrono::steady_clock::now();
-  Simulation sim(seed);
+  ShardedSimulation sharded(seed, ShardPlan{1, 1});
   if (attach_obs) {
-    stats.Attach(sim);
+    stats.Attach(sharded.shard(0));
     // The trace must be byte-identical between incremental and full modes
     // (that is the equivalence contract this bench demonstrates), so keep
     // the simulator's wall-clock self-profiling args out of it.
     stats.obs().trace.set_record_wall_time(false);
   }
-  Fleet fleet(sim, n, seed, full_recompute, std::move(warm_image));
+  ShardedFleet fleet(sharded, options, seed);
   fleet.Run();
   // nymlint:allow(determinism-wallclock): wall-clock throughput is the measurement; it never feeds virtual time
   auto wall_end = std::chrono::steady_clock::now();
@@ -410,26 +234,23 @@ PointResult RunPoint(BenchStats& stats, bool attach_obs, int n, uint64_t seed,
   PointResult result;
   result.n = n;
   result.wall_seconds = std::chrono::duration<double>(wall_end - wall_start).count();
-  result.events = sim.loop().events_executed();
+  result.events = fleet.events_executed();
   result.events_per_sec =
       result.wall_seconds > 0 ? static_cast<double>(result.events) / result.wall_seconds : 0;
-  result.sim_seconds = static_cast<double>(sim.now()) / 1e6;
+  result.sim_seconds = static_cast<double>(sharded.shard(0).now()) / 1e6;
   result.visits = fleet.visits();
   result.churns = fleet.churns();
-  result.waterfills_full = sim.flows().waterfills_full();
-  result.waterfills_component = sim.flows().waterfills_component();
-  result.waterfill_skips = sim.flows().waterfill_skips();
-  for (const auto& cluster : fleet.clusters()) {
-    result.ksm_memories_merged += cluster->host->ksm().memories_merged();
-    result.ksm_memories_skipped += cluster->host->ksm().memories_skipped();
-    result.ksm_pages_sharing += cluster->host->ksm().stats().pages_sharing;
-  }
-  result.checkpoint_restore_ms = restore_ms;
+  result.waterfills_full = fleet.waterfills_full();
+  result.waterfills_component = fleet.waterfills_component();
+  result.waterfill_skips = fleet.waterfill_skips();
+  result.ksm_memories_merged = fleet.ksm_memories_merged();
+  result.ksm_memories_skipped = fleet.ksm_memories_skipped();
+  result.ksm_pages_sharing = fleet.ksm_pages_sharing();
   return result;
 }
 
 void WriteJson(const std::string& path, const std::string& mode, const std::string& topology,
-               uint64_t seed, bool warm_start, const std::vector<PointResult>& incremental,
+               uint64_t seed, const std::vector<PointResult>& incremental,
                const std::vector<PointResult>& full,
                const std::vector<ThreadedPointResult>& threaded) {
   std::ofstream out(path);
@@ -450,8 +271,6 @@ void WriteJson(const std::string& path, const std::string& mode, const std::stri
   w.String(topology);
   w.Key("seed");
   w.Number(seed);
-  w.Key("warm_start");
-  w.Bool(warm_start);
 
   auto emit_points = [&](const char* key, const std::vector<PointResult>& points) {
     w.Key(key);
@@ -484,8 +303,6 @@ void WriteJson(const std::string& path, const std::string& mode, const std::stri
       w.Number(p.ksm_memories_skipped);
       w.Key("ksm_pages_sharing");
       w.Number(p.ksm_pages_sharing);
-      w.Key("checkpoint_restore_ms");
-      w.Number(p.checkpoint_restore_ms, 3);
       w.EndObject();
     }
     w.EndArray();
@@ -560,8 +377,6 @@ void WriteJson(const std::string& path, const std::string& mode, const std::stri
       w.Number(p.outbox_depth, 0);
       w.Key("trace_encode_ms");
       w.Number(p.trace_encode_ms, 3);
-      w.Key("checkpoint_restore_ms");
-      w.Number(p.checkpoint_restore_ms, 3);
       w.Key("trace_sha256");
       w.String(p.trace_sha256);
       w.Key("stats_sha256");
@@ -618,7 +433,6 @@ int main(int argc, char** argv) {
   std::string topology = "isolated";
   std::string out_path = "BENCH_scale.json";
   uint64_t seed = 13;
-  WarmStart warm;
   // Bad CLI input is a usage error (exit 2, matching the bench_stats
   // --trace-format contract), not an internal invariant failure — a typo'd
   // sweep script should get a usage line, not an abort or a default run.
@@ -657,35 +471,16 @@ int main(int argc, char** argv) {
       mode = value;
     } else if (flag == "--topology") {
       topology = value;
-    } else if (arg == "--full-recompute") {
-      mode = "full";
     } else if (flag == "--out") {
+      // An empty path would otherwise fail only at write time, after the
+      // whole sweep has run.
+      if (value.empty()) {
+        return usage_error("empty --out (want a file path)");
+      }
       out_path = value;
-    } else if (arg == "--warm-start") {
-      warm.enabled = true;
-    } else if (flag == "--warm-start") {
-      warm.enabled = true;
-      warm.path = value;
     } else if (!BenchStats::OwnsFlag(argv[i])) {
       return usage_error("unknown argument \"" + arg + "\"");
     }
-  }
-  if (warm.enabled) {
-    // Tolerant load: a missing file means a first (all-cold) run, and a
-    // torn tail costs only the damaged records — the cold-build fallback
-    // regenerates whatever is missing and the save below repairs the file.
-    Result<Bytes> existing = ReadFileBytes(warm.path);
-    if (existing.ok()) {
-      auto recovered = KvStore::Recover(*existing);
-      NYMIX_CHECK_MSG(recovered.ok(), recovered.status().ToString().c_str());
-      if (!recovered->clean) {
-        std::fprintf(stderr, "scale_fleet: checkpoint %s recovered with %zu bytes lost\n",
-                     warm.path.c_str(), recovered->lost_bytes);
-      }
-      warm.store = std::move(recovered->store);
-    }
-    std::printf("# warm start: checkpoint %s (%zu entries)\n", warm.path.c_str(),
-                warm.store.size());
   }
   if (mode != "both" && mode != "incremental" && mode != "full") {
     std::fprintf(stderr, "scale_fleet: unknown --mode \"%s\"\n", mode.c_str());
@@ -704,20 +499,20 @@ int main(int argc, char** argv) {
   const bool attach_obs = stats.stats_requested() || stats.trace_requested();
 
   std::printf("# scale_fleet: %d-nym-per-host clusters, live KSM, Tor fetch + churn\n",
-              kNymsPerHost);
+              FleetOptions{}.nyms_per_host);
   std::printf("%-6s %-12s %12s %12s %14s\n", "n", "mode", "wall (s)", "events", "events/s");
 
   std::vector<PointResult> incremental;
   std::vector<PointResult> full;
   for (int n : ns) {
     if (mode != "full") {
-      PointResult p = RunPoint(stats, attach_obs, n, seed, /*full_recompute=*/false, &warm);
+      PointResult p = RunPoint(stats, attach_obs, n, seed, /*full_recompute=*/false);
       std::printf("%-6d %-12s %12.3f %12llu %14.0f\n", n, "incremental", p.wall_seconds,
                   static_cast<unsigned long long>(p.events), p.events_per_sec);
       incremental.push_back(p);
     }
     if (mode != "incremental") {
-      PointResult p = RunPoint(stats, attach_obs, n, seed, /*full_recompute=*/true, &warm);
+      PointResult p = RunPoint(stats, attach_obs, n, seed, /*full_recompute=*/true);
       std::printf("%-6d %-12s %12.3f %12llu %14.0f\n", n, "full", p.wall_seconds,
                   static_cast<unsigned long long>(p.events), p.events_per_sec);
       full.push_back(p);
@@ -746,7 +541,7 @@ int main(int argc, char** argv) {
                                  // threaded reallocates as points append)
       for (int threads : threads_list) {
         ThreadedPointResult p =
-            RunThreadedPoint(stats, n, shards, threads, seed, &warm, crossed, placement);
+            RunThreadedPoint(stats, n, shards, threads, seed, crossed, placement);
         std::printf("%-6d %-12s %12.3f %12llu %14.0f  trace=%.12s\n", n,
                     ("threads=" + std::to_string(threads)).c_str(), p.wall_seconds,
                     static_cast<unsigned long long>(p.events), p.events_per_sec,
@@ -769,15 +564,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  WriteJson(out_path, mode, topology, seed, warm.enabled, incremental, full, threaded);
+  WriteJson(out_path, mode, topology, seed, incremental, full, threaded);
   std::printf("# wrote %s\n", out_path.c_str());
-
-  if (warm.enabled) {
-    Status saved = warm.store.Save(warm.path);
-    NYMIX_CHECK_MSG(saved.ok(), saved.ToString().c_str());
-    std::printf("# warm start: saved checkpoint %s (%zu entries, %zu bytes)\n", warm.path.c_str(),
-                warm.store.size(), warm.store.log().size());
-  }
 
   for (size_t i = 0; i < incremental.size(); ++i) {
     std::string prefix = "n" + std::to_string(incremental[i].n);

@@ -39,8 +39,8 @@
 namespace nymix {
 
 // The distribution image every fleet host boots from — the same release
-// stick. Exposed so warm-start paths (bench/scale_fleet) can acquire
-// checkpointed images with the identical identity.
+// stick. Exposed so callers that fill Config::images can name the same
+// interned image.
 inline constexpr const char* kFleetImageName = "nymix";
 inline constexpr uint64_t kFleetImageSeed = 42;
 inline constexpr uint64_t kFleetImageSizeBytes = 64 * kMiB;

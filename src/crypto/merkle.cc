@@ -58,38 +58,6 @@ MerkleTree MerkleTree::BuildFromBlocks(const std::vector<Bytes>& blocks) {
   return Build(digests);
 }
 
-Result<MerkleTree> MerkleTree::FromLevels(std::vector<std::vector<Sha256Digest>> levels) {
-  MerkleTree tree;
-  if (levels.empty()) {
-    // Build() over zero blocks stores no levels and a sentinel root.
-    tree.root_ = Sha256::Hash(ByteSpan());
-    return tree;
-  }
-  for (size_t i = 0; i + 1 < levels.size(); ++i) {
-    if (levels[i + 1].size() != (levels[i].size() + 1) / 2) {
-      return InvalidArgumentError("merkle: level " + std::to_string(i + 1) +
-                                  " size does not halve its parent");
-    }
-  }
-  if (levels.back().size() != 1) {
-    return InvalidArgumentError("merkle: top level is not a single root");
-  }
-  // Spot check: recompute the leftmost path bottom-up. Catches levels that
-  // are internally inconsistent without paying for a full rebuild.
-  for (size_t i = 0; i + 1 < levels.size(); ++i) {
-    const Sha256Digest& left = levels[i][0];
-    const Sha256Digest& right = levels[i].size() > 1 ? levels[i][1] : levels[i][0];
-    if (HashInterior(left, right) != levels[i + 1][0]) {
-      return InvalidArgumentError("merkle: leftmost path mismatch at level " +
-                                  std::to_string(i + 1));
-    }
-  }
-  tree.leaf_count_ = levels[0].size();
-  tree.root_ = levels.back()[0];
-  tree.levels_ = std::move(levels);
-  return tree;
-}
-
 Result<MerkleProof> MerkleTree::ProveLeaf(uint64_t leaf_index) const {
   if (leaf_index >= leaf_count_) {
     return InvalidArgumentError("leaf index out of range");

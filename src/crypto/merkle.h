@@ -45,16 +45,6 @@ class MerkleTree {
   static Sha256Digest HashLeaf(const Sha256Digest& block_digest);
   static Sha256Digest HashInterior(const Sha256Digest& left, const Sha256Digest& right);
 
-  // Full node table, leaf level first — what a checkpoint serializes so
-  // restore can skip the O(n) rebuild.
-  const std::vector<std::vector<Sha256Digest>>& levels() const { return levels_; }
-
-  // Reassembles a tree from serialized levels. Cheap structural checks
-  // only (level sizes halve up to a single root; one leaf-to-root path is
-  // recomputed as a spot check) — integrity of checkpointed bytes is the
-  // record log's CRC's job, this guards against logic errors.
-  static Result<MerkleTree> FromLevels(std::vector<std::vector<Sha256Digest>> levels);
-
  private:
   uint64_t leaf_count_ = 0;
   // levels_[0] = leaf hashes, levels_.back() = {root}.

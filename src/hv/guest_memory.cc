@@ -28,19 +28,19 @@ GuestMemory::GuestMemory(uint64_t ram_bytes, uint64_t id)
   contents_.zero_pages = total_pages_;
 }
 
-void GuestMemory::MapImagePages(const BaseImage& image, uint64_t count) {
+void GuestMemory::MapImagePages(const std::shared_ptr<const ImageContents>& image,
+                                uint64_t count) {
   ++generation_;
-  const std::shared_ptr<const ImageContents>& view = image.contents();
-  uint64_t blocks = view->block_count();
+  uint64_t blocks = image->block_count();
   NYMIX_CHECK(blocks > 0);
   count = std::min(count, contents_.zero_pages);
   if (count == 0) {
     return;
   }
   if (contents_.image == nullptr) {
-    contents_.image = view;
+    contents_.image = image;
   } else {
-    NYMIX_CHECK_MSG(contents_.image->identity() == view->identity(),
+    NYMIX_CHECK_MSG(contents_.image->identity() == image->identity(),
                     "a memory maps one image's content between wipes");
   }
   contents_.cycles += count / blocks;

@@ -72,11 +72,12 @@ class GuestMemory {
   uint64_t image_pages() const { return contents_.image_pages(); }
   uint64_t unique_pages() const { return unique_pages_; }
 
-  // Boot: maps min(count, zero_pages()) pages to base-image block contents
-  // (page cache, text segments), cycling deterministically through the
-  // image blocks so two VMs on the same image produce identical ids. Every
-  // map between two wipes must use the same image content.
-  void MapImagePages(const BaseImage& image, uint64_t count);
+  // Boot: maps min(count, zero_pages()) pages to the block contents of
+  // `image` (a BaseImage's contents(): page cache, text segments), cycling
+  // deterministically through the blocks so two VMs on the same image
+  // content produce identical ids. Every map between two wipes must use the
+  // same image content.
+  void MapImagePages(const std::shared_ptr<const ImageContents>& image, uint64_t count);
 
   // Dirties pages into unique content: first consumes zero pages, then
   // converts image-backed pages (copy-on-write break), never un-dirties.

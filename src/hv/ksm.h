@@ -35,9 +35,8 @@ struct KsmStats {
 };
 
 // What one merge over every page `memories` describe yields. Images are
-// matched by content identity, so memories mapped from distinct but
-// identical image objects (say, one restored from a checkpoint) merge as
-// one image.
+// matched by content identity, so memories mapped from distinct content
+// views with equal identities merge as one image.
 KsmStats MergeContents(const std::vector<const MemoryContents*>& memories);
 
 class KsmDaemon {

@@ -115,7 +115,7 @@ void VirtualMachine::Boot(std::function<void(SimTime)> on_ready) {
         static_cast<uint64_t>(config_.boot_image_page_fraction * memory_.total_pages());
     auto dirty_pages =
         static_cast<uint64_t>(config_.boot_dirty_page_fraction * memory_.total_pages());
-    memory_.MapImagePages(*image_, image_pages);
+    memory_.MapImagePages(image_->contents(), image_pages);
     memory_.DirtyPages(dirty_pages);
     state_ = VmState::kRunning;
     if (on_ready) {

@@ -107,35 +107,6 @@ std::shared_ptr<const BaseImage> BaseImage::CreateDistribution(std::string name,
   });
 }
 
-Result<std::shared_ptr<const BaseImage>> BaseImage::CreateDistributionFromCheckpoint(
-    std::string name, uint64_t seed, uint64_t size_bytes, std::vector<Sha256Digest> block_digests,
-    MerkleTree merkle) {
-  if (size_bytes % kDiskBlockSize != 0) {
-    return InvalidArgumentError("image checkpoint: size not block-aligned");
-  }
-  if (block_digests.size() != size_bytes / kDiskBlockSize) {
-    return InvalidArgumentError("image checkpoint: digest count does not match image size");
-  }
-  if (merkle.leaf_count() != block_digests.size()) {
-    return InvalidArgumentError("image checkpoint: merkle leaf count does not match digests");
-  }
-  // Spot check first/last leaves against the tree so a checkpoint whose
-  // digests and tree drifted apart fails loudly instead of verifying.
-  if (!block_digests.empty()) {
-    const auto& leaves = merkle.levels().front();
-    if (leaves.front() != MerkleTree::HashLeaf(block_digests.front()) ||
-        leaves.back() != MerkleTree::HashLeaf(block_digests.back())) {
-      return InvalidArgumentError("image checkpoint: leaf hashes do not match block digests");
-    }
-  }
-  // A drift the spot check misses leaves verified() false, and NymManager
-  // boots nothing from the image.
-  std::shared_ptr<const MemFs> fs = DistributionFs(name, seed);
-  return std::shared_ptr<const BaseImage>(new BaseImage(std::move(name), seed, size_bytes,
-                                                        std::move(fs), std::move(block_digests),
-                                                        std::move(merkle)));
-}
-
 std::shared_ptr<const BaseImage> BaseImage::TamperedCopy(uint64_t block_index,
                                                          uint64_t new_seed) const {
   NYMIX_CHECK(block_index < block_digests_.size());

@@ -57,18 +57,6 @@ class BaseImage {
   static std::shared_ptr<const BaseImage> CreateDistribution(std::string name, uint64_t seed,
                                                              uint64_t size_bytes);
 
-  // Warm-start path: rebuilds an image from checkpointed block digests and
-  // Merkle levels (src/store/image_checkpoint), skipping the per-block
-  // hashing that dominates a cold build. The cheap synthetic filesystem is
-  // repopulated from (name, seed) as usual. Not interned. Fails when the
-  // digest count does not match `size_bytes` or the leaf hashes do not
-  // correspond to the digests (spot-checked); a checkpoint whose digests
-  // drifted from its tree elsewhere yields an image whose verified() is
-  // false.
-  static Result<std::shared_ptr<const BaseImage>> CreateDistributionFromCheckpoint(
-      std::string name, uint64_t seed, uint64_t size_bytes,
-      std::vector<Sha256Digest> block_digests, MerkleTree merkle);
-
   // Simulates another OS modifying the partition while the USB stick was
   // plugged in elsewhere: a new, non-interned image whose block
   // `block_index` changed while the published root did not, so its
@@ -80,7 +68,7 @@ class BaseImage {
   uint64_t size_bytes() const { return size_bytes_; }
   uint64_t block_count() const { return size_bytes_ / kDiskBlockSize; }
 
-  // On-disk block digest table (checkpoint source).
+  // On-disk block digest table, one per block; reflects tampering.
   const std::vector<Sha256Digest>& block_digests() const { return block_digests_; }
 
   // Shared read-only filesystem view of the image.

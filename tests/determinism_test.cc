@@ -10,13 +10,11 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/core/fleet.h"
 #include "src/core/fleet_checkpoint.h"
 #include "src/core/nym_manager.h"
 #include "src/core/testbed.h"
 #include "src/net/simulation.h"
 #include "src/obs/observability.h"
-#include "src/store/image_checkpoint.h"
 #include "src/store/kv_store.h"
 #include "src/workload/website.h"
 #include "tests/ksm_model.h"
@@ -144,7 +142,8 @@ void ExpectKsmMatchesModel(HostMachine& host, const BaseImage& image) {
   for (const VirtualMachine* vm : host.vms()) {
     if (vm->state() != VmState::kStopped) {
       const GuestMemory& memory = vm->memory();
-      models.push_back(PageArrayMemory::Replay(memory.total_pages(), memory.contents(), image));
+      models.push_back(
+          PageArrayMemory::Replay(memory.total_pages(), memory.contents(), image.block_digests()));
     }
   }
   std::vector<const PageArrayMemory*> pointers;
@@ -217,34 +216,6 @@ std::string RunFleetScenario(uint64_t seed, bool full_recompute) {
     cluster.host->ksm().Stop();
   }
   return obs.trace.ToChromeJson();
-}
-
-// The warm-start path (bench/scale_fleet --warm-start) in miniature: a
-// two-shard fleet whose base images come from src/store image checkpoints
-// instead of cold builds. Image content is a pure function of (name, seed,
-// size), so the warm run must replay the exact same event stream — the
-// merged trace AND the merged metrics dump, byte for byte.
-std::string RunShardedFleetTrace(uint64_t seed, int threads, KvStore* warm) {
-  ShardedSimulation sharded(seed, ShardPlan{/*shards=*/2, threads});
-  sharded.EnableObservability(/*record_wall_time=*/false);
-  FleetOptions options;
-  options.nym_count = 4;
-  options.nyms_per_host = 2;
-  if (warm != nullptr) {
-    for (int s = 0; s < 2; ++s) {
-      auto image = AcquireDistributionImage(*warm, kFleetImageName, kFleetImageSeed,
-                                            kFleetImageSizeBytes);
-      NYMIX_CHECK_MSG(image.ok(), "warm-start image acquisition failed");
-      options.images.push_back(*image);
-    }
-  }
-  ShardedFleet fleet(sharded, options, seed);
-  fleet.Run();
-  sharded.MergeObservability();
-  std::ostringstream out;
-  out << sharded.merged().trace.ToChromeJson();
-  sharded.merged().metrics.WriteJson(out);
-  return out.str();
 }
 
 // Whole-host crash → restore-from-checkpoint, PR 3's RecoverNym lifted to
@@ -406,26 +377,6 @@ TEST(DeterminismTest, FleetScenarioSameSeedIsByteIdentical) {
   pad->fill('z');
   const std::string second = RunFleetScenario(7, /*full_recompute=*/false);
   EXPECT_EQ(first, second);
-}
-
-// Warm start must be invisible in the output: a fleet booted from
-// checkpointed images (src/store/image_checkpoint) emits the same trace
-// and metrics bytes as a cold-built one, at one thread and at two.
-TEST(DeterminismTest, WarmStartFleetTraceIsByteIdenticalToCold) {
-  const std::string cold = RunShardedFleetTrace(11, /*threads=*/1, nullptr);
-
-  // The first warm run finds an empty store: shard 0's acquire cold-builds
-  // and writes the checkpoint, shard 1's restores it — the two paths mix
-  // within one run. The second warm run is pure restore, multi-threaded.
-  KvStore store;
-  const std::string warm_seeding = RunShardedFleetTrace(11, /*threads=*/1, &store);
-  EXPECT_TRUE(
-      store.Contains(ImageCheckpointKey(kFleetImageName, kFleetImageSeed, kFleetImageSizeBytes)));
-  const std::string warm_restored = RunShardedFleetTrace(11, /*threads=*/2, &store);
-
-  ASSERT_FALSE(cold.empty());
-  EXPECT_EQ(cold, warm_seeding);
-  EXPECT_EQ(cold, warm_restored);
 }
 
 // The whole-host crash/restore round trip is lossless down to the store

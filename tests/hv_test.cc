@@ -22,8 +22,8 @@ TEST(GuestMemoryTest, MapImagePagesSharedAcrossVms) {
   auto image = TestImage();
   GuestMemory a(64 * kMiB);
   GuestMemory b(64 * kMiB);
-  a.MapImagePages(*image, 1000);
-  b.MapImagePages(*image, 1000);
+  a.MapImagePages(image->contents(), 1000);
+  b.MapImagePages(image->contents(), 1000);
   EXPECT_EQ(a.image_pages(), 1000u);
   // Identical contents -> fully mergeable by KSM: every page of both VMs
   // shares, onto the 1000 mapped block contents plus the zero page.
@@ -35,7 +35,7 @@ TEST(GuestMemoryTest, MapImagePagesSharedAcrossVms) {
 TEST(GuestMemoryTest, DirtyConsumesZeroThenImage) {
   auto image = TestImage();
   GuestMemory memory(4 * kMiB);  // 1024 pages
-  memory.MapImagePages(*image, 200);
+  memory.MapImagePages(image->contents(), 200);
   EXPECT_EQ(memory.zero_pages(), 824u);
   memory.DirtyPages(824);
   EXPECT_EQ(memory.zero_pages(), 0u);
@@ -51,7 +51,7 @@ TEST(GuestMemoryTest, DirtyConsumesZeroThenImage) {
 TEST(GuestMemoryTest, WipeRestoresZeroState) {
   auto image = TestImage();
   GuestMemory memory(4 * kMiB);
-  memory.MapImagePages(*image, 100);
+  memory.MapImagePages(image->contents(), 100);
   memory.DirtyPages(500);
   memory.Wipe();
   EXPECT_EQ(memory.zero_pages(), memory.total_pages());
@@ -66,8 +66,8 @@ TEST(KsmTest, MergesZeroAndImagePagesAcrossVms) {
   auto image = TestImage();
   GuestMemory a(4 * kMiB);
   GuestMemory b(4 * kMiB);
-  a.MapImagePages(*image, 256);
-  b.MapImagePages(*image, 256);
+  a.MapImagePages(image->contents(), 256);
+  b.MapImagePages(image->contents(), 256);
   KsmDaemon ksm(loop, [&] { return std::vector<const GuestMemory*>{&a, &b}; });
   KsmStats stats = ksm.ScanNow();
   // 256 image contents shared twice each, plus the zero pages of both VMs.
@@ -94,8 +94,8 @@ TEST(KsmTest, PeriodicScanUpdatesStats) {
   ksm.Start(Seconds(2));
   loop.RunUntil(Seconds(1));
   uint64_t early = ksm.stats().pages_sharing;  // only zero pages (all merge)
-  a.MapImagePages(*image, 512);
-  a.MapImagePages(*image, 512);  // maps blocks 0..511 twice -> duplicates
+  a.MapImagePages(image->contents(), 512);
+  a.MapImagePages(image->contents(), 512);  // maps blocks 0..511 twice -> duplicates
   loop.RunUntil(Seconds(5));
   EXPECT_GE(ksm.stats().pages_sharing, early);
   ksm.Stop();

@@ -80,25 +80,6 @@ TEST(ImageInternTest, VerdictEqualsFullCheck) {
   auto twice = tampered->TamperedCopy(9, 1000);
   EXPECT_FALSE(twice->verified());
   EXPECT_EQ(twice->verified(), twice->VerifyAllBlocks());
-
-  auto restored = BaseImage::CreateDistributionFromCheckpoint(
-      fresh->name(), fresh->seed(), fresh->size_bytes(), fresh->block_digests(), fresh->merkle());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_NE(restored->get(), fresh.get());
-  EXPECT_TRUE((*restored)->verified());
-  EXPECT_EQ((*restored)->verified(), (*restored)->VerifyAllBlocks());
-  EXPECT_EQ((*restored)->contents()->identity(), fresh->contents()->identity());
-
-  // A checkpoint whose digests drifted from its tree away from the
-  // spot-checked first and last leaves restores, but does not verify.
-  std::vector<Sha256Digest> drifted = fresh->block_digests();
-  drifted[drifted.size() / 2] = drifted[1];
-  auto bad = BaseImage::CreateDistributionFromCheckpoint(fresh->name(), fresh->seed(),
-                                                         fresh->size_bytes(), std::move(drifted),
-                                                         fresh->merkle());
-  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
-  EXPECT_FALSE((*bad)->verified());
-  EXPECT_EQ((*bad)->verified(), (*bad)->VerifyAllBlocks());
 }
 
 }  // namespace

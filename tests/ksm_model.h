@@ -14,6 +14,7 @@
 #include <numeric>
 #include <vector>
 
+#include "src/crypto/sha256.h"
 #include "src/hv/ksm.h"
 
 namespace nymix {
@@ -25,30 +26,31 @@ class PageArrayMemory {
   // Rebuilds, page by page, the memory a closed-form description stands
   // for: the same total, the mapping's maps, then one dirty pass that
   // takes what the zero pages lost beyond the mapping plus the image
-  // pages copy-on-write took. `image` must be the image (or an identical
-  // copy) the memory mapped.
+  // pages copy-on-write took. `block_digests` must be those of the image
+  // (or an identical copy) the memory mapped.
   static PageArrayMemory Replay(uint64_t total_pages, const MemoryContents& contents,
-                                const BaseImage& image) {
+                                const std::vector<Sha256Digest>& block_digests) {
     PageArrayMemory model(total_pages);
-    model.MapImagePages(image, contents.cycles * image.block_count());
+    model.MapImagePages(block_digests, contents.cycles * block_digests.size());
     for (uint64_t prefix : contents.prefixes) {
-      model.MapImagePages(image, prefix);
+      model.MapImagePages(block_digests, prefix);
     }
     model.DirtyPages(model.zero_pages() - contents.zero_pages + contents.dirtied);
     return model;
   }
 
   // Fills the first `count` zero pages (capped at what is left) with block
-  // contents 0, 1, 2, ... of `image`, wrapping at its block count.
-  void MapImagePages(const BaseImage& image, uint64_t count) {
+  // contents 0, 1, 2, ... of the image with `block_digests`, wrapping at its
+  // block count. A block's content id is the prefix of its raw digest.
+  void MapImagePages(const std::vector<Sha256Digest>& block_digests, uint64_t count) {
     uint64_t block = 0;
     for (Page& page : pages_) {
       if (count == 0) {
         break;
       }
       if (page.kind == kZero) {
-        page = Page{kImage, image.BlockContentId(block)};
-        block = (block + 1) % image.block_count();
+        page = Page{kImage, DigestPrefix64(block_digests[block])};
+        block = (block + 1) % block_digests.size();
         --count;
       }
     }

@@ -30,25 +30,37 @@ constexpr uint64_t kReleaseBlocks = 64;
 constexpr uint64_t kOtherBlocks = 48;
 constexpr uint64_t kRamPages[] = {40, 97, 256, 300};
 
+// An image as both sides see it: the raw block digests the model derives
+// content ids from, and the content view GuestMemory maps.
+struct TestImage {
+  std::vector<Sha256Digest> digests;
+  std::shared_ptr<const ImageContents> contents;
+
+  uint64_t block_count() const { return digests.size(); }
+};
+
+// A distinct view object of `digests`, named by `identity`.
+TestImage MakeImage(std::vector<Sha256Digest> digests, const Sha256Digest& identity) {
+  auto contents = std::make_shared<const ImageContents>(digests, identity);
+  return TestImage{std::move(digests), std::move(contents)};
+}
+
 // Second image: some blocks repeat within it and some repeat the release
 // image's, so contents are shared across images with different identities.
-std::shared_ptr<const BaseImage> OtherImage(const BaseImage& release) {
+TestImage OtherImage(const TestImage& release) {
   std::vector<Sha256Digest> digests;
   auto unique = BaseImage::CreateDistribution("other", 9, kOtherBlocks * kDiskBlockSize);
   for (uint64_t block = 0; block < kOtherBlocks; ++block) {
     if (block % 3 == 0) {
-      digests.push_back(release.ReadBlockDigest(block % 8));
+      digests.push_back(release.digests[block % 8]);
     } else if (block % 3 == 1) {
       digests.push_back(unique->ReadBlockDigest(block % 5));
     } else {
       digests.push_back(unique->ReadBlockDigest(block));
     }
   }
-  MerkleTree tree = MerkleTree::Build(digests);
-  auto image = BaseImage::CreateDistributionFromCheckpoint(
-      "other", 9, kOtherBlocks * kDiskBlockSize, std::move(digests), std::move(tree));
-  NYMIX_CHECK(image.ok());
-  return *image;
+  Sha256Digest identity = MerkleTree::Build(digests).root();
+  return MakeImage(std::move(digests), identity);
 }
 
 struct Op {
@@ -144,30 +156,22 @@ struct Coverage {
   }
 };
 
-// A distinct image object with `image`'s content identity, as a host that
-// restored its image from a checkpoint boots.
-std::shared_ptr<const BaseImage> RestoredCopy(const BaseImage& image) {
-  auto copy = BaseImage::CreateDistributionFromCheckpoint(
-      image.name(), image.seed(), image.size_bytes(), image.block_digests(), image.merkle());
-  NYMIX_CHECK(copy.ok());
-  return *copy;
-}
-
-// One run of a call sequence over kHosts hosts. Host 0 boots the interned
-// release image and the others restored copies of it; each host builds its
-// own copy of the second image. So every image has several objects, which
-// KSM must match by content identity. Each host also has a loop with
-// metrics on, a daemon over its running memories, and the model's
-// bookkeeping of which memories the daemon's last pass saw unchanged.
+// One run of a call sequence over kHosts hosts. Host 0 maps the interned
+// release image's own view and the others distinct views with its
+// identity; each host builds its own copy of the second image. So every
+// image has several objects, which KSM must match by content identity.
+// Each host also has a loop with metrics on, a daemon over its running
+// memories, and the model's bookkeeping of which memories the daemon's
+// last pass saw unchanged.
 class World {
  public:
   World() {
+    auto release = BaseImage::CreateDistribution("nymix", 7, kReleaseBlocks * kDiskBlockSize);
     for (int h = 0; h < kHosts; ++h) {
       auto host = std::make_unique<Host>();
-      host->release =
-          h == 0 ? BaseImage::CreateDistribution("nymix", 7, kReleaseBlocks * kDiskBlockSize)
-                 : RestoredCopy(*hosts_.front()->release);
-      host->other = OtherImage(*host->release);
+      host->release = h == 0 ? TestImage{release->block_digests(), release->contents()}
+                             : MakeImage(release->block_digests(), release->contents()->identity());
+      host->other = OtherImage(host->release);
       host->obs.metrics.set_enabled(true);
       host->loop.set_observability(&host->obs);
       Host* raw = host.get();
@@ -205,13 +209,13 @@ class World {
           memory.image_kind = op.image % 2;
         }
         const Host& copy = *hosts_[static_cast<size_t>(op.image / 2) % kHosts];
-        const BaseImage& image = memory.image_kind == 0 ? *copy.release : *copy.other;
+        const TestImage& image = memory.image_kind == 0 ? copy.release : copy.other;
         uint64_t zero = memory.model.zero_pages();
         coverage_.wrapped |= std::min(op.count, zero) > image.block_count();
         coverage_.capped |= op.count > zero && zero > 0;
         coverage_.remapped |= memory.model.image_pages() > 0 && zero > 0 && op.count > 0;
-        memory.real->MapImagePages(image, op.count);
-        memory.model.MapImagePages(image, op.count);
+        memory.real->MapImagePages(image.contents, op.count);
+        memory.model.MapImagePages(image.digests, op.count);
         ++memory.mutations;
         return Check("map", memory);
       }
@@ -242,8 +246,8 @@ class World {
 
  private:
   struct Host {
-    std::shared_ptr<const BaseImage> release;
-    std::shared_ptr<const BaseImage> other;
+    TestImage release;
+    TestImage other;
     Observability obs;
     EventLoop loop;
     std::unique_ptr<KsmDaemon> ksm;

@@ -27,8 +27,8 @@ class KsmEquivalenceTest : public ::testing::Test {
   struct Shadowed {
     explicit Shadowed(uint64_t ram) : real(ram), model(real.total_pages()) {}
     void Map(const BaseImage& image, uint64_t count) {
-      real.MapImagePages(image, count);
-      model.MapImagePages(image, count);
+      real.MapImagePages(image.contents(), count);
+      model.MapImagePages(image.block_digests(), count);
     }
     void Dirty(uint64_t count) {
       real.DirtyPages(count);
@@ -144,7 +144,7 @@ TEST(GuestMemoryTest, GenerationBumpsOnEveryMutation) {
   auto image = BaseImage::CreateDistribution("img", 7, 8 * kMiB);
   GuestMemory memory(64 * kMiB);
   uint64_t generation = memory.generation();
-  memory.MapImagePages(*image, 100);
+  memory.MapImagePages(image->contents(), 100);
   EXPECT_GT(memory.generation(), generation);
   generation = memory.generation();
   memory.DirtyPages(10);

@@ -1,7 +1,7 @@
 // Tests for src/store: CRC-32C vectors, record-log framing and
 // longest-valid-prefix recovery, the KV store (including torn-tail
 // recovery and compaction determinism), the NBT trace/metrics codec with
-// a seeded corruption fuzz, and the image-checkpoint warm-start path.
+// a seeded corruption fuzz.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -9,11 +9,9 @@
 #include <vector>
 
 #include "src/store/crc32.h"
-#include "src/store/image_checkpoint.h"
 #include "src/store/kv_store.h"
 #include "src/store/nbt.h"
 #include "src/store/record_log.h"
-#include "src/unionfs/disk_image.h"
 #include "src/util/prng.h"
 
 namespace nymix {
@@ -408,72 +406,6 @@ TEST(NbtTest, FuzzTornAndCorruptTailRecovery) {
       }
     }
   }
-}
-
-// --- image checkpoint ------------------------------------------------------
-
-TEST(ImageCheckpointTest, KeyFormat) {
-  EXPECT_EQ(ImageCheckpointKey("nymix", 42, 64 * kMiB), "image/nymix/42/67108864");
-}
-
-TEST(ImageCheckpointTest, EncodeDecodeRoundTrip) {
-  auto image = BaseImage::CreateDistribution("tiny", 7, kMiB);
-  Bytes payload = EncodeImageCheckpoint(*image);
-  Result<std::shared_ptr<const BaseImage>> restored = DecodeImageCheckpoint(payload);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ((*restored)->name(), "tiny");
-  EXPECT_EQ((*restored)->seed(), 7u);
-  EXPECT_EQ((*restored)->size_bytes(), kMiB);
-  EXPECT_EQ((*restored)->block_digests(), image->block_digests());
-  EXPECT_EQ((*restored)->merkle_root(), image->merkle_root());
-}
-
-TEST(ImageCheckpointTest, DecodeRejectsDamage) {
-  auto image = BaseImage::CreateDistribution("tiny", 7, kMiB);
-  Bytes payload = EncodeImageCheckpoint(*image);
-  Bytes truncated(payload.begin(), payload.begin() + 10);
-  EXPECT_FALSE(DecodeImageCheckpoint(truncated).ok());
-  // Flip a byte of the first block digest (offset: lp name "tiny" = 8,
-  // seed + size = 16, digest count = 4): the leaf spot-check catches the
-  // digest table and Merkle tree drifting apart.
-  Bytes flipped = payload;
-  flipped[28] ^= 0x01;
-  EXPECT_FALSE(DecodeImageCheckpoint(flipped).ok());
-}
-
-TEST(ImageCheckpointTest, AcquireColdThenWarm) {
-  KvStore store;
-  bool cold_built = false;
-  Result<std::shared_ptr<const BaseImage>> first =
-      AcquireDistributionImage(store, "img", 9, kMiB, &cold_built);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_TRUE(cold_built);
-  EXPECT_TRUE(store.Contains(ImageCheckpointKey("img", 9, kMiB)));
-
-  Result<std::shared_ptr<const BaseImage>> second =
-      AcquireDistributionImage(store, "img", 9, kMiB, &cold_built);
-  ASSERT_TRUE(second.ok());
-  EXPECT_FALSE(cold_built);  // warm path
-  // Bit-equal artifacts: the restored image is indistinguishable.
-  EXPECT_EQ((*second)->merkle_root(), (*first)->merkle_root());
-  EXPECT_EQ((*second)->block_digests(), (*first)->block_digests());
-  // Distinct objects: the cold build is interned, a restore is not.
-  EXPECT_NE(second->get(), first->get());
-}
-
-TEST(ImageCheckpointTest, MalformedCheckpointFallsBackToColdBuild) {
-  KvStore store;
-  store.PutString(ImageCheckpointKey("img", 9, kMiB), "not a checkpoint");
-  bool cold_built = false;
-  Result<std::shared_ptr<const BaseImage>> image =
-      AcquireDistributionImage(store, "img", 9, kMiB, &cold_built);
-  ASSERT_TRUE(image.ok()) << image.status().ToString();
-  EXPECT_TRUE(cold_built);
-  // The bad entry was repaired in place; the next acquire is warm.
-  Result<std::shared_ptr<const BaseImage>> again =
-      AcquireDistributionImage(store, "img", 9, kMiB, &cold_built);
-  ASSERT_TRUE(again.ok());
-  EXPECT_FALSE(cold_built);
 }
 
 }  // namespace

@@ -34,9 +34,9 @@ A result file that is not valid JSON is a hard failure (exit 1), not a
 usage error: the bench emitter wrote it, so broken JSON means the emitter
 regressed (a stray separator once did exactly that) and CI must go red.
 
-The store-layer columns (trace_encode_ms, checkpoint_restore_ms) are
-warn-only: pathological values print a WARNING for the CI log but never
-change the exit code — see warn_store_columns.
+The store-layer column (trace_encode_ms) is warn-only: pathological values
+print a WARNING for the CI log but never change the exit code — see
+warn_store_columns.
 
 Usage:
   tools/bench_diff.py RESULT.json [--baseline=bench/baselines/scale_fleet.json]
@@ -67,11 +67,10 @@ def load_points(path):
 def warn_store_columns(doc):
     """Warn-only visibility for the store-layer columns (PR 6).
 
-    trace_encode_ms and checkpoint_restore_ms are wall-clock measurements of
-    the trace serializer and the warm-start image restore. They vary too
-    much across machines to gate hard, and a slow encode is a nuisance, not
-    a correctness problem — so out-of-range values print a WARNING and never
-    flip the exit code. The thresholds only exist to make a pathological
+    trace_encode_ms is a wall-clock measurement of the trace serializer. It
+    varies too much across machines to gate hard, and a slow encode is a
+    nuisance, not a correctness problem — so out-of-range values print a
+    WARNING and never flip the exit code. The thresholds only exist to make a pathological
     regression (say, an accidentally quadratic encoder) visible in CI logs.
     """
     rows = list(doc.get("threaded") or []) + [
@@ -89,12 +88,6 @@ def warn_store_columns(doc):
                     f"  WARNING n={n}: trace encode {float(encode_ms):.1f} ms "
                     f"({per_event_us:.2f} us/event) — encoder may have regressed"
                 )
-        restore_ms = row.get("checkpoint_restore_ms")
-        if restore_ms is not None and float(restore_ms) > 1000.0:
-            print(
-                f"  WARNING n={n}: warm-start restore took {float(restore_ms):.0f} ms "
-                f"— checkpoint decode should be far cheaper than a cold image build"
-            )
 
 
 def check_threaded(doc):

@@ -178,17 +178,9 @@ class BenchDiffCase(unittest.TestCase):
         self.assertIn("WARNING", out)
         self.assertIn("encoder may have regressed", out)
 
-    def test_slow_checkpoint_restore_warns_but_passes(self):
-        doc = incremental({100: 1000.0})
-        doc["incremental"][0]["checkpoint_restore_ms"] = 5000.0
-        code, out, _ = self.run_diff(doc, baseline({100: 1000.0}))
-        self.assertEqual(code, 0)
-        self.assertIn("warm-start restore", out)
-
     def test_healthy_store_columns_stay_quiet(self):
         doc = incremental({100: 1000.0})
-        doc["incremental"][0].update(events=100000, trace_encode_ms=20.0,
-                                     checkpoint_restore_ms=40.0)
+        doc["incremental"][0].update(events=100000, trace_encode_ms=20.0)
         code, out, _ = self.run_diff(doc, baseline({100: 1000.0}))
         self.assertEqual(code, 0)
         self.assertNotIn("WARNING", out)

@@ -75,7 +75,8 @@ class StrictFlagsMixin:
 class ScaleFleetCliTest(StrictFlagsMixin, unittest.TestCase):
     BIN_NAME = "scale_fleet"
     BAD_ARGS = ["--n=abc", "--n=-8", "--n=", "--n=8,,64", "--threads=", "--threads=0",
-                "--shards=0", "--shards=2,4", "--seed=x", "--bogus-flag=1", "--n"]
+                "--shards=0", "--shards=2,4", "--seed=x", "--bogus-flag=1", "--n",
+                "--out", "--out=", "--full-recompute", "--warm-start", "--warm-start=x.ckpt"]
 
     def binary(self):
         return SCALE_FLEET
