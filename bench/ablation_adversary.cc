@@ -16,15 +16,13 @@
 //                       adversary.* report must hash identically (exit 1
 //                       otherwise — thread count must not move a byte).
 //
-// Usage:
+// Usage (ablation_adversary --help lists every flag and its default):
 //   ablation_adversary [--n=8,16] [--generations=2,3] [--threads=1,2,4]
 //                      [--shards=4] [--seed=7] [--out=BENCH_adversary.json]
-//                      [--stats-out=...] [--trace-out=...]
+//                      [--stats-out=<path>] [--trace-out=<path>]
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,11 +34,6 @@
 using namespace nymix;
 
 namespace {
-
-constexpr char kUsage[] =
-    "usage: ablation_adversary [--n=8,16] [--generations=2,3] [--threads=1,2,4]\n"
-    "                          [--shards=4] [--seed=7] [--out=BENCH_adversary.json]\n"
-    "                          [--stats-out=...] [--trace-out=...]\n";
 
 struct RowResult {
   int n = 0;
@@ -171,55 +164,20 @@ std::string StatsKey(const RowResult& row) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchStats stats("ablation_adversary", argc, argv);
   std::vector<int> ns = {8, 16};
   std::vector<int> generations_list = {2, 3};
   std::vector<int> threads_list = {1, 2, 4};
   int shards = 4;
   uint64_t seed = 7;
   std::string out_path = "BENCH_adversary.json";
-  // Malformed, empty or out-of-range values and unknown flags are usage
-  // errors (exit 2): a typo must not abort mid-sweep or run a default sweep.
-  auto usage_error = [](const std::string& message) {
-    std::fprintf(stderr, "ablation_adversary: %s\n%s", message.c_str(), kUsage);
-    return 2;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const size_t eq = arg.find('=');
-    const std::string flag = arg.substr(0, eq);
-    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (arg == "--help") {
-      std::printf("%s", kUsage);
-      return 0;
-    } else if (flag == "--n" || flag == "--generations" || flag == "--threads" ||
-               flag == "--shards") {
-      std::optional<std::vector<int>> list = ParseIntList(value, 1);
-      if (!list.has_value() || (flag == "--shards" && list->size() != 1)) {
-        return usage_error("malformed " + flag + " \"" + value + "\" (want positive integers" +
-                           (flag == "--shards" ? ")" : ", comma-separated)"));
-      }
-      if (flag == "--n") {
-        ns = std::move(*list);
-      } else if (flag == "--generations") {
-        generations_list = std::move(*list);
-      } else if (flag == "--threads") {
-        threads_list = std::move(*list);
-      } else {
-        shards = list->front();
-      }
-    } else if (flag == "--seed") {
-      std::optional<uint64_t> parsed = ParseUint64(value);
-      if (!parsed.has_value()) {
-        return usage_error("malformed --seed \"" + value + "\"");
-      }
-      seed = *parsed;
-    } else if (flag == "--out") {
-      out_path = value;
-    } else if (!BenchStats::OwnsFlag(argv[i])) {
-      return usage_error("unknown argument \"" + arg + "\"");
-    }
-  }
+  FlagSet flags("ablation_adversary");
+  flags.IntList("n", &ns, 1, "fleet sizes of the clean sweep");
+  flags.IntList("generations", &generations_list, 1, "churn generations of the clean sweep");
+  flags.IntList("threads", &threads_list, 1, "thread counts of the determinism rows");
+  flags.Int("shards", &shards, 1, "executor shards of every row");
+  flags.Uint64("seed", &seed, "experiment seed");
+  flags.String("out", &out_path, "<path>", "JSON artifact");
+  BenchStats stats(std::move(flags), argc, argv);
 
   const WorkloadMix kMixes[] = {WorkloadMix::kBrowse, WorkloadMix::kStreaming,
                                 WorkloadMix::kUpload, WorkloadMix::kMixed};

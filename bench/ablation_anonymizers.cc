@@ -10,7 +10,7 @@
 using namespace nymix;
 
 int main(int argc, char** argv) {
-  BenchStats stats("ablation_anonymizers", argc, argv, BenchStats::kRejectOtherArgs);
+  BenchStats stats(FlagSet("ablation_anonymizers"), argc, argv);
   std::printf("# Anonymizer ablation: bootstrap / 5 MB fetch / overhead / identity\n");
   std::printf("%-12s %12s %12s %10s %18s\n", "tool", "bootstrap(s)", "fetch 5MB(s)",
               "overhead", "identity exposed?");

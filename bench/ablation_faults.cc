@@ -48,7 +48,7 @@ bool FetchBlocking(Testbed& bed, Nym* nym, const std::string& host, double* seco
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchStats stats("ablation_faults", argc, argv, BenchStats::kRejectOtherArgs);
+  BenchStats stats(FlagSet("ablation_faults"), argc, argv);
 
   // ---- Phase 1: loss sweep -------------------------------------------
   std::printf("# Fault ablation: uplink loss vs Tor fetch outcome (200 KiB, 12 fetches)\n");

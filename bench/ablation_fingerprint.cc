@@ -12,7 +12,7 @@
 using namespace nymix;
 
 int main(int argc, char** argv) {
-  BenchStats stats("ablation_fingerprint", argc, argv, BenchStats::kRejectOtherArgs);
+  BenchStats stats(FlagSet("ablation_fingerprint"), argc, argv);
   constexpr size_t kPopulation = 5000;
   Prng prng(31337);
 

@@ -17,7 +17,7 @@
 using namespace nymix;
 
 int main(int argc, char** argv) {
-  BenchStats stats("ablation_guard_persistence", argc, argv, BenchStats::kRejectOtherArgs);
+  BenchStats stats(FlagSet("ablation_guard_persistence"), argc, argv);
   constexpr int kUsers = 2000;
   constexpr int kSessions = 30;
   constexpr size_t kGuards = 4;

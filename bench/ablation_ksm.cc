@@ -10,7 +10,7 @@
 using namespace nymix;
 
 int main(int argc, char** argv) {
-  BenchStats stats("ablation_ksm", argc, argv, BenchStats::kRejectOtherArgs);
+  BenchStats stats(FlagSet("ablation_ksm"), argc, argv);
   std::printf("# Host used memory (MB) with and without KSM\n");
   std::printf("%-5s %12s %12s %12s\n", "nyms", "ksm off", "ksm on", "saved");
 

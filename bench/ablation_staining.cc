@@ -47,7 +47,7 @@ size_t Report(const char* model, const Website& site) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchStats stats("ablation_staining", argc, argv, BenchStats::kRejectOtherArgs);
+  BenchStats stats(FlagSet("ablation_staining"), argc, argv);
   std::printf("# Evercookie staining across 3 sessions, per usage model\n");
   std::printf("%-22s %9s %16s   %s\n", "model", "sessions", "distinct stains", "verdict");
 

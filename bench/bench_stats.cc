@@ -1,9 +1,6 @@
 #include "bench/bench_stats.h"
 
-#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 
 #include "src/net/simulation.h"
@@ -12,48 +9,6 @@
 #include "src/store/nbt.h"
 
 namespace nymix {
-
-namespace {
-
-// Matches "--flag=value"; returns the value or nullptr.
-const char* FlagValue(const char* arg, const char* flag) {
-  size_t flag_len = std::strlen(flag);
-  if (std::strncmp(arg, flag, flag_len) == 0 && arg[flag_len] == '=') {
-    return arg + flag_len + 1;
-  }
-  return nullptr;
-}
-
-// The whole of `text` as one decimal number, or nullopt.
-template <typename T>
-std::optional<T> ParseWhole(std::string_view text) {
-  T value{};
-  auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (text.empty() || error != std::errc() || end != text.data() + text.size()) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-}  // namespace
-
-std::optional<std::vector<int>> ParseIntList(std::string_view text, int min_value) {
-  std::vector<int> values;
-  while (true) {
-    size_t comma = text.find(',');
-    std::optional<int> value = ParseWhole<int>(text.substr(0, comma));
-    if (!value.has_value() || *value < min_value) {
-      return std::nullopt;
-    }
-    values.push_back(*value);
-    if (comma == std::string_view::npos) {
-      return values;
-    }
-    text.remove_prefix(comma + 1);
-  }
-}
-
-std::optional<uint64_t> ParseUint64(std::string_view text) { return ParseWhole<uint64_t>(text); }
 
 void JsonWriter::BeforeValue() {
   if (pending_key_) {
@@ -152,40 +107,17 @@ std::ostream& JsonWriter::RawValue() {
   return out_;
 }
 
-BenchStats::BenchStats(std::string bench_name, int argc, char** argv, OtherArgs other)
-    : bench_name_(std::move(bench_name)) {
-  for (int i = 1; i < argc; ++i) {
-    if (const char* value = FlagValue(argv[i], "--stats-out")) {
-      stats_path_ = value;
-    } else if (const char* value = FlagValue(argv[i], "--trace-out")) {
-      trace_path_ = value;
-    } else if (const char* value = FlagValue(argv[i], "--trace-format")) {
-      trace_format_ = value;
-    } else if (other == kRejectOtherArgs) {
-      std::fprintf(stderr, "%s: unknown argument \"%s\"\n", bench_name_.c_str(), argv[i]);
-      std::fprintf(stderr,
-                   "usage: %s [--stats-out=<path>] [--trace-out=<path>] "
-                   "[--trace-format=json|nbt]\n",
-                   bench_name_.c_str());
-      std::exit(2);
-    }
-  }
-  if (trace_format_ != "json" && trace_format_ != "nbt") {
-    std::fprintf(stderr, "bench_stats: --trace-format must be json or nbt, got \"%s\"\n",
-                 trace_format_.c_str());
-    std::exit(2);
-  }
+BenchStats::BenchStats(FlagSet flags, int argc, char** argv) : bench_name_(flags.program()) {
+  flags.String("stats-out", &stats_path_, "<path>", "write headline values and metrics as JSON");
+  flags.String("trace-out", &trace_path_, "<path>", "write a trace of every attached simulation");
+  flags.Choice("trace-format", &trace_format_, {"json", "nbt"}, "Chrome JSON or compact NBT trace");
+  flags.Parse(argc, argv);
   if (!stats_path_.empty()) {
     obs_.metrics.set_enabled(true);
   }
   if (!trace_path_.empty()) {
     obs_.trace.set_enabled(true);
   }
-}
-
-bool BenchStats::OwnsFlag(const char* arg) {
-  return FlagValue(arg, "--stats-out") != nullptr || FlagValue(arg, "--trace-out") != nullptr ||
-         FlagValue(arg, "--trace-format") != nullptr;
 }
 
 void BenchStats::Attach(Simulation& sim) {

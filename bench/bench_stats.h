@@ -1,5 +1,6 @@
 // Common bench plumbing for machine-readable output. Every figure/table
-// bench accepts:
+// bench registers these flags into its FlagSet (src/util/flags.h), so its
+// --help lists them and a typo exits 2 before anything runs:
 //   --stats-out=<path>   one JSON document per run: headline values set by
 //                        the bench plus the full metrics-registry dump
 //   --trace-out=<path>   Chrome trace_event JSON covering every attached
@@ -16,13 +17,13 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/obs/observability.h"
+#include "src/util/flags.h"
 
 namespace nymix {
 
@@ -89,28 +90,12 @@ class JsonWriter {
   bool pending_key_ = false;
 };
 
-// Strict flag values for the bench CLIs. ParseIntList reads "8,64,256":
-// every element a decimal int >= min_value. Both return nullopt on empty
-// input (or an empty element), trailing junk, a sign where none fits, or
-// overflow — the caller turns that into a usage error (exit 2).
-std::optional<std::vector<int>> ParseIntList(std::string_view text, int min_value);
-std::optional<uint64_t> ParseUint64(std::string_view text);
-
 class BenchStats {
  public:
-  // What the constructor does with arguments that are not its own flags.
-  enum OtherArgs {
-    kPassOtherArgs,    // leave them for the bench's own parser
-    kRejectOtherArgs,  // the bench has no flags of its own: exit 2 with a
-                       // usage line, so a typo never runs the defaults
-  };
-
-  // Parses --stats-out= / --trace-out= / --trace-format= out of argv.
-  BenchStats(std::string bench_name, int argc, char** argv, OtherArgs other = kPassOtherArgs);
-
-  // True for the flags the constructor consumes, so a bench's own parser
-  // can reject everything else as unknown.
-  static bool OwnsFlag(const char* arg);
+  // Registers --stats-out / --trace-out / --trace-format after the bench's
+  // own flags, then parses argv with the whole set (exit 0 on --help,
+  // exit 2 on a usage error). The bench is named after flags.program().
+  BenchStats(FlagSet flags, int argc, char** argv);
 
   // Hooks a simulation's event loop into the shared Observability. Call
   // once per simulation; each attached run is laid out after the previous
@@ -124,8 +109,6 @@ class BenchStats {
 
   bool stats_requested() const { return !stats_path_.empty(); }
   bool trace_requested() const { return !trace_path_.empty(); }
-  // "json" or "nbt" (validated at parse time).
-  const std::string& trace_format() const { return trace_format_; }
   Observability& obs() { return obs_; }
 
   // Writes whichever files were requested. Returns 0, or 1 after printing

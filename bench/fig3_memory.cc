@@ -14,7 +14,7 @@
 using namespace nymix;
 
 int main(int argc, char** argv) {
-  BenchStats stats("fig3_memory", argc, argv, BenchStats::kRejectOtherArgs);
+  BenchStats stats(FlagSet("fig3_memory"), argc, argv);
   Testbed bed(/*seed=*/3);
   stats.Attach(bed.sim());
   bed.host().ksm().Start(Seconds(2));

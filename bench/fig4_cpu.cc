@@ -32,7 +32,7 @@ double AverageScore(Testbed& bed, size_t nyms) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchStats stats("fig4_cpu", argc, argv, BenchStats::kRejectOtherArgs);
+  BenchStats stats(FlagSet("fig4_cpu"), argc, argv);
   Testbed bed(/*seed=*/4);
   stats.Attach(bed.sim());
   std::printf("# Figure 4: average Peacekeeper score vs number of nyms\n");

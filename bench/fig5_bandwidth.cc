@@ -11,7 +11,7 @@
 using namespace nymix;
 
 int main(int argc, char** argv) {
-  BenchStats stats("fig5_bandwidth", argc, argv, BenchStats::kRejectOtherArgs);
+  BenchStats stats(FlagSet("fig5_bandwidth"), argc, argv);
   std::printf("# Figure 5: kernel (linux-3.14.2, %s) download time vs parallel nyms\n",
               FormatSize(kLinuxKernelTarballBytes).c_str());
   std::printf("%-5s %12s %12s %12s\n", "nyms", "actual(s)", "ideal(s)", "overhead");

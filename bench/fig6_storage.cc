@@ -14,7 +14,7 @@
 using namespace nymix;
 
 int main(int argc, char** argv) {
-  BenchStats stats("fig6_storage", argc, argv, BenchStats::kRejectOtherArgs);
+  BenchStats stats(FlagSet("fig6_storage"), argc, argv);
   Testbed bed(/*seed=*/6);
   stats.Attach(bed.sim());
   const std::vector<std::string> kSites = {"Gmail", "Facebook", "Twitter", "TorBlog"};

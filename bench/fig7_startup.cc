@@ -47,7 +47,7 @@ double PageLoadSeconds(Testbed& bed, Nym* nym) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchStats stats("fig7_startup", argc, argv, BenchStats::kRejectOtherArgs);
+  BenchStats stats(FlagSet("fig7_startup"), argc, argv);
   constexpr int kRuns = 5;
   std::vector<Phases> fresh_runs, preconfig_runs, persisted_runs;
 

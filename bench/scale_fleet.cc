@@ -6,11 +6,11 @@
 // the host-cost hot paths (docs/performance.md): closed-form KSM merging,
 // dirty-driven fair-share rescheduling, and the event-loop node pool.
 //
-// Usage:
+// Usage (scale_fleet --help lists every flag and its default):
 //   scale_fleet [--n=8,64,256,1024] [--mode=both|incremental|full]
 //               [--out=BENCH_scale.json] [--seed=13]
 //               [--threads=1,8] [--shards=8] [--topology=isolated|crossed]
-//               [--stats-out=...] [--trace-out=...] [--trace-format=json|nbt]
+//               [--stats-out=<path>] [--trace-out=<path>] [--trace-format=json|nbt]
 //
 // Every run is one ShardedFleet (src/core/fleet.h) booting the interned
 // distribution image. The serial "incremental" and "full" series run it on
@@ -48,7 +48,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -61,12 +60,6 @@
 using namespace nymix;
 
 namespace {
-
-constexpr char kUsage[] =
-    "usage: scale_fleet [--n=8,64,256,1024] [--mode=both|incremental|full]\n"
-    "                   [--out=BENCH_scale.json] [--seed=13]\n"
-    "                   [--threads=1,8] [--shards=8] [--topology=isolated|crossed]\n"
-    "                   [--stats-out=...] [--trace-out=...] [--trace-format=json|nbt]\n";
 
 struct PointResult {
   int n = 0;
@@ -425,7 +418,6 @@ void WriteJson(const std::string& path, const std::string& mode, const std::stri
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchStats stats("scale_fleet", argc, argv);
   std::vector<int> ns = {8, 64, 256, 1024};
   std::vector<int> threads_list;
   int shards = 8;
@@ -433,65 +425,15 @@ int main(int argc, char** argv) {
   std::string topology = "isolated";
   std::string out_path = "BENCH_scale.json";
   uint64_t seed = 13;
-  // Bad CLI input is a usage error (exit 2, matching the bench_stats
-  // --trace-format contract), not an internal invariant failure — a typo'd
-  // sweep script should get a usage line, not an abort or a default run.
-  auto usage_error = [](const std::string& message) {
-    std::fprintf(stderr, "scale_fleet: %s\n%s", message.c_str(), kUsage);
-    return 2;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const size_t eq = arg.find('=');
-    const std::string flag = arg.substr(0, eq);
-    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (arg == "--help") {
-      std::printf("%s", kUsage);
-      return 0;
-    } else if (flag == "--n" || flag == "--threads") {
-      std::optional<std::vector<int>> list = ParseIntList(value, 1);
-      if (!list.has_value()) {
-        return usage_error("malformed " + flag + " \"" + value +
-                           "\" (want positive integers, comma-separated)");
-      }
-      (flag == "--n" ? ns : threads_list) = std::move(*list);
-    } else if (flag == "--shards") {
-      std::optional<std::vector<int>> list = ParseIntList(value, 1);
-      if (!list.has_value() || list->size() != 1) {
-        return usage_error("malformed --shards \"" + value + "\" (want a positive integer)");
-      }
-      shards = list->front();
-    } else if (flag == "--seed") {
-      std::optional<uint64_t> parsed = ParseUint64(value);
-      if (!parsed.has_value()) {
-        return usage_error("malformed --seed \"" + value + "\"");
-      }
-      seed = *parsed;
-    } else if (flag == "--mode") {
-      mode = value;
-    } else if (flag == "--topology") {
-      topology = value;
-    } else if (flag == "--out") {
-      // An empty path would otherwise fail only at write time, after the
-      // whole sweep has run.
-      if (value.empty()) {
-        return usage_error("empty --out (want a file path)");
-      }
-      out_path = value;
-    } else if (!BenchStats::OwnsFlag(argv[i])) {
-      return usage_error("unknown argument \"" + arg + "\"");
-    }
-  }
-  if (mode != "both" && mode != "incremental" && mode != "full") {
-    std::fprintf(stderr, "scale_fleet: unknown --mode \"%s\"\n", mode.c_str());
-    std::fprintf(stderr, "usage: scale_fleet [--mode=both|incremental|full]\n");
-    return 2;
-  }
-  if (topology != "isolated" && topology != "crossed") {
-    std::fprintf(stderr, "scale_fleet: unknown --topology \"%s\"\n", topology.c_str());
-    std::fprintf(stderr, "usage: scale_fleet [--topology=isolated|crossed]\n");
-    return 2;
-  }
+  FlagSet flags("scale_fleet");
+  flags.IntList("n", &ns, 1, "fleet sizes");
+  flags.Choice("mode", &mode, {"both", "incremental", "full"}, "FlowScheduler of the serial rows");
+  flags.String("out", &out_path, "<path>", "JSON artifact");
+  flags.Uint64("seed", &seed, "experiment seed");
+  flags.IntList("threads", &threads_list, 1, "thread counts of the sharded-executor rows");
+  flags.Int("shards", &shards, 1, "executor shards of the threaded series");
+  flags.Choice("topology", &topology, {"isolated", "crossed"}, "workload of the threaded rows");
+  BenchStats stats(std::move(flags), argc, argv);
   const bool crossed = topology == "crossed";
   // Tracing/metrics change the per-event work (and trace layout is
   // per-simulation-attach), so obs-attached runs are for equivalence

@@ -9,7 +9,7 @@
 using namespace nymix;
 
 int main(int argc, char** argv) {
-  BenchStats stats("tab1_installed_os", argc, argv, BenchStats::kRejectOtherArgs);
+  BenchStats stats(FlagSet("tab1_installed_os"), argc, argv);
   std::printf("# Table 1: installed OS as a nym\n");
   std::printf("%-14s %12s %10s %10s\n", "OS", "Repair (S)", "Boot (S)", "Size (MB)");
 

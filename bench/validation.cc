@@ -10,7 +10,7 @@
 using namespace nymix;
 
 int main(int argc, char** argv) {
-  BenchStats stats("validation", argc, argv, BenchStats::kRejectOtherArgs);
+  BenchStats stats(FlagSet("validation"), argc, argv);
   Testbed bed(/*seed=*/9);
   stats.Attach(bed.sim());
   PacketCapture capture;

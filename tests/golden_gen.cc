@@ -6,15 +6,17 @@
 //   --format=json (default) writes <name>.json, the checked-in corpus
 //   --format=nbt writes <name>.nbt, the binary encoding of the same run
 // Naming a scenario that does not exist is a hard error (exit 2) listing
-// the library — a typo must not silently regenerate nothing.
+// the library — a typo must not silently regenerate nothing — and so is an
+// unknown flag: it is never taken for the output directory.
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 // nymlint:allow-file(store-raw-io): writes the human-reviewable golden JSON
 // corpus; see golden_trace_test.cc for why it stays outside the record log.
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "src/util/flags.h"
 #include "tests/golden_scenarios.h"
 
 namespace {
@@ -38,38 +40,23 @@ bool WriteFileOrComplain(const std::string& path, const char* data, size_t size)
 
 int main(int argc, char** argv) {
   std::string format = "json";
-  std::string out_dir;
-  std::vector<std::string> wanted;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--format=", 9) == 0) {
-      format = argv[i] + 9;
-    } else if (out_dir.empty()) {
-      out_dir = argv[i];
-    } else {
-      wanted.push_back(argv[i]);
-    }
-  }
-  if (out_dir.empty()) {
-    std::fprintf(stderr, "usage: golden_gen [--format=json|nbt] <output-dir> [scenario...]\n");
-    return 2;
-  }
-  if (format != "json" && format != "nbt") {
-    std::fprintf(stderr, "golden_gen: --format must be json or nbt, got \"%s\"\n",
-                 format.c_str());
-    return 2;
-  }
+  std::vector<std::string> operands;
+  nymix::FlagSet flags("golden_gen");
+  flags.Choice("format", &format, {"json", "nbt"},
+               "json writes the checked-in corpus, nbt its binary twin");
+  flags.Positionals(&operands, 1, SIZE_MAX, "<output-dir> [scenario...]");
+  flags.Parse(argc, argv);
+  const std::string out_dir = operands[0];
+  const std::vector<std::string> wanted(operands.begin() + 1, operands.end());
   for (const std::string& name : wanted) {
     bool known = false;
+    std::string library;
     for (const nymix::GoldenScenario& scenario : nymix::GoldenScenarios()) {
       known = known || name == scenario.name;
+      library += std::string(library.empty() ? "" : ", ") + scenario.name;
     }
     if (!known) {
-      std::fprintf(stderr, "golden_gen: unknown scenario \"%s\"; the library has:\n",
-                   name.c_str());
-      for (const nymix::GoldenScenario& scenario : nymix::GoldenScenarios()) {
-        std::fprintf(stderr, "  %s\n", scenario.name);
-      }
-      return 2;
+      flags.Fail("unknown scenario \"" + name + "\"; the library has: " + library);
     }
   }
   for (const nymix::GoldenScenario& scenario : nymix::GoldenScenarios()) {

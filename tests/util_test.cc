@@ -3,6 +3,7 @@
 #include "src/util/blob.h"
 #include "src/util/bytes.h"
 #include "src/util/event_loop.h"
+#include "src/util/flags.h"
 #include "src/util/prng.h"
 #include "src/util/status.h"
 
@@ -394,6 +395,151 @@ TEST(SimClockTest, Conversions) {
   EXPECT_EQ(Millis(1500), SecondsF(1.5));
   EXPECT_DOUBLE_EQ(ToSeconds(Seconds(3)), 3.0);
   EXPECT_DOUBLE_EQ(ToMillis(Millis(250)), 250.0);
+}
+
+// ---------------------------------------------------------------- FlagSet
+
+// Parses `args` (argv[0] is supplied) with `flags`.
+void ParseArgs(FlagSet& flags, std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& arg : args) {
+    argv.push_back(arg.data());
+  }
+  flags.Parse(static_cast<int>(argv.size()), argv.data());
+}
+
+// One flag of every type, defaults as a bench would set them.
+struct AllFlags {
+  bool verbose = false;
+  int shards = 8;
+  uint64_t seed = 13;
+  std::vector<int> ns = {8, 64};
+  std::string out = "out.json";
+  std::string mode = "both";
+  std::vector<std::string> disabled;
+  std::vector<std::string> paths;
+  FlagSet flags{"prog"};
+
+  explicit AllFlags(size_t max_paths = 1) {
+    flags.Bool("verbose", &verbose, "chatty");
+    flags.Int("shards", &shards, 1, "shard count");
+    flags.Uint64("seed", &seed, "seed");
+    flags.IntList("n", &ns, 1, "sizes");
+    flags.String("out", &out, "<path>", "artifact");
+    flags.Choice("mode", &mode, {"both", "full"}, "mode");
+    flags.Repeated("disable", &disabled, "<name>", "skip");
+    flags.Positionals(&paths, 0, max_paths, "[input]");
+  }
+};
+
+TEST(FlagSetTest, DefaultsSurviveAnEmptyArgv) {
+  AllFlags all;
+  ParseArgs(all.flags, {});
+  EXPECT_FALSE(all.verbose);
+  EXPECT_EQ(all.shards, 8);
+  EXPECT_EQ(all.seed, 13u);
+  EXPECT_EQ(all.ns, (std::vector<int>{8, 64}));
+  EXPECT_EQ(all.out, "out.json");
+  EXPECT_EQ(all.mode, "both");
+  EXPECT_TRUE(all.disabled.empty());
+  EXPECT_TRUE(all.paths.empty());
+}
+
+TEST(FlagSetTest, ParsesEveryType) {
+  AllFlags all;
+  ParseArgs(all.flags, {"--verbose", "--shards=1", "--seed=18446744073709551615", "--n=1,2,3",
+                        "--out=x.json", "--mode=full", "--disable=a", "in.nbt", "--disable=b"});
+  EXPECT_TRUE(all.verbose);
+  EXPECT_EQ(all.shards, 1);  // the minimum itself is in range
+  EXPECT_EQ(all.seed, UINT64_MAX);
+  EXPECT_EQ(all.ns, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(all.out, "x.json");
+  EXPECT_EQ(all.mode, "full");
+  EXPECT_EQ(all.disabled, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(all.paths, (std::vector<std::string>{"in.nbt"}));
+}
+
+TEST(FlagSetTest, LastRepetitionWins) {
+  AllFlags all;
+  ParseArgs(all.flags, {"--shards=2", "--n=4", "--shards=3", "--out=a", "--n=5,6", "--out=b"});
+  EXPECT_EQ(all.shards, 3);
+  EXPECT_EQ(all.ns, (std::vector<int>{5, 6}));
+  EXPECT_EQ(all.out, "b");
+}
+
+TEST(FlagSetTest, SynopsisListsFlagsInRegistrationOrder) {
+  AllFlags all;
+  EXPECT_EQ(all.flags.Synopsis(),
+            "usage: prog [--verbose] [--shards=<n>] [--seed=<n>] [--n=<n,...>] "
+            "[--out=<path>] [--mode=both|full] [--disable=<name>] [input]");
+}
+
+TEST(FlagSetTest, StrictNumberParsers) {
+  EXPECT_EQ(ParseIntList("8,64,256", 1), (std::vector<int>{8, 64, 256}));
+  EXPECT_EQ(ParseIntList("1", 1), (std::vector<int>{1}));
+  EXPECT_FALSE(ParseIntList("", 1).has_value());
+  EXPECT_FALSE(ParseIntList("8,", 1).has_value());
+  EXPECT_FALSE(ParseIntList("0", 1).has_value());
+  EXPECT_FALSE(ParseIntList("99999999999", 1).has_value());
+  EXPECT_EQ(ParseUint64("7"), 7u);
+  EXPECT_FALSE(ParseUint64("-1").has_value());
+  EXPECT_FALSE(ParseUint64("2junk").has_value());
+  EXPECT_FALSE(ParseUint64("18446744073709551616").has_value());
+}
+
+// Every usage error exits 2 with a diagnostic, then the synopsis.
+void ExpectUsageError(std::vector<std::string> args, const std::string& diagnostic) {
+  AllFlags all;
+  EXPECT_EXIT(ParseArgs(all.flags, args), ::testing::ExitedWithCode(2),
+              "prog: " + diagnostic + ".*\nusage: prog \\[--verbose\\]")
+      << ::testing::PrintToString(args);
+}
+
+TEST(FlagSetDeathTest, UnknownFlag) { ExpectUsageError({"--bogus=1"}, "unknown flag"); }
+
+TEST(FlagSetDeathTest, BoolGivenAValue) {
+  ExpectUsageError({"--verbose=1"}, "--verbose takes no value");
+}
+
+TEST(FlagSetDeathTest, ValuedFlagWithoutEquals) {
+  ExpectUsageError({"--out", "x.json"}, "--out needs a value");
+}
+
+TEST(FlagSetDeathTest, EmptyStringValue) { ExpectUsageError({"--out="}, "malformed --out"); }
+
+TEST(FlagSetDeathTest, IntBelowItsMinimum) {
+  ExpectUsageError({"--shards=0"}, "malformed --shards \"0\"");
+}
+
+TEST(FlagSetDeathTest, IntListWithAnEmptyElement) {
+  ExpectUsageError({"--n=8,,64"}, "malformed --n \"8,,64\"");
+}
+
+TEST(FlagSetDeathTest, UnknownChoice) { ExpectUsageError({"--mode=fast"}, "unknown --mode"); }
+
+TEST(FlagSetDeathTest, TooManyPositionals) {
+  ExpectUsageError({"a", "b"}, "unexpected argument \"b\"");
+}
+
+TEST(FlagSetDeathTest, MissingPositional) {
+  std::vector<std::string> paths;
+  FlagSet flags("prog");
+  flags.Positionals(&paths, 1, 2, "<input> [output]");
+  EXPECT_EXIT(ParseArgs(flags, {}), ::testing::ExitedWithCode(2),
+              "prog: missing <input> \\[output\\]");
+}
+
+TEST(FlagSetDeathTest, FailAfterParse) {
+  AllFlags all;
+  ParseArgs(all.flags, {});
+  EXPECT_EXIT(all.flags.Fail("bad seed"), ::testing::ExitedWithCode(2),
+              "prog: bad seed\nusage: prog");
+}
+
+TEST(FlagSetDeathTest, HelpExitsZeroBeforeLaterArguments) {
+  AllFlags all;
+  EXPECT_EXIT(ParseArgs(all.flags, {"--help", "--shards=0"}), ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -1,24 +1,32 @@
 #!/usr/bin/env python3
 """CLI regression tests for the built binaries.
 
-Covers the contracts a shell user (or CI script) relies on:
+Covers the contracts a shell user (or CI script) relies on. Every bench
+and tool below parses argv with one FlagSet (src/util/flags.h):
+  * Every binary answers --help with exit 0 and its synopsis on stdout, and
+    rejects an unknown flag with exit 2, the synopsis on stderr, nothing on
+    stdout and no artifact.
   * scale_fleet rejects unknown --topology= / --mode= values with exit 2
     and a usage line instead of silently falling back to a default.
   * scale_fleet and ablation_adversary reject malformed, empty or
     out-of-range values and unknown flags with exit 2 and a usage line
     (no abort, no segfault, no artifact), while the BenchStats flags
     (--stats-out= etc.) still pass through.
-  * nymfuzz --minimize re-shrinks a checked-in corpus entry: the rewritten
+  * nymfuzz --minimize= re-shrinks a checked-in corpus entry: the rewritten
     file replays clean and carries a digest pin.
+  * nymfuzz rejects malformed numbers, the space-separated forms of its
+    valued flags and unknown oracle names with exit 2 before running.
   * The benches whose only flags are the BenchStats ones (figures, table,
     validation, most ablations) reject an unknown flag, a malformed one or
     a positional argument with exit 2 and a usage line, before running.
   * nbt2json rejects any '-'-prefixed argument but --recover with exit 2
     and a usage line instead of opening it as a path, and answers --help.
+  * golden_gen never takes a flag for its output directory: an unknown
+    flag before the directory writes nothing.
 
 Binary paths come from argv (ctest passes $<TARGET_FILE:...>):
   cli_regression_test.py SCALE_FLEET_BIN NYMFUZZ_BIN CORPUS_DIR ABLATION_ADVERSARY_BIN BENCH_DIR
-                         NBT2JSON_BIN
+                         NBT2JSON_BIN GOLDEN_GEN_BIN
 
 Only the standard library is used.
 """
@@ -36,6 +44,7 @@ CORPUS_DIR = None
 ABLATION_ADVERSARY = None
 BENCH_DIR = None
 NBT2JSON = None
+GOLDEN_GEN = None
 
 # Benches that take no flags beyond --stats-out/--trace-out/--trace-format.
 BENCH_STATS_ONLY = [
@@ -95,19 +104,22 @@ class ScaleFleetCliTest(StrictFlagsMixin, unittest.TestCase):
         proc = self.run_bench("--topology=bogus")
         self.assertEqual(proc.returncode, 2)
         self.assertIn('unknown --topology "bogus"', proc.stderr)
-        self.assertIn("usage: scale_fleet [--topology=isolated|crossed]", proc.stderr)
+        self.assertIn("usage: scale_fleet", proc.stderr)
+        self.assertIn("[--topology=isolated|crossed]", proc.stderr)
 
     def test_unknown_mode_exits_2_with_usage(self):
         proc = self.run_bench("--mode=bogus")
         self.assertEqual(proc.returncode, 2)
         self.assertIn('unknown --mode "bogus"', proc.stderr)
-        self.assertIn("usage: scale_fleet [--mode=both|incremental|full]", proc.stderr)
+        self.assertIn("usage: scale_fleet", proc.stderr)
+        self.assertIn("[--mode=both|incremental|full]", proc.stderr)
 
 
 class AblationAdversaryCliTest(StrictFlagsMixin, unittest.TestCase):
     BIN_NAME = "ablation_adversary"
     BAD_ARGS = ["--threads=", "--n=", "--n=abc", "--n=-8", "--generations=0",
-                "--shards=0", "--shards=", "--seed=-1", "--bogus", "--threads"]
+                "--shards=0", "--shards=", "--seed=-1", "--bogus", "--threads", "--out=",
+                "--out"]
 
     def binary(self):
         return ABLATION_ADVERSARY
@@ -122,7 +134,7 @@ class AblationAdversaryCliTest(StrictFlagsMixin, unittest.TestCase):
 
 
 class BenchStatsOnlyCliTest(unittest.TestCase):
-    BAD_ARGS = ["--nonsense", "--n=abc", "extra", "--stats-out"]
+    BAD_ARGS = ["--nonsense", "--n=abc", "extra", "--stats-out", "--stats-out=", "--trace-out="]
 
     def test_other_arguments_exit_2_with_usage(self):
         for name in BENCH_STATS_ONLY:
@@ -173,7 +185,7 @@ class NymfuzzMinimizeTest(unittest.TestCase):
             entry = os.path.join(tmp, "entry.nymfuzz")
             shutil.copy(source, entry)
             minimized = subprocess.run(
-                [NYMFUZZ, "--minimize", entry, "--out=" + entry],
+                [NYMFUZZ, "--minimize=" + entry, "--out=" + entry],
                 capture_output=True, text=True)
             self.assertEqual(minimized.returncode, 0, minimized.stderr)
             with open(entry) as handle:
@@ -181,27 +193,85 @@ class NymfuzzMinimizeTest(unittest.TestCase):
             self.assertIn("family adversary", text)
             self.assertIn("digest ", text)
             replay = subprocess.run(
-                [NYMFUZZ, "--replay", entry], capture_output=True, text=True)
+                [NYMFUZZ, "--replay=" + entry], capture_output=True, text=True)
             self.assertEqual(replay.returncode, 0, replay.stderr)
             self.assertIn("verified (clean)", replay.stdout)
 
     def test_minimize_unreadable_file_exits_2(self):
         proc = subprocess.run(
-            [NYMFUZZ, "--minimize", "/nonexistent/no.nymfuzz"],
+            [NYMFUZZ, "--minimize=/nonexistent/no.nymfuzz"],
             capture_output=True, text=True)
         self.assertEqual(proc.returncode, 2)
 
 
+class NymfuzzCliTest(unittest.TestCase):
+    # Each of these used to run: the numbers were read with atoi/strtoull
+    # (--seed=abc ran seed 0), and the space-separated forms and -v were
+    # accepted aliases.
+    BAD_ARGS = [["--seed=abc"], ["--runs=3x"], ["--max-steps=2junk"], ["--gen-seed=xyz"],
+                ["--corpus", "tests/fuzz_corpus"], ["--replay", "entry.nymfuzz"],
+                ["-v"], ["--disable-oracle=bogus"]]
+
+    def test_bad_args_exit_2_with_usage(self):
+        for args in self.BAD_ARGS:
+            with self.subTest(args=args), tempfile.TemporaryDirectory() as tmp:
+                proc = subprocess.run([NYMFUZZ, *args], capture_output=True, text=True, cwd=tmp)
+                self.assertEqual(proc.returncode, 2, proc.stderr)
+                self.assertIn("usage: nymfuzz", proc.stderr)
+                self.assertEqual(proc.stdout, "", "usage error ran the fuzzer")
+                self.assertEqual(os.listdir(tmp), [], "usage error wrote an artifact")
+
+
+class GoldenGenCliTest(unittest.TestCase):
+    def test_unknown_flag_before_output_dir_writes_nothing(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            os.mkdir(os.path.join(tmp, "out"))
+            proc = subprocess.run([GOLDEN_GEN, "--bogus", "out"], capture_output=True,
+                                  text=True, cwd=tmp)
+            self.assertEqual(proc.returncode, 2, proc.stderr)
+            self.assertIn("usage: golden_gen", proc.stderr)
+            self.assertEqual(proc.stdout, "")
+            self.assertEqual(sorted(os.listdir(tmp)), ["out"])
+            self.assertEqual(os.listdir(os.path.join(tmp, "out")), [])
+
+
+class EveryBinaryHelpTest(unittest.TestCase):
+    """--help and an unknown flag, table-driven over every FlagSet binary."""
+
+    def binaries(self):
+        benches = [(name, os.path.join(BENCH_DIR, name)) for name in BENCH_STATS_ONLY]
+        return benches + [("scale_fleet", SCALE_FLEET),
+                          ("ablation_adversary", ABLATION_ADVERSARY), ("nymfuzz", NYMFUZZ),
+                          ("nbt2json", NBT2JSON), ("golden_gen", GOLDEN_GEN)]
+
+    def test_help_exits_0_and_unknown_flag_exits_2(self):
+        self.assertEqual(len(self.binaries()), 18)
+        for name, binary in self.binaries():
+            with self.subTest(binary=name), tempfile.TemporaryDirectory() as tmp:
+                proc = subprocess.run([binary, "--help"], capture_output=True, text=True,
+                                      cwd=tmp)
+                self.assertEqual(proc.returncode, 0, proc.stderr)
+                self.assertTrue(proc.stdout.startswith("usage: " + name), proc.stdout)
+                proc = subprocess.run([binary, "--no-such-flag"], capture_output=True,
+                                      text=True, cwd=tmp)
+                self.assertEqual(proc.returncode, 2, proc.stderr)
+                self.assertIn('unknown flag "--no-such-flag"', proc.stderr)
+                self.assertIn("\nusage: " + name, proc.stderr)
+                self.assertEqual(proc.stdout, "")
+                self.assertEqual(os.listdir(tmp), [], "usage error wrote an artifact")
+
+
 def main():
-    global SCALE_FLEET, NYMFUZZ, CORPUS_DIR, ABLATION_ADVERSARY, BENCH_DIR, NBT2JSON
-    if len(sys.argv) != 7:
+    global SCALE_FLEET, NYMFUZZ, CORPUS_DIR, ABLATION_ADVERSARY, BENCH_DIR, NBT2JSON, GOLDEN_GEN
+    if len(sys.argv) != 8:
         print("usage: cli_regression_test.py SCALE_FLEET_BIN NYMFUZZ_BIN CORPUS_DIR "
-              "ABLATION_ADVERSARY_BIN BENCH_DIR NBT2JSON_BIN", file=sys.stderr)
+              "ABLATION_ADVERSARY_BIN BENCH_DIR NBT2JSON_BIN GOLDEN_GEN_BIN", file=sys.stderr)
         return 2
-    SCALE_FLEET, NYMFUZZ, CORPUS_DIR, ABLATION_ADVERSARY, BENCH_DIR, NBT2JSON = sys.argv[1:7]
+    (SCALE_FLEET, NYMFUZZ, CORPUS_DIR, ABLATION_ADVERSARY, BENCH_DIR, NBT2JSON,
+     GOLDEN_GEN) = sys.argv[1:8]
     sys.argv = sys.argv[:1]
     unittest.main()
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,43 +10,22 @@
 //   - --help prints the usage line and exits 0; any other argument that
 //     starts with '-', or a third path, prints it and exits 2
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <vector>
 
 #include "src/store/file_io.h"
 #include "src/store/nbt.h"
-
-namespace {
-
-constexpr const char* kUsage = "usage: nbt2json [--recover] <input.nbt> [output.json]\n";
-
-}  // namespace
+#include "src/util/flags.h"
 
 int main(int argc, char** argv) {
   bool recover = false;
-  std::string in_path;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      std::fputs(kUsage, stdout);
-      return 0;
-    }
-    if (std::strcmp(argv[i], "--recover") == 0) {
-      recover = true;
-    } else if (argv[i][0] == '-' || !out_path.empty()) {
-      // An unknown flag is a usage error, never a path to open.
-      std::fputs(kUsage, stderr);
-      return 2;
-    } else if (in_path.empty()) {
-      in_path = argv[i];
-    } else {
-      out_path = argv[i];
-    }
-  }
-  if (in_path.empty()) {
-    std::fputs(kUsage, stderr);
-    return 2;
-  }
+  std::vector<std::string> paths;
+  nymix::FlagSet flags("nbt2json");
+  flags.Bool("recover", &recover, "tolerate a torn or corrupted tail (longest valid prefix)");
+  flags.Positionals(&paths, 1, 2, "<input.nbt> [output.json]");
+  flags.Parse(argc, argv);
+  const std::string& in_path = paths[0];
+  const std::string out_path = paths.size() > 1 ? paths[1] : "";
 
   nymix::Result<nymix::Bytes> data = nymix::ReadFileBytes(in_path);
   if (!data.ok()) {

@@ -5,10 +5,10 @@
 //   nymfuzz --runs=500 --seed=random       nightly randomized lane; the
 //                                          chosen seed is printed so any
 //                                          finding replays exactly
-//   nymfuzz --replay repro.nymfuzz         re-run a shrunk repro and verify
+//   nymfuzz --replay=repro.nymfuzz         re-run a shrunk repro and verify
 //                                          the recorded oracle AND outcome
 //                                          digest byte-for-byte
-//   nymfuzz --corpus tests/fuzz_corpus     replay every .nymfuzz in a dir
+//   nymfuzz --corpus=tests/fuzz_corpus     replay every .nymfuzz in a dir
 //   nymfuzz --gen-seed=S --record=FILE     run one scenario and write it —
 //                                          with its observed oracle and
 //                                          outcome digest — as a .nymfuzz
@@ -16,24 +16,25 @@
 //                                          run records an empty oracle, so
 //                                          the fixture pins the digest)
 //   nymfuzz --list-oracles                 print the invariant suite
-//   nymfuzz --minimize FILE [--out=FILE]   re-shrink a checked-in corpus
+//   nymfuzz --minimize=FILE [--out=FILE]   re-shrink a checked-in corpus
 //                                          entry after behavior changes: a
 //                                          still-failing repro is minimized
 //                                          again and its expectation block
 //                                          refreshed; a clean entry gets its
 //                                          digest pin refreshed
 //
-// Knobs: --family=net|host|fleet|decoder|parallel, --max-steps=N, --out-dir=DIR
-// (where shrunk repros are written), --plant=nat-leak (sabotage the CommVM
-// policy; the nat-isolation oracle MUST catch it — the self-test that the
-// suite is alive), --no-shrink, --disable-oracle=NAME.
+// Knobs: --family=net|host|fleet|decoder|parallel|adversary, --max-steps=N,
+// --out-dir=DIR (where shrunk repros are written), --plant=nat-leak
+// (sabotage the CommVM policy; the nat-isolation oracle MUST catch it — the
+// self-test that the suite is alive), --no-shrink, --disable-oracle=NAME
+// (repeatable), --verbose, --dump. `nymfuzz --help` lists every flag.
 //
 // Exit codes: 0 = clean, 1 = an oracle failed (or a replay diverged),
 // 2 = usage/IO error.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,22 +46,10 @@
 #include "src/fuzz/shrink.h"
 #include "src/store/file_io.h"
 #include "src/util/bytes.h"
+#include "src/util/flags.h"
 #include "src/util/prng.h"
 
 namespace {
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: nymfuzz [--runs=N] [--seed=N|random] [--family=F] [--max-steps=N]\n"
-               "               [--out-dir=DIR] [--plant=nat-leak] [--no-shrink]\n"
-               "               [--disable-oracle=NAME]\n"
-               "       nymfuzz --gen-seed=S [--record=FILE.nymfuzz]\n"
-               "       nymfuzz --replay FILE.nymfuzz\n"
-               "       nymfuzz --corpus DIR\n"
-               "       nymfuzz --minimize FILE.nymfuzz [--out=FILE]\n"
-               "       nymfuzz --list-oracles\n");
-  return 2;
-}
 
 // Replays one .nymfuzz file and verifies its expectation block.
 // Returns 0 = verified, 1 = diverged, 2 = unreadable.
@@ -144,14 +133,14 @@ int MinimizeFile(const std::string& path, const std::string& out_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t seed = 1;
-  bool seed_random = false;
-  uint64_t gen_seed = 0;
-  bool has_gen_seed = false;
   int runs = 100;
+  std::string seed_text = "1";
+  std::string gen_seed_text;
+  std::string family;
   nymix::GeneratorOptions generator_options;
   nymix::RunnerOptions runner_options;
-  bool do_shrink = true;
+  std::string plant;
+  bool no_shrink = false;
   bool verbose = false;
   bool dump = false;
   bool list_oracles = false;
@@ -162,82 +151,47 @@ int main(int argc, char** argv) {
   std::string minimize_path;
   std::string minimize_out;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto value = [&arg](const char* prefix) -> const char* {
-      size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (const char* v = value("--runs=")) {
-      runs = std::atoi(v);
-      if (runs <= 0) return Usage();
-    } else if (const char* v = value("--seed=")) {
-      if (std::strcmp(v, "random") == 0) {
-        seed_random = true;
-      } else {
-        seed = static_cast<uint64_t>(std::strtoull(v, nullptr, 10));
-      }
-    } else if (const char* v = value("--gen-seed=")) {
-      // Replay ONE scenario from the exact generator seed a failure line
-      // printed (`run N seed S ...`), skipping the base-seed derivation.
-      gen_seed = static_cast<uint64_t>(std::strtoull(v, nullptr, 10));
-      has_gen_seed = true;
-    } else if (const char* v = value("--family=")) {
-      nymix::Result<nymix::ScenarioFamily> family = nymix::ParseScenarioFamily(v);
-      if (!family.ok()) {
-        std::fprintf(stderr, "nymfuzz: unknown family '%s'\n", v);
-        return 2;
-      }
-      generator_options.family = *family;
-    } else if (const char* v = value("--max-steps=")) {
-      generator_options.max_steps = std::atoi(v);
-      if (generator_options.max_steps <= 0) return Usage();
-    } else if (const char* v = value("--out-dir=")) {
-      out_dir = v;
-    } else if (const char* v = value("--plant=")) {
-      if (std::strcmp(v, "nat-leak") != 0) {
-        std::fprintf(stderr, "nymfuzz: unknown plant '%s' (only nat-leak)\n", v);
-        return 2;
-      }
-      runner_options.plant_nat_leak = true;
-    } else if (const char* v = value("--disable-oracle=")) {
-      if (!nymix::IsKnownOracle(v)) {
-        std::fprintf(stderr, "nymfuzz: unknown oracle '%s' (see --list-oracles)\n", v);
-        return 2;
-      }
-      runner_options.disabled_oracles.push_back(v);
-    } else if (arg == "--no-shrink") {
-      do_shrink = false;
-    } else if (arg == "--verbose" || arg == "-v") {
-      verbose = true;
-    } else if (arg == "--dump") {
-      dump = true;
-    } else if (arg == "--list-oracles") {
-      list_oracles = true;
-    } else if (arg == "--replay") {
-      if (++i >= argc) return Usage();
-      replay_path = argv[i];
-    } else if (const char* v = value("--replay=")) {
-      replay_path = v;
-    } else if (arg == "--corpus") {
-      if (++i >= argc) return Usage();
-      corpus_dir = argv[i];
-    } else if (const char* v = value("--corpus=")) {
-      corpus_dir = v;
-    } else if (const char* v = value("--record=")) {
-      record_path = v;
-    } else if (arg == "--minimize") {
-      if (++i >= argc) return Usage();
-      minimize_path = argv[i];
-    } else if (const char* v = value("--minimize=")) {
-      minimize_path = v;
-    } else if (const char* v = value("--out=")) {
-      minimize_out = v;
-    } else {
-      std::fprintf(stderr, "nymfuzz: unknown argument '%s'\n", arg.c_str());
-      return Usage();
+  nymix::FlagSet flags("nymfuzz");
+  flags.Int("runs", &runs, 1, "scenarios in the sweep");
+  flags.String("seed", &seed_text, "<n>|random", "base seed; random picks one and prints it");
+  // Replays ONE scenario from the exact generator seed a failure line
+  // printed (`run N seed S ...`), skipping the base-seed derivation.
+  flags.String("gen-seed", &gen_seed_text, "<n>", "run one scenario from this generator seed");
+  flags.Choice("family", &family, {"net", "host", "fleet", "decoder", "parallel", "adversary"},
+               "pin the scenario family (default: the seed picks one)");
+  flags.Int("max-steps", &generator_options.max_steps, 1, "upper bound on generated steps");
+  flags.String("out-dir", &out_dir, "<dir>", "write shrunk repros here instead of stdout");
+  flags.Choice("plant", &plant, {"nat-leak"}, "sabotage CommVM; nat-isolation must catch it");
+  flags.Bool("no-shrink", &no_shrink, "report a failing scenario unshrunk");
+  flags.Repeated("disable-oracle", &runner_options.disabled_oracles, "<name>", "skip (repeatable)");
+  flags.Bool("verbose", &verbose, "print one line per scenario");
+  flags.Bool("dump", &dump, "print every generated scenario");
+  flags.Bool("list-oracles", &list_oracles, "print the invariant suite and exit");
+  flags.String("replay", &replay_path, "<file>", "verify one repro's oracle and digest");
+  flags.String("corpus", &corpus_dir, "<dir>", "replay every .nymfuzz file in a directory");
+  flags.String("record", &record_path, "<file>", "run one scenario and save it as a fixture");
+  flags.String("minimize", &minimize_path, "<file>", "re-shrink a corpus entry in place");
+  flags.String("out", &minimize_out, "<file>", "write the --minimize result here instead");
+  flags.Parse(argc, argv);
+
+  const bool seed_random = seed_text == "random";
+  std::optional<uint64_t> seed = nymix::ParseUint64(seed_text);
+  if (!seed_random && !seed.has_value()) {
+    flags.Fail("malformed --seed \"" + seed_text + "\" (want an unsigned integer or random)");
+  }
+  std::optional<uint64_t> gen_seed = nymix::ParseUint64(gen_seed_text);
+  if (!gen_seed_text.empty() && !gen_seed.has_value()) {
+    flags.Fail("malformed --gen-seed \"" + gen_seed_text + "\" (want an unsigned integer)");
+  }
+  if (!family.empty()) {
+    generator_options.family = *nymix::ParseScenarioFamily(family);
+  }
+  for (const std::string& oracle : runner_options.disabled_oracles) {
+    if (!nymix::IsKnownOracle(oracle)) {
+      flags.Fail("unknown --disable-oracle \"" + oracle + "\" (see --list-oracles)");
     }
   }
+  runner_options.plant_nat_leak = plant == "nat-leak";
 
   if (list_oracles) {
     for (const nymix::OracleInfo& oracle : nymix::AllOracles()) {
@@ -281,20 +235,20 @@ int main(int argc, char** argv) {
   if (seed_random) {
     seed = nymix::AmbientSeed();
     std::printf("nymfuzz: --seed=random chose %llu (pass --seed=%llu to replay)\n",
-                static_cast<unsigned long long>(seed), static_cast<unsigned long long>(seed));
+                static_cast<unsigned long long>(*seed), static_cast<unsigned long long>(*seed));
   }
 
   // --- the fuzz loop ----------------------------------------------------
   // Scenario seeds derive from (base seed, run index); every line printed
   // carries enough to replay that single run.
-  if (has_gen_seed || !record_path.empty()) {
+  if (gen_seed.has_value() || !record_path.empty()) {
     runs = 1;
   }
   for (int run = 0; run < runs; ++run) {
-    uint64_t scenario_seed =
-        has_gen_seed
-            ? gen_seed
-            : nymix::Mix64(seed ^ (static_cast<uint64_t>(run) * 0x9e3779b97f4a7c15ULL));
+    uint64_t scenario_seed = gen_seed.has_value()
+                                 ? *gen_seed
+                                 : nymix::Mix64(*seed ^ (static_cast<uint64_t>(run) *
+                                                         0x9e3779b97f4a7c15ULL));
     nymix::Scenario scenario = nymix::GenerateScenario(scenario_seed, generator_options);
     if (verbose) {
       std::printf("nymfuzz: run %d seed %llu family %s steps %zu\n", run,
@@ -338,7 +292,7 @@ int main(int argc, char** argv) {
                 report.oracle.c_str(), report.detail.c_str());
 
     nymix::ReproFile repro;
-    if (do_shrink) {
+    if (!no_shrink) {
       nymix::ShrinkResult shrunk = nymix::ShrinkScenario(scenario, report, runner_options);
       std::printf("nymfuzz: shrunk %zu -> %zu steps (%d candidates, %d accepted)\n",
                   scenario.steps.size(), shrunk.scenario.steps.size(),
