@@ -7,21 +7,14 @@
 // dirty-driven fair-share rescheduling, and the event-loop node pool.
 //
 // Usage (scale_fleet --help lists every flag and its default):
-//   scale_fleet [--n=8,64,256,1024] [--mode=both|incremental|full]
-//               [--out=BENCH_scale.json] [--seed=13]
+//   scale_fleet [--n=8,64,256,1024] [--out=BENCH_scale.json] [--seed=13]
 //               [--threads=1,8] [--shards=8] [--topology=isolated|crossed]
 //               [--stats-out=<path>] [--trace-out=<path>] [--trace-format=json|nbt]
 //
 // Every run is one ShardedFleet (src/core/fleet.h) booting the interned
-// distribution image. The serial "incremental" and "full" series run it on
-// a one-shard, one-thread plan; the threaded series below on --shards.
-//
-// --mode=both (default) runs every N in both modes and reports the
-// wall-clock speedup; --mode=full selects the recompute-the-world
-// FlowScheduler reference (KSM has one implementation). Virtual-time
-// results are mode-independent: the incremental paths are exact, so a
-// --trace-out from an incremental run is byte-identical to one from a full
-// run (asserted by tests/determinism_test.cc).
+// distribution image. The serial "incremental" series runs it on a
+// one-shard, one-thread plan; the threaded series below on --shards. The
+// fair-share rates' reference is the test-side model in tests/flow_model.h.
 //
 // --threads=T1,T2,... additionally runs each N through the sharded
 // parallel executor (src/parallel) at each thread count, with --shards
@@ -202,21 +195,17 @@ ThreadedPointResult RunThreadedPoint(BenchStats& stats, int n, int shards, int t
   return result;
 }
 
-// One serial run: the same fleet on a one-shard, one-thread plan, with
-// `full_recompute` choosing the FlowScheduler mode.
-PointResult RunPoint(BenchStats& stats, bool attach_obs, int n, uint64_t seed,
-                     bool full_recompute) {
+// One serial run: the same fleet on a one-shard, one-thread plan.
+PointResult RunPoint(BenchStats& stats, bool attach_obs, int n, uint64_t seed) {
   FleetOptions options;
   options.nym_count = n;
-  options.full_recompute = full_recompute;
   // nymlint:allow(determinism-wallclock): wall-clock throughput is the measurement; it never feeds virtual time
   auto wall_start = std::chrono::steady_clock::now();
   ShardedSimulation sharded(seed, ShardPlan{1, 1});
   if (attach_obs) {
     stats.Attach(sharded.shard(0));
-    // The trace must be byte-identical between incremental and full modes
-    // (that is the equivalence contract this bench demonstrates), so keep
-    // the simulator's wall-clock self-profiling args out of it.
+    // Keep the simulator's wall-clock self-profiling args out of the trace
+    // so same-seed runs write byte-identical --trace-out files.
     stats.obs().trace.set_record_wall_time(false);
   }
   ShardedFleet fleet(sharded, options, seed);
@@ -242,9 +231,8 @@ PointResult RunPoint(BenchStats& stats, bool attach_obs, int n, uint64_t seed,
   return result;
 }
 
-void WriteJson(const std::string& path, const std::string& mode, const std::string& topology,
-               uint64_t seed, const std::vector<PointResult>& incremental,
-               const std::vector<PointResult>& full,
+void WriteJson(const std::string& path, const std::string& topology, uint64_t seed,
+               const std::vector<PointResult>& incremental,
                const std::vector<ThreadedPointResult>& threaded) {
   std::ofstream out(path);
   if (!out) {
@@ -252,76 +240,50 @@ void WriteJson(const std::string& path, const std::string& mode, const std::stri
     std::exit(1);
   }
   // The JsonWriter owns every separator, so the file is canonical JSON in
-  // every mode combination (a stray hand-written comma here once broke
+  // every flag combination (a stray hand-written comma here once broke
   // every downstream json.load of the bench artifact).
   JsonWriter w(out);
   w.BeginObject();
   w.Key("bench");
   w.String("scale_fleet");
-  w.Key("mode");
-  w.String(mode);
   w.Key("topology");
   w.String(topology);
   w.Key("seed");
   w.Number(seed);
 
-  auto emit_points = [&](const char* key, const std::vector<PointResult>& points) {
-    w.Key(key);
-    w.BeginArray();
-    for (const PointResult& p : points) {
-      w.BeginObject(JsonWriter::kCompact);
-      w.Key("n");
-      w.Number(p.n);
-      w.Key("wall_seconds");
-      w.Number(p.wall_seconds, 4);
-      w.Key("events");
-      w.Number(p.events);
-      w.Key("events_per_sec");
-      w.Number(p.events_per_sec, 1);
-      w.Key("sim_seconds");
-      w.Number(p.sim_seconds, 2);
-      w.Key("visits");
-      w.Number(p.visits);
-      w.Key("churns");
-      w.Number(p.churns);
-      w.Key("waterfills_full");
-      w.Number(p.waterfills_full);
-      w.Key("waterfills_component");
-      w.Number(p.waterfills_component);
-      w.Key("waterfill_skips");
-      w.Number(p.waterfill_skips);
-      w.Key("ksm_memories_merged");
-      w.Number(p.ksm_memories_merged);
-      w.Key("ksm_memories_skipped");
-      w.Number(p.ksm_memories_skipped);
-      w.Key("ksm_pages_sharing");
-      w.Number(p.ksm_pages_sharing);
-      w.EndObject();
-    }
-    w.EndArray();
-  };
-
-  if (!incremental.empty()) {
-    emit_points("incremental", incremental);
+  w.Key("incremental");
+  w.BeginArray();
+  for (const PointResult& p : incremental) {
+    w.BeginObject(JsonWriter::kCompact);
+    w.Key("n");
+    w.Number(p.n);
+    w.Key("wall_seconds");
+    w.Number(p.wall_seconds, 4);
+    w.Key("events");
+    w.Number(p.events);
+    w.Key("events_per_sec");
+    w.Number(p.events_per_sec, 1);
+    w.Key("sim_seconds");
+    w.Number(p.sim_seconds, 2);
+    w.Key("visits");
+    w.Number(p.visits);
+    w.Key("churns");
+    w.Number(p.churns);
+    w.Key("waterfills_full");
+    w.Number(p.waterfills_full);
+    w.Key("waterfills_component");
+    w.Number(p.waterfills_component);
+    w.Key("waterfill_skips");
+    w.Number(p.waterfill_skips);
+    w.Key("ksm_memories_merged");
+    w.Number(p.ksm_memories_merged);
+    w.Key("ksm_memories_skipped");
+    w.Number(p.ksm_memories_skipped);
+    w.Key("ksm_pages_sharing");
+    w.Number(p.ksm_pages_sharing);
+    w.EndObject();
   }
-  if (!full.empty()) {
-    emit_points("full_recompute", full);
-    w.Key("speedup");
-    w.BeginArray();
-    for (size_t i = 0; i < full.size(); ++i) {
-      double speedup = 0;
-      if (i < incremental.size() && incremental[i].wall_seconds > 0) {
-        speedup = full[i].wall_seconds / incremental[i].wall_seconds;
-      }
-      w.BeginObject(JsonWriter::kCompact);
-      w.Key("n");
-      w.Number(full[i].n);
-      w.Key("wall_clock");
-      w.Number(speedup, 2);
-      w.EndObject();
-    }
-    w.EndArray();
-  }
+  w.EndArray();
   if (!threaded.empty()) {
     // hardware_threads lets bench_diff.py gate the parallel speedup on
     // machines that can actually exhibit one (CI containers are often
@@ -421,13 +383,11 @@ int main(int argc, char** argv) {
   std::vector<int> ns = {8, 64, 256, 1024};
   std::vector<int> threads_list;
   int shards = 8;
-  std::string mode = "both";
   std::string topology = "isolated";
   std::string out_path = "BENCH_scale.json";
   uint64_t seed = 13;
   FlagSet flags("scale_fleet");
   flags.IntList("n", &ns, 1, "fleet sizes");
-  flags.Choice("mode", &mode, {"both", "incremental", "full"}, "FlowScheduler of the serial rows");
   flags.String("out", &out_path, "<path>", "JSON artifact");
   flags.Uint64("seed", &seed, "experiment seed");
   flags.IntList("threads", &threads_list, 1, "thread counts of the sharded-executor rows");
@@ -442,27 +402,14 @@ int main(int argc, char** argv) {
 
   std::printf("# scale_fleet: %d-nym-per-host clusters, live KSM, Tor fetch + churn\n",
               FleetOptions{}.nyms_per_host);
-  std::printf("%-6s %-12s %12s %12s %14s\n", "n", "mode", "wall (s)", "events", "events/s");
+  std::printf("%-6s %-12s %12s %12s %14s\n", "n", "series", "wall (s)", "events", "events/s");
 
   std::vector<PointResult> incremental;
-  std::vector<PointResult> full;
   for (int n : ns) {
-    if (mode != "full") {
-      PointResult p = RunPoint(stats, attach_obs, n, seed, /*full_recompute=*/false);
-      std::printf("%-6d %-12s %12.3f %12llu %14.0f\n", n, "incremental", p.wall_seconds,
-                  static_cast<unsigned long long>(p.events), p.events_per_sec);
-      incremental.push_back(p);
-    }
-    if (mode != "incremental") {
-      PointResult p = RunPoint(stats, attach_obs, n, seed, /*full_recompute=*/true);
-      std::printf("%-6d %-12s %12.3f %12llu %14.0f\n", n, "full", p.wall_seconds,
-                  static_cast<unsigned long long>(p.events), p.events_per_sec);
-      full.push_back(p);
-    }
-    if (mode == "both") {
-      std::printf("%-6d %-12s %12.2fx\n", n, "speedup",
-                  full.back().wall_seconds / incremental.back().wall_seconds);
-    }
+    PointResult p = RunPoint(stats, attach_obs, n, seed);
+    std::printf("%-6d %-12s %12.3f %12llu %14.0f\n", n, "incremental", p.wall_seconds,
+                static_cast<unsigned long long>(p.events), p.events_per_sec);
+    incremental.push_back(p);
   }
 
   std::vector<ThreadedPointResult> threaded;
@@ -506,7 +453,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  WriteJson(out_path, mode, topology, seed, incremental, full, threaded);
+  WriteJson(out_path, topology, seed, incremental, threaded);
   std::printf("# wrote %s\n", out_path.c_str());
 
   for (size_t i = 0; i < incremental.size(); ++i) {

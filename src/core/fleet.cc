@@ -124,7 +124,6 @@ void ShardedFleet::BuildCluster(int index, FleetCluster& cluster, Simulation& si
                                    static_cast<uint64_t>(index)) %
                              static_cast<uint64_t>(options_.cloud_weight_max));
   }
-  sim.flows().set_full_recompute(options_.full_recompute);
   WebsiteProfile profile;
   profile.name = "site-" + std::to_string(index);
   profile.domain = "site" + std::to_string(index) + ".example.com";

@@ -73,10 +73,6 @@ struct FleetOptions {
   ShardPlacement placement;
   int visits_per_generation = 2;
   int generations = 2;  // one churn (terminate + replace) per slot
-  // Selects the recompute-the-world FlowScheduler reference, for
-  // wall-clock comparison benches. Virtual-time results are identical
-  // either way.
-  bool full_recompute = false;
   SimDuration ksm_interval = Seconds(2);
   // Virtual time at which each host snapshots its memory contents for
   // the cross-host reconcile (shard-local event, so it is exact and

@@ -220,7 +220,6 @@ Scenario GenerateScenario(uint64_t seed, const GeneratorOptions& options) {
   t.visits = static_cast<int>(1 + stream.Pick(3));
   t.generations = static_cast<int>(1 + stream.Pick(2));
   t.echo_deadline_ms = static_cast<int>(300 + 100 * stream.Pick(15));
-  t.check_mode_identity = stream.Chance(0.3);
   t.checkpoint_roundtrip =
       scenario.family == ScenarioFamily::kHost && stream.Chance(0.35);
 

@@ -8,7 +8,6 @@ const std::vector<OracleInfo>& AllOracles() {
        "no AnonVM probe answered; uplink carries only DHCP + anonymizer traffic"},
       {"ops-terminate", "every async op fires its completion with a Status"},
       {"trace-identity", "trace+metrics bytes identical across thread counts"},
-      {"mode-identity", "trace bytes identical across incremental/full waterfill"},
       {"checkpoint-identity", "checkpoint→restore→re-checkpoint log is byte-identical"},
       {"unionfs-model", "UnionFs agrees with a plain map model"},
       {"decoder-sane", "decoders never crash, never over-claim, roundtrip cleanly"},

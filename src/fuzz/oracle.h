@@ -25,8 +25,6 @@ struct OracleInfo {
 //                        (success or failure — never silence)
 //   trace-identity       merged trace+metrics bytes identical across
 //                        --threads=1 and the scenario's thread count
-//   mode-identity        trace bytes identical across incremental and
-//                        full-recompute waterfill modes
 //   checkpoint-identity  checkpoint → crash → restore → re-checkpoint
 //                        yields a byte-identical checkpoint log
 //   unionfs-model        UnionFs agrees with a plain map model of the

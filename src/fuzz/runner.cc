@@ -101,7 +101,7 @@ struct NetRunResult {
   uint64_t flows_done = 0;
 };
 
-NetRunResult RunNetOnce(const Scenario& scenario, int threads, bool full_recompute) {
+NetRunResult RunNetOnce(const Scenario& scenario, int threads) {
   const ScenarioTopology& t = scenario.topology;
   int shards = static_cast<int>(ClampI(t.shards, 1, 4));
   SimTime deadline = Millis(ClampI(t.echo_deadline_ms, 200, 3000));
@@ -117,7 +117,6 @@ NetRunResult RunNetOnce(const Scenario& scenario, int threads, bool full_recompu
   std::vector<uint64_t> done(static_cast<size_t>(shards), 0);
   for (int s = 0; s < shards; ++s) {
     Simulation& sim = sharded.shard(s);
-    sim.flows().set_full_recompute(full_recompute);
     first_links[static_cast<size_t>(s)] =
         sim.CreateLink("fz-s" + std::to_string(s) + "-l0", Millis(2), 8'000'000);
     second_links[static_cast<size_t>(s)] =
@@ -225,7 +224,7 @@ NetRunResult RunNetOnce(const Scenario& scenario, int threads, bool full_recompu
 
 void RunNetFamily(const Scenario& scenario, OracleSuite& suite, std::string& surface) {
   int threads = static_cast<int>(ClampI(scenario.topology.threads, 1, 8));
-  NetRunResult base = RunNetOnce(scenario, /*threads=*/1, /*full_recompute=*/false);
+  NetRunResult base = RunNetOnce(scenario, /*threads=*/1);
   surface += "net flows=" + std::to_string(base.flows_done) + "/" +
              std::to_string(base.flows_started) + "\n";
   surface += base.trace;
@@ -237,20 +236,13 @@ void RunNetFamily(const Scenario& scenario, OracleSuite& suite, std::string& sur
                    std::to_string(base.flows_started) + " started");
   }
   if (threads > 1 && suite.enabled("trace-identity")) {
-    NetRunResult other = RunNetOnce(scenario, threads, /*full_recompute=*/false);
+    NetRunResult other = RunNetOnce(scenario, threads);
     if (other.trace != base.trace) {
       suite.Fail("trace-identity", "trace bytes diverged between --threads=1 and --threads=" +
                                        std::to_string(threads));
     } else if (other.stats != base.stats) {
       suite.Fail("trace-identity", "metrics bytes diverged between --threads=1 and --threads=" +
                                        std::to_string(threads));
-    }
-  }
-  if (scenario.topology.check_mode_identity && suite.enabled("mode-identity")) {
-    NetRunResult full = RunNetOnce(scenario, /*threads=*/1, /*full_recompute=*/true);
-    if (full.trace != base.trace) {
-      suite.Fail("mode-identity",
-                 "trace bytes diverged between incremental and full-recompute waterfill");
     }
   }
 }
@@ -657,14 +649,13 @@ struct FleetRunResult {
   uint64_t slots_abandoned = 0;
 };
 
-FleetRunResult RunFleetOnce(const Scenario& scenario, int threads, bool full_recompute) {
+FleetRunResult RunFleetOnce(const Scenario& scenario, int threads) {
   const ScenarioTopology& t = scenario.topology;
   FleetOptions options;
   options.nym_count = static_cast<int>(ClampI(t.nym_count, 1, 8));
   options.nyms_per_host = static_cast<int>(ClampI(t.nyms_per_host, 1, 4));
   options.visits_per_generation = static_cast<int>(ClampI(t.visits, 1, 3));
   options.generations = static_cast<int>(ClampI(t.generations, 1, 2));
-  options.full_recompute = full_recompute;
   int shards = static_cast<int>(ClampI(t.shards, 1, 4));
   int hosts = (options.nym_count + options.nyms_per_host - 1) / options.nyms_per_host;
 
@@ -726,7 +717,7 @@ FleetRunResult RunFleetOnce(const Scenario& scenario, int threads, bool full_rec
 void RunFleetFamily(const Scenario& scenario, OracleSuite& suite, std::string& surface) {
   const ScenarioTopology& t = scenario.topology;
   int threads = static_cast<int>(ClampI(t.threads, 1, 8));
-  FleetRunResult base = RunFleetOnce(scenario, /*threads=*/1, /*full_recompute=*/false);
+  FleetRunResult base = RunFleetOnce(scenario, /*threads=*/1);
   surface += "fleet visits=" + std::to_string(base.visits) +
              " churns=" + std::to_string(base.churns) +
              " vfail=" + std::to_string(base.visit_failures) +
@@ -774,20 +765,13 @@ void RunFleetFamily(const Scenario& scenario, OracleSuite& suite, std::string& s
   }
 
   if (threads > 1 && suite.enabled("trace-identity")) {
-    FleetRunResult other = RunFleetOnce(scenario, threads, /*full_recompute=*/false);
+    FleetRunResult other = RunFleetOnce(scenario, threads);
     if (other.trace != base.trace) {
       suite.Fail("trace-identity", "fleet trace diverged between --threads=1 and --threads=" +
                                        std::to_string(threads));
     } else if (other.stats != base.stats) {
       suite.Fail("trace-identity", "fleet metrics diverged between --threads=1 and --threads=" +
                                        std::to_string(threads));
-    }
-  }
-  if (t.check_mode_identity && suite.enabled("mode-identity")) {
-    FleetRunResult full = RunFleetOnce(scenario, /*threads=*/1, /*full_recompute=*/true);
-    if (full.trace != base.trace) {
-      suite.Fail("mode-identity",
-                 "fleet trace diverged between incremental and full-recompute modes");
     }
   }
 }

@@ -110,7 +110,6 @@ void AppendTopology(std::string& out, const ScenarioTopology& t) {
   out += " visits=" + std::to_string(t.visits);
   out += " generations=" + std::to_string(t.generations);
   out += " echo_ms=" + std::to_string(t.echo_deadline_ms);
-  out += " mode_identity=" + std::to_string(t.check_mode_identity ? 1 : 0);
   out += " checkpoint=" + std::to_string(t.checkpoint_roundtrip ? 1 : 0);
   out += "\n";
 }
@@ -142,8 +141,6 @@ Status ParseTopologyLine(std::string_view rest, ScenarioTopology& t) {
       t.generations = v;
     } else if (key == "echo_ms") {
       t.echo_deadline_ms = v;
-    } else if (key == "mode_identity") {
-      t.check_mode_identity = v != 0;
     } else if (key == "checkpoint") {
       t.checkpoint_roundtrip = v != 0;
     } else {

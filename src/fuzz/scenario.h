@@ -98,7 +98,6 @@ struct ScenarioTopology {
   int visits = 1;
   int generations = 1;
   int echo_deadline_ms = 1500;
-  bool check_mode_identity = false;   // also diff full vs incremental waterfill
   bool checkpoint_roundtrip = false;  // host family: checkpoint→restore→diff
 
   bool operator==(const ScenarioTopology&) const = default;

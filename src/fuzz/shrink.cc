@@ -148,9 +148,6 @@ bool PassShrinkTopology(ShrinkState& state) {
         c.generations = std::max(1, t.generations / 2);
       });
     }
-    if (t.check_mode_identity) {
-      moved |= try_set([&](ScenarioTopology& c) { c.check_mode_identity = false; });
-    }
     if (t.checkpoint_roundtrip) {
       moved |= try_set([&](ScenarioTopology& c) { c.checkpoint_roundtrip = false; });
     }
@@ -214,7 +211,6 @@ uint64_t ScenarioWeight(const Scenario& scenario) {
   weight += static_cast<uint64_t>(t.shards + t.threads + t.nym_count + t.nyms_per_host +
                                   t.visits + t.generations) *
             64;
-  weight += t.check_mode_identity ? 64 : 0;
   weight += t.checkpoint_roundtrip ? 64 : 0;
   return weight;
 }

@@ -155,6 +155,16 @@ uint64_t FlowScheduler::FlowRateBps(FlowId id) const {
   return static_cast<uint64_t>(it->second.rate_bytes_per_us * 8e6);
 }
 
+std::vector<FlowScheduler::StartedFlow> FlowScheduler::StartedFlows() const {
+  std::vector<StartedFlow> out;
+  for (const auto& [id, flow] : flows_) {
+    if (flow.started) {
+      out.push_back(StartedFlow{id, flow.links, flow.rate_bytes_per_us, flow.stalled});
+    }
+  }
+  return out;
+}
+
 void FlowScheduler::NotifyFlowTaps(FlowId id, const Flow& flow, bool completed) {
   FlowMetadata meta;
   meta.flow_id = id;
@@ -334,8 +344,8 @@ void FlowScheduler::Waterfill(const std::vector<FlowId>& flow_ids) {
       }
       if (flow->links.empty()) {
         // Empty route mixed into a constrained set: matched to the round
-        // minimum. Live empty-route flows force a full waterfill in both
-        // modes (see Reschedule), so this coupling is mode-invariant.
+        // minimum. Live empty-route flows force a full waterfill (see
+        // Reschedule), so a component-restricted pass never sees this.
         flow->rate_bytes_per_us = min_share;
       } else if (own_share <= min_share + 1e-12) {
         flow->rate_bytes_per_us = own_share;
@@ -413,11 +423,11 @@ void FlowScheduler::Reschedule() {
   }
   RefreshMeters();
 
-  // Dirty-driven dispatch. Only the rate computation varies by mode; the
-  // completion-event scan below is shared, which is what keeps full and
-  // incremental runs byte-identical in their traces.
+  // Dirty-driven dispatch: a full pass only when an empty-route flow couples
+  // every component, a component pass for ordinary dirt, otherwise a skip.
+  // Whichever runs, the completion-event scan below is the same.
   const bool dirty = global_dirty_ || !dirty_links_.empty();
-  if (full_recompute_ || global_dirty_ || (dirty && started_empty_route_flows_ > 0)) {
+  if (global_dirty_ || (dirty && started_empty_route_flows_ > 0)) {
     std::vector<FlowId> started;
     started.reserve(flows_.size());
     for (const auto& [id, flow] : flows_) {
@@ -479,11 +489,11 @@ void FlowScheduler::Reschedule() {
     dirty_links_.clear();
   }
 
-  // Schedule the earliest completion. Runs identically in every mode and on
-  // the skip path: the scan is over all flows, and the cancel/reschedule of
-  // the pending event above/below keeps the event table in lockstep with a
-  // full-recompute run (EventLoop's pending_events trace counter sees the
-  // same sizes).
+  // Schedule the earliest completion. Runs identically after a full pass, a
+  // component pass and a skip: the scan is over all flows, and the pending
+  // event is cancelled above and rescheduled below on every call, so the
+  // event table (and EventLoop's pending_events trace counter) does not
+  // depend on how much of the waterfill ran.
   double min_eta_us = std::numeric_limits<double>::infinity();
   for (const auto& [id, flow] : flows_) {
     (void)id;

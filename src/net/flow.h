@@ -16,10 +16,9 @@
 // restricted waterfill assigns the same rates the global one would — the
 // one cross-component coupling is flows with empty routes (rated at the
 // global first-round min share), so any dirt while one is live forces a
-// full pass. set_full_recompute(true) restores the pre-incremental
-// recompute-the-world behavior as the reference for equivalence tests and
-// wall-clock benchmarks; both modes produce byte-identical traces because
-// the completion-event scan and scheduling below are shared.
+// full pass. The global max-min reference lives in tests/flow_model.h; the
+// property and determinism tests compare every started flow's rate against
+// it, bit for bit, after every event (StartedFlows()).
 //
 // Model notes (documented substitutions): transfers begin after one route
 // RTT (connection + request); TCP slow-start and congestion dynamics are
@@ -110,12 +109,16 @@ class FlowScheduler {
   // from Link::SetDown via Link::set_flow_scheduler.
   void NoteLinkStateChanged(Link* link) { dirty_links_.insert(link); }
 
-  // Reference implementation hook: waterfill every flow over every link on
-  // every Reschedule (the pre-incremental behavior). Benches use it for
-  // wall-clock comparison; equivalence tests assert identical rates and
-  // byte-identical traces against it.
-  void set_full_recompute(bool full) { full_recompute_ = full; }
-  bool full_recompute() const { return full_recompute_; }
+  // Every started flow (ascending id) with its route, its exact fair-share
+  // rate and its stall flag: the read-only view the tests audit against the
+  // global max-min model in tests/flow_model.h.
+  struct StartedFlow {
+    FlowId id = 0;
+    std::vector<Link*> links;
+    double rate_bytes_per_us = 0;
+    bool stalled = false;
+  };
+  std::vector<StartedFlow> StartedFlows() const;
 
   // Waterfill-effort introspection (always counted, metrics attached or
   // not): how many Reschedules ran the full waterfill, a component-restricted
@@ -168,8 +171,8 @@ class FlowScheduler {
   void RemoveFlowMembership(FlowId id, const Flow& flow);
 
   // Waterfills `flow_ids` (ascending) over exactly the links they cross.
-  // Pass every started flow for the reference full pass; pass one dirty
-  // closure for the restricted pass.
+  // Pass every started flow for the full pass; pass one dirty closure for
+  // the restricted pass.
   void Waterfill(const std::vector<FlowId>& flow_ids);
   // Stall-deadline arm/disarm for `flow_ids` (ascending). Only flows whose
   // rate was just recomputed can transition, so restricting the scan keeps
@@ -186,7 +189,6 @@ class FlowScheduler {
   std::optional<Prng> loss_prng_;
 
   // --- Incremental fair-share state --------------------------------------
-  bool full_recompute_ = false;
   // Keyed by creation order (LinkIdLess), never address: iteration reaches
   // the waterfill's float rounding and must be reproducible run to run.
   std::map<Link*, LinkState, LinkIdLess> link_states_;

@@ -1,6 +1,7 @@
 #include "src/sanitize/document.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 
 #include "src/util/check.h"
@@ -112,7 +113,14 @@ Result<PdfFile> DecodePdf(ByteSpan data) {
     std::string trailer_text = text.substr(trailer);
     size_t info_ref = trailer_text.find("/Info ");
     if (info_ref != std::string::npos) {
-      int object_number = std::atoi(trailer_text.c_str() + info_ref + 6);
+      // Untrusted bytes: the object number must be a digit run that fits.
+      const char* digits = trailer_text.data() + info_ref + 6;
+      unsigned object_number = 0;
+      std::from_chars_result parsed =
+          std::from_chars(digits, trailer_text.data() + trailer_text.size(), object_number);
+      if (parsed.ec != std::errc()) {
+        return DataLossError("malformed /Info object number");
+      }
       std::string marker = "\n" + std::to_string(object_number) + " 0 obj\n";
       size_t object_start = text.find(marker);
       if (object_start == std::string::npos) {

@@ -4,6 +4,7 @@
 // differ between the two runs inside one process) and any other
 // nondeterminism that survives nymlint's static rules.
 #include <array>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -17,22 +18,41 @@
 #include "src/obs/observability.h"
 #include "src/store/kv_store.h"
 #include "src/workload/website.h"
+#include "tests/flow_model.h"
 #include "tests/ksm_model.h"
 
 namespace nymix {
 namespace {
 
+// sim.RunFor / sim.RunUntil, or, with `audit` set, their one-event-at-a-
+// time forms that check every started flow's fair-share rate against the
+// global max-min model (tests/flow_model.h) after each event.
+void RunFor(Simulation& sim, SimDuration duration, FlowAuditor* audit) {
+  if (audit == nullptr) {
+    sim.RunFor(duration);
+  } else {
+    audit->RunFor(sim.loop(), sim.flows(), duration);
+  }
+}
+
+void RunUntil(Simulation& sim, const std::function<bool()>& done, FlowAuditor* audit) {
+  if (audit == nullptr) {
+    sim.RunUntil(done);
+  } else {
+    NYMIX_CHECK_MSG(audit->RunUntil(sim.loop(), sim.flows(), done),
+                    "simulation went idle before the condition held");
+  }
+}
+
 // A scenario that exercises the subsystems where iteration order could
 // leak: several links sharing flows (FlowScheduler's per-link maps), PRNG-
 // driven sizes and routes, and trace spans. Wall-time self-profiling is
 // disabled so the exported JSON contains virtual-time content only.
-//
-// `full_recompute` selects the FlowScheduler mode: the incremental
-// dirty-driven rescheduler must emit the same trace bytes as the
-// recompute-the-world reference (docs/performance.md).
-std::string RunScenario(uint64_t seed, bool full_recompute = false) {
+std::string RunScenario(uint64_t seed, FlowAuditor* audit = nullptr) {
   Simulation sim(seed);
-  sim.flows().set_full_recompute(full_recompute);
+  if (audit != nullptr) {
+    audit->ExpectStallDeadlines([](FlowId) { return false; });
+  }
   Observability obs;
   obs.trace.set_enabled(true);
   obs.trace.set_record_wall_time(false);
@@ -63,12 +83,12 @@ std::string RunScenario(uint64_t seed, bool full_recompute = false) {
                           [&completed](SimTime) { ++completed; });
     // Stagger the starts so flows overlap and bandwidth gets re-divided
     // across changing sets of contenders (the order-sensitive code path).
-    sim.RunFor(Millis(sim.prng().NextBelow(30)));
+    RunFor(sim, Millis(sim.prng().NextBelow(30)), audit);
   }
 
   {
     TraceSpan span(&obs.trace, sim.loop().clock(), "test", "drain", "main");
-    sim.RunUntil([&] { return completed == started; });
+    RunUntil(sim, [&] { return completed == started; }, audit);
   }
   return obs.trace.ToChromeJson();
 }
@@ -77,9 +97,11 @@ std::string RunScenario(uint64_t seed, bool full_recompute = false) {
 // injector rolls, and status-form flows with stall deadlines. Every fault
 // decision must come from the seeded streams, so two same-seed runs emit
 // byte-identical traces — including the fault/retry instants.
-std::string RunFaultScenario(uint64_t seed, bool full_recompute = false) {
+std::string RunFaultScenario(uint64_t seed, FlowAuditor* audit = nullptr) {
   Simulation sim(seed);
-  sim.flows().set_full_recompute(full_recompute);
+  if (audit != nullptr) {
+    audit->ExpectStallDeadlines([](FlowId) { return true; });  // every flow has one
+  }
   Observability obs;
   obs.trace.set_enabled(true);
   obs.trace.set_record_wall_time(false);
@@ -124,12 +146,12 @@ std::string RunFaultScenario(uint64_t seed, bool full_recompute = false) {
       sim.flows().StartFlow(Route::Through(path), bytes, 1.0, options,
                             [&completed](Result<SimTime>) { ++completed; });
     }
-    sim.RunFor(Millis(sim.prng().NextBelow(30)));
+    RunFor(sim, Millis(sim.prng().NextBelow(30)), audit);
   }
 
   {
     TraceSpan span(&obs.trace, sim.loop().clock(), "test", "drain", "main");
-    sim.RunUntil([&] { return completed == started; });
+    RunUntil(sim, [&] { return completed == started; }, audit);
   }
   return obs.trace.ToChromeJson();
 }
@@ -162,9 +184,8 @@ void ExpectKsmMatchesModel(HostMachine& host, const BaseImage& image) {
 // covers the whole boot/visit/terminate machinery at a size small enough
 // for a unit test, and checks each host's KSM totals against the page-array
 // model while its nym is alive.
-std::string RunFleetScenario(uint64_t seed, bool full_recompute) {
+std::string RunFleetScenario(uint64_t seed, FlowAuditor* audit = nullptr) {
   Simulation sim(seed);
-  sim.flows().set_full_recompute(full_recompute);
   Observability obs;
   obs.trace.set_enabled(true);
   obs.trace.set_record_wall_time(false);
@@ -210,8 +231,8 @@ std::string RunFleetScenario(uint64_t seed, bool full_recompute) {
           });
         });
   }
-  sim.RunUntil([&] { return done == 2; });
-  sim.RunFor(Seconds(5));  // a few more KSM ticks after the churn
+  RunUntil(sim, [&] { return done == 2; }, audit);
+  RunFor(sim, Seconds(5), audit);  // a few more KSM ticks after the churn
   for (Cluster& cluster : clusters) {
     cluster.host->ksm().Stop();
   }
@@ -338,44 +359,55 @@ TEST(DeterminismTest, FaultScenarioDifferentSeedsDiverge) {
   EXPECT_NE(RunFaultScenario(21), RunFaultScenario(22));
 }
 
-// The incremental schedulers' equivalence contract, stated at the trace
-// level: a same-seed run in incremental mode and in full-recompute mode
-// must not differ by a single byte — not just final rates, but every event
-// instant and every pending-event count along the way.
-TEST(DeterminismTest, IncrementalAndFullRecomputeTracesAreByteIdentical) {
+// The incremental scheduler's equivalence contract, stated per event: after
+// every event of these runs, every started flow's rate and stall flag
+// equal the global max-min model in tests/flow_model.h bit for bit. The
+// audited run steps the loop one event at a time and must not move a
+// single trace byte against the plain run.
+TEST(DeterminismTest, IncrementalRatesMatchModelAtEveryEvent) {
   for (uint64_t seed : {3ull, 0xA11CEull, 0xBEEFull}) {
-    const std::string incremental = RunScenario(seed, /*full_recompute=*/false);
-    const std::string full = RunScenario(seed, /*full_recompute=*/true);
-    ASSERT_FALSE(incremental.empty());
-    EXPECT_EQ(incremental, full) << "seed " << seed;
+    FlowAuditor audit;
+    const std::string audited = RunScenario(seed, &audit);
+    ASSERT_FALSE(audited.empty());
+    EXPECT_EQ(audit.failure(), "") << "seed " << seed;
+    // Each of the 24 flows has at least a setup and a completion event.
+    EXPECT_GE(audit.checks(), 48u) << "seed " << seed;
+    EXPECT_GT(audit.rates_compared(), audit.checks()) << "seed " << seed;
+    EXPECT_EQ(audited, RunScenario(seed)) << "seed " << seed;
   }
 }
 
-TEST(DeterminismTest, FaultScenarioModesAreByteIdentical) {
+TEST(DeterminismTest, FaultScenarioRatesMatchModelAtEveryEvent) {
   // Link flaps and stall deadlines are exactly the paths where a
   // dirty-driven rescheduler could drift from the reference.
   for (uint64_t seed : {0xFA17ull, 99ull}) {
-    const std::string incremental = RunFaultScenario(seed, /*full_recompute=*/false);
-    const std::string full = RunFaultScenario(seed, /*full_recompute=*/true);
-    ASSERT_FALSE(incremental.empty());
-    EXPECT_EQ(incremental, full) << "seed " << seed;
+    FlowAuditor audit;
+    const std::string audited = RunFaultScenario(seed, &audit);
+    ASSERT_FALSE(audited.empty());
+    EXPECT_EQ(audit.failure(), "") << "seed " << seed;
+    EXPECT_GE(audit.checks(), 48u) << "seed " << seed;
+    EXPECT_GT(audit.rates_compared(), audit.checks()) << "seed " << seed;
+    EXPECT_EQ(audited, RunFaultScenario(seed)) << "seed " << seed;
   }
 }
 
-TEST(DeterminismTest, FleetScenarioModesAreByteIdentical) {
-  const std::string incremental = RunFleetScenario(0x5CA1E, /*full_recompute=*/false);
-  const std::string full = RunFleetScenario(0x5CA1E, /*full_recompute=*/true);
-  ASSERT_FALSE(incremental.empty());
+TEST(DeterminismTest, FleetScenarioRatesMatchModelAtEveryEvent) {
+  FlowAuditor audit;
+  const std::string audited = RunFleetScenario(0x5CA1E, &audit);
+  ASSERT_FALSE(audited.empty());
   // The scenario really ran the hv path: KSM scan events are in the trace.
-  EXPECT_NE(incremental.find("ksm_scan"), std::string::npos);
-  EXPECT_EQ(incremental, full);
+  EXPECT_NE(audited.find("ksm_scan"), std::string::npos);
+  EXPECT_EQ(audit.failure(), "");
+  EXPECT_GT(audit.checks(), 50u);
+  EXPECT_GT(audit.rates_compared(), 0u);
+  EXPECT_EQ(audited, RunFleetScenario(0x5CA1E));
 }
 
 TEST(DeterminismTest, FleetScenarioSameSeedIsByteIdentical) {
-  const std::string first = RunFleetScenario(7, /*full_recompute=*/false);
+  const std::string first = RunFleetScenario(7);
   auto pad = std::make_unique<std::array<char, 8192>>();
   pad->fill('z');
-  const std::string second = RunFleetScenario(7, /*full_recompute=*/false);
+  const std::string second = RunFleetScenario(7);
   EXPECT_EQ(first, second);
 }
 

@@ -109,16 +109,16 @@ template <typename Emit>
 auto RunCorpusSurvivor(const char* basename, Emit emit) {
   std::string path = std::string(NYMIX_CORPUS_DIR) + "/" + basename;
   Result<Bytes> data = ReadFileBytes(path);
-  NYMIX_CHECK_MSG(data.ok(), "golden corpus survivor unreadable: " + path);
+  NYMIX_CHECK_MSG(data.ok(), ("golden corpus survivor unreadable: " + path).c_str());
   Result<ReproFile> repro = ReproFromText(StringFromBytes(*data));
-  NYMIX_CHECK_MSG(repro.ok(), "golden corpus survivor unparsable: " + path);
+  NYMIX_CHECK_MSG(repro.ok(), ("golden corpus survivor unparsable: " + path).c_str());
   decltype(emit(std::declval<const TraceRecorder&>(),
                 static_cast<const MetricsRegistry*>(nullptr))) out;
   Status ran = RunScenarioGolden(
       repro->scenario, [&out, &emit](const TraceRecorder& trace, const MetricsRegistry& metrics) {
         out = emit(trace, &metrics);
       });
-  NYMIX_CHECK_MSG(ran.ok(), "golden corpus survivor failed to run: " + path);
+  NYMIX_CHECK_MSG(ran.ok(), ("golden corpus survivor failed to run: " + path).c_str());
   return out;
 }
 

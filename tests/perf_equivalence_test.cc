@@ -1,8 +1,8 @@
 // Equivalence tests for the host-cost hot paths (docs/performance.md): the
 // closed-form KSM merge must match the brute-force page-array model kept in
 // tests/ksm_model.h, and the dirty-driven fair-share scheduler must produce
-// results bit-identical to its full-recompute reference
-// (set_full_recompute), under randomized seeded stress. The introspection
+// rates bit-identical to the global max-min model kept in tests/flow_model.h
+// after every event, under randomized seeded stress. The introspection
 // counters double-check that the fast paths were actually taken — an
 // equivalence test that silently fell back to recomputing everything would
 // prove nothing.
@@ -14,6 +14,7 @@
 #include "src/hv/ksm.h"
 #include "src/net/simulation.h"
 #include "src/util/prng.h"
+#include "tests/flow_model.h"
 #include "tests/ksm_model.h"
 
 namespace nymix {
@@ -162,12 +163,13 @@ TEST(GuestMemoryTest, IdsFollowCreationOrder) {
 
 // ------------------------------------------------------------------ flows
 
-// Drives an identical randomized scenario on one simulation: three disjoint
-// link clusters (so components exist to decompose), staggered flows,
-// cancellations and link flaps, all from the sim's own seeded Prng. Returns
-// a log of every observable: sampled rates for every flow id ever issued,
-// and (id, completion time) pairs.
-std::vector<uint64_t> DriveFlowScenario(Simulation& sim, int steps) {
+// Drives a randomized scenario on one simulation: three disjoint link
+// clusters (so components exist to decompose), staggered flows,
+// cancellations and link flaps, all from the sim's own seeded Prng, with
+// `audit` checking every started flow against the model after every step
+// and every event. Returns a log of every observable: sampled rates for
+// every flow id ever issued, and the clock after each step.
+std::vector<uint64_t> DriveFlowScenario(Simulation& sim, int steps, FlowAuditor& audit) {
   std::vector<std::vector<Link*>> clusters;
   for (int c = 0; c < 3; ++c) {
     std::vector<Link*> links;
@@ -182,6 +184,7 @@ std::vector<uint64_t> DriveFlowScenario(Simulation& sim, int steps) {
   std::vector<FlowId> issued;
   FlowOptions options;
   options.stall_timeout = Seconds(5);
+  audit.ExpectStallDeadlines([](FlowId) { return true; });
   for (int i = 0; i < steps; ++i) {
     std::vector<Link*>& links = clusters[sim.prng().NextBelow(clusters.size())];
     switch (sim.prng().NextBelow(8)) {
@@ -208,9 +211,9 @@ std::vector<uint64_t> DriveFlowScenario(Simulation& sim, int steps) {
         break;
       }
     }
-    sim.RunFor(Millis(sim.prng().NextBelow(40)));
-    // Snapshot every flow's rate — including inactive ids, which must
-    // report 0 identically in both modes.
+    audit.Check(sim.flows());
+    audit.RunFor(sim.loop(), sim.flows(), Millis(sim.prng().NextBelow(40)));
+    // Snapshot every flow's rate, including inactive ids (which report 0).
     for (FlowId id : issued) {
       log.push_back(sim.flows().FlowRateBps(id));
     }
@@ -222,39 +225,39 @@ std::vector<uint64_t> DriveFlowScenario(Simulation& sim, int steps) {
       link->SetDown(false);
     }
   }
-  sim.RunUntil([&] { return sim.flows().active_flows() == 0; });
+  audit.Check(sim.flows());
+  EXPECT_TRUE(audit.RunUntil(sim.loop(), sim.flows(),
+                             [&] { return sim.flows().active_flows() == 0; }));
   log.push_back(static_cast<uint64_t>(sim.now()));
   return log;
 }
 
-TEST(FlowEquivalenceTest, IncrementalMatchesFullRecomputeUnderStress) {
-  Simulation incremental(0xF10E);
-  Simulation full(0xF10E);
-  full.flows().set_full_recompute(true);
-
-  std::vector<uint64_t> log_a = DriveFlowScenario(incremental, 120);
-  std::vector<uint64_t> log_b = DriveFlowScenario(full, 120);
-  EXPECT_EQ(log_a, log_b);
+TEST(FlowEquivalenceTest, IncrementalMatchesModelUnderStress) {
+  Simulation sim(0xF10E);
+  FlowAuditor audit;
+  DriveFlowScenario(sim, 120, audit);
+  EXPECT_EQ(audit.failure(), "");
+  EXPECT_GT(audit.checks(), 200u);
+  EXPECT_GT(audit.rates_compared(), audit.checks());
 
   // The incremental scheduler really scheduled incrementally: it skipped
   // clean reschedules, restricted dirty ones to components, and never fell
   // back to a full pass (no empty-route flows in this scenario).
-  EXPECT_GT(incremental.flows().waterfill_skips(), 0u);
-  EXPECT_GT(incremental.flows().waterfills_component(), 0u);
-  EXPECT_EQ(incremental.flows().waterfills_full(), 0u);
-  EXPECT_EQ(full.flows().waterfills_component(), 0u);
-  EXPECT_EQ(full.flows().waterfill_skips(), 0u);
-  // Same number of rate refreshes happened; only their scope differed.
-  EXPECT_EQ(full.flows().waterfills_full(),
-            incremental.flows().waterfills_component() + incremental.flows().waterfill_skips());
+  EXPECT_GT(sim.flows().waterfill_skips(), 0u);
+  EXPECT_GT(sim.flows().waterfills_component(), 0u);
+  EXPECT_EQ(sim.flows().waterfills_full(), 0u);
 }
 
 TEST(FlowEquivalenceTest, RepeatedSeedsStayIdentical) {
   for (uint64_t seed : {7ull, 21ull, 0xD15Cull}) {
-    Simulation incremental(seed);
-    Simulation full(seed);
-    full.flows().set_full_recompute(true);
-    EXPECT_EQ(DriveFlowScenario(incremental, 60), DriveFlowScenario(full, 60)) << seed;
+    Simulation first(seed);
+    Simulation second(seed);
+    FlowAuditor audit;
+    FlowAuditor repeat_audit;
+    EXPECT_EQ(DriveFlowScenario(first, 60, audit), DriveFlowScenario(second, 60, repeat_audit))
+        << seed;
+    EXPECT_EQ(audit.failure(), "") << seed;
+    EXPECT_EQ(repeat_audit.failure(), "") << seed;
   }
 }
 

@@ -357,6 +357,21 @@ TEST(PdfTest, MissingTrailerTolerated) {
   EXPECT_TRUE(decoded->info.Empty());
 }
 
+// The /Info object number comes from untrusted upload bytes: a digit run
+// that overflows, or no digits at all, is a decode error, not UB.
+TEST(PdfTest, MalformedInfoObjectNumberRejected) {
+  const std::string wire = StringFromBytes(EncodePdf(ProtestPdf()));
+  const size_t ref = wire.find("/Info ");
+  ASSERT_NE(ref, std::string::npos);
+  const size_t number_end = wire.find(" 0 R", ref);
+  for (const char* bad : {"99999999999999999999", "x"}) {
+    std::string text = wire.substr(0, ref + 6) + bad + wire.substr(number_end);
+    auto decoded = DecodePdf(BytesFromString(text));
+    ASSERT_FALSE(decoded.ok()) << bad;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss) << bad;
+  }
+}
+
 TEST(PdfTest, MissingEofRejected) {
   Bytes wire = EncodePdf(ProtestPdf());
   std::string text = StringFromBytes(wire);

@@ -2,7 +2,7 @@
 """Compare a scale_fleet result against a checked-in baseline.
 
 Reads the BENCH_scale.json written by bench/scale_fleet and compares the
-incremental-mode events_per_sec for every N against the baseline file. The
+serial ("incremental" series) events_per_sec for every N against the baseline file. The
 check fails when any point drops below --min-ratio of its baseline (default
 0.7: a >30% throughput regression). Faster-than-baseline results pass; use
 --update-baseline to ratchet the baseline forward after a deliberate
@@ -57,7 +57,7 @@ def load_points(path):
         doc = json.load(fh)
     series = doc.get("incremental")
     if not series:
-        raise ValueError(f"{path}: no incremental series; run with --mode=both or incremental")
+        raise ValueError(f"{path}: no incremental series; not a scale_fleet result")
     points = {}
     for point in series:
         points[int(point["n"])] = float(point["events_per_sec"])

@@ -6,8 +6,9 @@ and tool below parses argv with one FlagSet (src/util/flags.h):
   * Every binary answers --help with exit 0 and its synopsis on stdout, and
     rejects an unknown flag with exit 2, the synopsis on stderr, nothing on
     stdout and no artifact.
-  * scale_fleet rejects unknown --topology= / --mode= values with exit 2
-    and a usage line instead of silently falling back to a default.
+  * scale_fleet rejects unknown --topology= values, and any --mode= (the
+    flag is deleted), with exit 2 and a usage line instead of silently
+    falling back to a default.
   * scale_fleet and ablation_adversary reject malformed, empty or
     out-of-range values and unknown flags with exit 2 and a usage line
     (no abort, no segfault, no artifact), while the BenchStats flags
@@ -96,7 +97,7 @@ class ScaleFleetCliTest(StrictFlagsMixin, unittest.TestCase):
     def test_bench_stats_flags_pass_through(self):
         with tempfile.TemporaryDirectory() as tmp:
             stats = os.path.join(tmp, "stats.json")
-            proc = self.run_in(tmp, "--n=8", "--mode=incremental", "--stats-out=" + stats)
+            proc = self.run_in(tmp, "--n=8", "--stats-out=" + stats)
             self.assertEqual(proc.returncode, 0, proc.stderr)
             self.assertTrue(os.path.exists(stats))
 
@@ -107,12 +108,15 @@ class ScaleFleetCliTest(StrictFlagsMixin, unittest.TestCase):
         self.assertIn("usage: scale_fleet", proc.stderr)
         self.assertIn("[--topology=isolated|crossed]", proc.stderr)
 
-    def test_unknown_mode_exits_2_with_usage(self):
-        proc = self.run_bench("--mode=bogus")
-        self.assertEqual(proc.returncode, 2)
-        self.assertIn('unknown --mode "bogus"', proc.stderr)
-        self.assertIn("usage: scale_fleet", proc.stderr)
-        self.assertIn("[--mode=both|incremental|full]", proc.stderr)
+    def test_deleted_mode_flag_exits_2_with_usage(self):
+        for value in ("full", "bogus"):
+            with self.subTest(value=value), tempfile.TemporaryDirectory() as tmp:
+                proc = self.run_in(tmp, "--mode=" + value)
+                self.assertEqual(proc.returncode, 2)
+                self.assertIn('unknown flag "--mode=' + value + '"', proc.stderr)
+                self.assertIn("usage: scale_fleet", proc.stderr)
+                self.assertEqual(proc.stdout, "")
+                self.assertEqual(os.listdir(tmp), [], "usage error wrote an artifact")
 
 
 class AblationAdversaryCliTest(StrictFlagsMixin, unittest.TestCase):
