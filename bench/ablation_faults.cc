@@ -1,9 +1,9 @@
 // Ablation (ours, motivated by §5.1/§3.5's robustness claims): how Nymix
 // degrades under injected faults. Three phases:
 //   1. Loss sweep — seeded packet loss on the host uplink vs Tor fetch
-//      success rate and latency. Retries (FlowOptions + RetryWithBackoff)
-//      ride out low loss; above the abort knee every fetch fails with a
-//      clean Status instead of hanging.
+//      success rate and latency. Retries (flow stall deadlines +
+//      RetryWithBackoff) ride out low loss; above the abort knee every
+//      fetch fails with a clean Status instead of hanging.
 //   2. Relay crash — the destination's bound exit crashes; the next fetch
 //      stalls, fails over to a fresh exit, and completes.
 //   3. VM crash + recovery — InjectCrash kills both nymbox VMs mid-session;

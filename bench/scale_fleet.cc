@@ -62,7 +62,6 @@ struct PointResult {
   double sim_seconds = 0;
   uint64_t visits = 0;
   uint64_t churns = 0;
-  uint64_t waterfills_full = 0;
   uint64_t waterfills_component = 0;
   uint64_t waterfill_skips = 0;
   uint64_t ksm_memories_merged = 0;
@@ -222,7 +221,6 @@ PointResult RunPoint(BenchStats& stats, bool attach_obs, int n, uint64_t seed) {
   result.sim_seconds = static_cast<double>(sharded.shard(0).now()) / 1e6;
   result.visits = fleet.visits();
   result.churns = fleet.churns();
-  result.waterfills_full = fleet.waterfills_full();
   result.waterfills_component = fleet.waterfills_component();
   result.waterfill_skips = fleet.waterfill_skips();
   result.ksm_memories_merged = fleet.ksm_memories_merged();
@@ -269,8 +267,6 @@ void WriteJson(const std::string& path, const std::string& topology, uint64_t se
     w.Number(p.visits);
     w.Key("churns");
     w.Number(p.churns);
-    w.Key("waterfills_full");
-    w.Number(p.waterfills_full);
     w.Key("waterfills_component");
     w.Number(p.waterfills_component);
     w.Key("waterfill_skips");

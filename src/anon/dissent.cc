@@ -150,11 +150,15 @@ void DissentClient::Fetch(const std::string& host, uint64_t request_bytes,
       static_cast<uint64_t>(ToSeconds(servers_.config().round_interval) * 1000) / 1000;
   Ipv4Address observed = servers_.front_ip();
   attachment_.sim->flows().StartFlow(
-      Route::Through(std::move(links)), total, OverheadFactor(),
+      Route::Through(std::move(links)), total, OverheadFactor(), /*stall_timeout=*/0,
       [rounds = rounds_used_, total, round_capacity, observed,
-       done = std::move(done)](SimTime t) {
+       done = std::move(done)](Result<SimTime> t) {
+        if (!t.ok()) {
+          done(t.status());
+          return;
+        }
         *rounds += round_capacity == 0 ? 1 : (total + round_capacity - 1) / round_capacity;
-        done(FetchReceipt{t, observed});
+        done(FetchReceipt{*t, observed});
       });
 }
 

@@ -19,11 +19,15 @@ void IncognitoVpn::Fetch(const std::string& host, uint64_t request_bytes,
     links.push_back(access);
   }
   Ipv4Address observed = attachment_.host_public_ip;
-  attachment_.sim->flows().StartFlow(Route::Through(std::move(links)),
-                                     request_bytes + response_bytes, 1.0,
-                                     [observed, done = std::move(done)](SimTime t) {
-                                       done(FetchReceipt{t, observed});
-                                     });
+  attachment_.sim->flows().StartFlow(
+      Route::Through(std::move(links)), request_bytes + response_bytes, 1.0,
+      /*stall_timeout=*/0, [observed, done = std::move(done)](Result<SimTime> t) {
+        if (!t.ok()) {
+          done(t.status());
+          return;
+        }
+        done(FetchReceipt{*t, observed});
+      });
 }
 
 }  // namespace nymix

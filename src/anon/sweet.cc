@@ -38,11 +38,15 @@ void SweetTunnel::Fetch(const std::string& host, uint64_t request_bytes, uint64_
     links.push_back(access);
   }
   Ipv4Address observed = gateway_ip_;
-  attachment_.sim->flows().StartFlow(Route::Through(std::move(links)),
-                                     request_bytes + response_bytes, config_.mime_overhead,
-                                     [observed, done = std::move(done)](SimTime t) {
-                                       done(FetchReceipt{t, observed});
-                                     });
+  attachment_.sim->flows().StartFlow(
+      Route::Through(std::move(links)), request_bytes + response_bytes, config_.mime_overhead,
+      /*stall_timeout=*/0, [observed, done = std::move(done)](Result<SimTime> t) {
+        if (!t.ok()) {
+          done(t.status());
+          return;
+        }
+        done(FetchReceipt{*t, observed});
+      });
 }
 
 }  // namespace nymix

@@ -273,11 +273,9 @@ void TorClient::DownloadDirectory(std::function<void(Status)> then) {
         if (MetricsRegistry* meters = attachment_.sim->loop().meters()) {
           meters->GetCounter("anon.tor.directory_bytes")->Increment(bytes);
         }
-        FlowOptions options;
-        options.stall_timeout = config_.directory_stall_timeout;
         Route route = Route::Through(attachment_.client_links);
         attachment_.sim->flows().StartFlow(
-            route, bytes, 1.0, options,
+            route, bytes, 1.0, config_.directory_stall_timeout,
             [finish = std::move(finish)](Result<SimTime> finished) {
               finish(finished.ok() ? OkStatus() : finished.status());
             });
@@ -605,10 +603,9 @@ void TorClient::Fetch(const std::string& host, uint64_t request_bytes, uint64_t 
         size_t exit_index = ExitIndexForDestination(host);
         Ipv4Address exit_ip = network_.relays()[exit_index].ip;
         Route route = RouteThroughCircuit(destination, exit_index);
-        FlowOptions options;
-        options.stall_timeout = config_.fetch_stall_timeout;
         attachment_.sim->flows().StartFlow(
-            route, request_bytes + response_bytes, config_.cell_overhead, options,
+            route, request_bytes + response_bytes, config_.cell_overhead,
+            config_.fetch_stall_timeout,
             [this, alive, host, exit_ip, receipt,
              finish = std::move(finish)](Result<SimTime> t) {
               if (alive.expired()) {

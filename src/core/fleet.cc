@@ -202,10 +202,6 @@ uint64_t ShardedFleet::events_executed() const {
   return SumShards(sharded_, [](Simulation& sim) { return sim.loop().events_executed(); });
 }
 
-uint64_t ShardedFleet::waterfills_full() const {
-  return SumShards(sharded_, [](Simulation& sim) { return sim.flows().waterfills_full(); });
-}
-
 uint64_t ShardedFleet::waterfills_component() const {
   return SumShards(sharded_, [](Simulation& sim) { return sim.flows().waterfills_component(); });
 }

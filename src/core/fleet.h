@@ -147,7 +147,6 @@ class ShardedFleet : private FleetHooks {
   }
   uint64_t vm_recoveries() const { return driver_.Total(&FleetDriver::ShardState::vm_recoveries); }
   uint64_t events_executed() const;
-  uint64_t waterfills_full() const;
   uint64_t waterfills_component() const;
   uint64_t waterfill_skips() const;
   uint64_t ksm_memories_merged() const;
@@ -160,8 +159,6 @@ class ShardedFleet : private FleetHooks {
 
   int host_count() const { return driver_.host_count(); }
 
-  // Per-host access for checkpoint/restore (src/core/fleet_checkpoint).
-  NymManager& manager(int host) { return *driver_.cluster(host).manager; }
   int shard_of_host(int host) const { return driver_.cluster(host).shard; }
 
  private:

@@ -98,10 +98,10 @@ Status CheckpointHost(NymManager& manager, const std::string& host_key, KvStore&
     if (options == nullptr) {
       return InternalError("checkpoint: nym without recorded options: " + nym->name());
     }
-    // Warm-start checkpoints are keyed by nym name on purpose: the store is
-    // host-local scratch state that never leaves this machine, and restore
-    // has to find a nym by its name.
-    // nymlint:allow(nymflow-identity-taint): host-local warm-start store; the key never leaves this machine
+    // Host checkpoints are keyed by nym name on purpose: the store is
+    // host-local state that never leaves the host, and restore has to find
+    // a nym by its name.
+    // nymlint:allow(nymflow-identity-taint): host-local checkpoint store; the key never leaves the host
     store.Put(prefix + nym->name(),
               EncodeNymState(*options, nym->anon_vm()->disk().fs().writable(),
                              nym->comm_vm()->disk().fs().writable(), nym->save_sequence()));
@@ -131,24 +131,6 @@ Status RestoreHost(NymManager& manager, const std::string& host_key, KvStore& st
     *restored_count = count;
   }
   return OkStatus();
-}
-
-Status CheckpointFleet(ShardedFleet& fleet, KvStore& store) {
-  for (int h = 0; h < fleet.host_count(); ++h) {
-    NYMIX_RETURN_IF_ERROR(CheckpointHost(fleet.manager(h), "host/" + std::to_string(h), store));
-  }
-  return OkStatus();
-}
-
-Result<int> RestoreFleet(ShardedFleet& fleet, KvStore& store) {
-  int total = 0;
-  for (int h = 0; h < fleet.host_count(); ++h) {
-    int restored = 0;
-    NYMIX_RETURN_IF_ERROR(
-        RestoreHost(fleet.manager(h), "host/" + std::to_string(h), store, &restored));
-    total += restored;
-  }
-  return total;
 }
 
 }  // namespace nymix

@@ -1,6 +1,6 @@
-// Whole-host and whole-fleet checkpoint/restore over the deterministic KV
-// store — PR 3's CheckpointNym/RecoverNym lifted from one nym to every nym
-// a host (or an entire ShardedFleet) is running.
+// Whole-host checkpoint/restore over the deterministic KV store:
+// NymManager's CheckpointNym/RecoverNym lifted from one nym to every nym a
+// host is running.
 //
 // A host checkpoint captures, per live nym: its creation options, both
 // RAM-backed writable disk layers (anonymizer state included — the
@@ -13,15 +13,13 @@
 // intersection-attack defence) because the anonymizer re-derives it from
 // the restored state.
 //
-// Keying: "<host_key>/nym/<name>". Host keys are caller-chosen for single
-// hosts and "host/<index>" for fleets, so a fleet checkpoint is just every
-// host's checkpoint in one store.
+// Keying: "<host_key>/nym/<name>". Host keys are caller-chosen, so several
+// hosts can checkpoint into one store.
 #ifndef SRC_CORE_FLEET_CHECKPOINT_H_
 #define SRC_CORE_FLEET_CHECKPOINT_H_
 
 #include <string>
 
-#include "src/core/fleet.h"
 #include "src/core/nym_manager.h"
 #include "src/store/kv_store.h"
 
@@ -38,10 +36,6 @@ Status CheckpointHost(NymManager& manager, const std::string& host_key, KvStore&
 // that cannot boot is a bug, not a recoverable condition.
 Status RestoreHost(NymManager& manager, const std::string& host_key, KvStore& store,
                    int* restored_count = nullptr);
-
-// Fleet-wide variants: every host in creation order, keyed "host/<index>".
-Status CheckpointFleet(ShardedFleet& fleet, KvStore& store);
-Result<int> RestoreFleet(ShardedFleet& fleet, KvStore& store);
 
 }  // namespace nymix
 

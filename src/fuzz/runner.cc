@@ -178,16 +178,14 @@ NetRunResult RunNetOnce(const Scenario& scenario, int threads) {
         uint64_t bytes = static_cast<uint64_t>(ClampI(step.b, 10'000, 500'000));
         int count = static_cast<int>(ClampI(step.c, 1, 4));
         uint64_t* done_slot = &done[static_cast<size_t>(s)];
-        // Status form: completion fires exactly once even when a link flap
-        // stalls the flow — the ops-terminate oracle depends on that.
-        FlowOptions flow_options;
-        flow_options.stall_timeout = Millis(30'000);
+        // The stall deadline makes completion fire exactly once even when a
+        // link flap stalls the flow — the ops-terminate oracle depends on it.
         for (int f = 0; f < count; ++f) {
           ++started[static_cast<size_t>(s)];
           sim.flows().StartFlow(
               Route::Through({first_links[static_cast<size_t>(s)],
                               second_links[static_cast<size_t>(s)]}),
-              bytes, 1.1, flow_options,
+              bytes, 1.1, /*stall_timeout=*/Millis(30'000),
               [done_slot](Result<SimTime>) { ++*done_slot; });
         }
         break;

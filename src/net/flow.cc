@@ -37,20 +37,7 @@ void FlowScheduler::RefreshMeters() {
 }
 
 FlowId FlowScheduler::StartFlow(const Route& route, uint64_t bytes, double overhead_factor,
-                                std::function<void(SimTime)> done) {
-  // Legacy callers predate the failure model: deliver completions, swallow
-  // failures (their flows cannot fail unless a fault profile is installed
-  // on their links anyway).
-  return StartFlow(route, bytes, overhead_factor, FlowOptions{},
-                   [done = std::move(done)](Result<SimTime> finished) {
-                     if (done && finished.ok()) {
-                       done(*finished);
-                     }
-                   });
-}
-
-FlowId FlowScheduler::StartFlow(const Route& route, uint64_t bytes, double overhead_factor,
-                                const FlowOptions& options,
+                                SimDuration stall_timeout,
                                 std::function<void(Result<SimTime>)> done) {
   NYMIX_CHECK(overhead_factor >= 1.0);
   Settle();
@@ -67,7 +54,7 @@ FlowId FlowScheduler::StartFlow(const Route& route, uint64_t bytes, double overh
   flow.links = route.links;
   flow.remaining_bytes = static_cast<double>(bytes) * overhead_factor;
   flow.wire_bytes_total = flow.remaining_bytes;
-  flow.options = options;
+  flow.stall_timeout = stall_timeout;
   flow.done = std::move(done);
   flow.started = false;
   flow.created_at = loop_.now();
@@ -76,17 +63,13 @@ FlowId FlowScheduler::StartFlow(const Route& route, uint64_t bytes, double overh
   // the start (loss defeating retransmission partway through). The Prng is
   // only consumed when the route actually has loss, so fault-free runs draw
   // nothing here.
-  if (options.fail_on_loss && loss_prng_.has_value()) {
-    double survive = 1.0;
-    for (const Link* link : route.links) {
-      const double p_abort =
-          std::min(1.0, link->loss_probability() * options.loss_abort_multiplier);
-      survive *= 1.0 - p_abort;
-    }
-    const double p_fail = 1.0 - survive;
-    if (p_fail > 0.0 && loss_prng_->NextDouble() < p_fail) {
-      flow.doomed = true;
-    }
+  double survive = 1.0;
+  for (const Link* link : route.links) {
+    survive *= 1.0 - std::min(1.0, link->loss_probability() * kLossAbortMultiplier);
+  }
+  const double p_fail = 1.0 - survive;
+  if (p_fail > 0.0 && loss_prng_.NextDouble() < p_fail) {
+    flow.doomed = true;
   }
 
   if (flows_started_counter_ != nullptr) {
@@ -99,7 +82,8 @@ FlowId FlowScheduler::StartFlow(const Route& route, uint64_t bytes, double overh
   flows_.emplace(id, std::move(flow));
 
   // Connection setup + request takes one round trip; then the flow joins
-  // the fair-share competition (or dies, if the loss roll doomed it).
+  // the fair-share competition (or dies, if the loss roll doomed it). A
+  // loopback flow shares no link, so it runs unconstrained instead.
   loop_.ScheduleAfter(2 * route.one_way_latency, [this, id] {
     auto it = flows_.find(id);
     if (it == flows_.end()) {
@@ -113,6 +97,9 @@ FlowId FlowScheduler::StartFlow(const Route& route, uint64_t bytes, double overh
     }
     Settle();
     it->second.started = true;
+    if (it->second.links.empty()) {
+      it->second.rate_bytes_per_us = kUnconstrainedBytesPerUs;
+    }
     AddFlowMembership(id, it->second);
     Reschedule();
   });
@@ -211,13 +198,6 @@ void FlowScheduler::FailFlow(FlowId id, Status status, const char* counter) {
 }
 
 void FlowScheduler::AddFlowMembership(FlowId id, const Flow& flow) {
-  if (flow.links.empty()) {
-    // Empty-route flows are rated at the global first-round min share — a
-    // value no component-restricted pass can see — so force a full pass.
-    ++started_empty_route_flows_;
-    global_dirty_ = true;
-    return;
-  }
   for (Link* link : flow.links) {
     LinkState& state = link_states_[link];
     state.flow_ids.insert(std::upper_bound(state.flow_ids.begin(), state.flow_ids.end(), id), id);
@@ -226,12 +206,6 @@ void FlowScheduler::AddFlowMembership(FlowId id, const Flow& flow) {
 }
 
 void FlowScheduler::RemoveFlowMembership(FlowId id, const Flow& flow) {
-  if (flow.links.empty()) {
-    // Removal changes nobody else's rate (empty routes consume no capacity),
-    // so no recompute is forced.
-    --started_empty_route_flows_;
-    return;
-  }
   for (Link* link : flow.links) {
     auto it = link_states_.find(link);
     NYMIX_CHECK_MSG(it != link_states_.end(), "flow removed from untracked link");
@@ -319,14 +293,6 @@ void FlowScheduler::Waterfill(const std::vector<FlowId>& flow_ids) {
         min_share = std::min(min_share, capacity[link] / count);
       }
     }
-    if (!std::isfinite(min_share)) {
-      // Flows with empty routes (loopback): unconstrained, finish "instantly"
-      // at a very high nominal rate.
-      for (Flow* flow : unfixed) {
-        flow->rate_bytes_per_us = 1e9;
-      }
-      break;
-    }
     // Fix every flow bottlenecked at that share. A bottlenecked flow is
     // fixed at its OWN tightest link's share rather than at min_share:
     // min_share can come from an unrelated connected component whose
@@ -342,12 +308,7 @@ void FlowScheduler::Waterfill(const std::vector<FlowId>& flow_ids) {
       for (Link* link : flow->links) {
         own_share = std::min(own_share, capacity[link] / unfixed_count[link]);
       }
-      if (flow->links.empty()) {
-        // Empty route mixed into a constrained set: matched to the round
-        // minimum. Live empty-route flows force a full waterfill (see
-        // Reschedule), so a component-restricted pass never sees this.
-        flow->rate_bytes_per_us = min_share;
-      } else if (own_share <= min_share + 1e-12) {
+      if (own_share <= min_share + 1e-12) {
         flow->rate_bytes_per_us = own_share;
         for (Link* link : flow->links) {
           capacity[link] -= own_share;
@@ -370,7 +331,7 @@ void FlowScheduler::UpdateStallWatches(const std::vector<FlowId>& flow_ids) {
   const SimTime now = loop_.now();
   for (FlowId id : flow_ids) {
     Flow& flow = flows_.at(id);
-    if (!flow.started || flow.options.stall_timeout == 0) {
+    if (!flow.started || flow.stall_timeout == 0) {
       continue;
     }
     const bool rate_zero = flow.rate_bytes_per_us <= 0 && flow.remaining_bytes > 0;
@@ -378,7 +339,7 @@ void FlowScheduler::UpdateStallWatches(const std::vector<FlowId>& flow_ids) {
       flow.stalled = true;
       flow.stalled_since = now;
       const FlowId flow_id = id;
-      flow.stall_event = loop_.ScheduleAfter(flow.options.stall_timeout, [this, flow_id] {
+      flow.stall_event = loop_.ScheduleAfter(flow.stall_timeout, [this, flow_id] {
         auto it = flows_.find(flow_id);
         if (it == flows_.end() || !it->second.stalled) {
           return;
@@ -423,27 +384,7 @@ void FlowScheduler::Reschedule() {
   }
   RefreshMeters();
 
-  // Dirty-driven dispatch: a full pass only when an empty-route flow couples
-  // every component, a component pass for ordinary dirt, otherwise a skip.
-  // Whichever runs, the completion-event scan below is the same.
-  const bool dirty = global_dirty_ || !dirty_links_.empty();
-  if (global_dirty_ || (dirty && started_empty_route_flows_ > 0)) {
-    std::vector<FlowId> started;
-    started.reserve(flows_.size());
-    for (const auto& [id, flow] : flows_) {
-      if (flow.started) {
-        started.push_back(id);
-      }
-    }
-    Waterfill(started);
-    UpdateStallWatches(started);
-    ++waterfills_full_;
-    if (recomputes_counter_ != nullptr) {
-      recomputes_counter_->Increment();
-    }
-    dirty_links_.clear();
-    global_dirty_ = false;
-  } else if (!dirty) {
+  if (dirty_links_.empty()) {
     // Nothing changed since the last waterfill: every rate is still exact.
     ++waterfill_skips_;
     if (skipped_counter_ != nullptr) {
@@ -489,11 +430,11 @@ void FlowScheduler::Reschedule() {
     dirty_links_.clear();
   }
 
-  // Schedule the earliest completion. Runs identically after a full pass, a
-  // component pass and a skip: the scan is over all flows, and the pending
-  // event is cancelled above and rescheduled below on every call, so the
-  // event table (and EventLoop's pending_events trace counter) does not
-  // depend on how much of the waterfill ran.
+  // Schedule the earliest completion. Runs identically after a component
+  // pass and a skip: the scan is over all flows, and the pending event is
+  // cancelled above and rescheduled below on every call, so the event table
+  // (and EventLoop's pending_events trace counter) does not depend on
+  // whether the waterfill ran.
   double min_eta_us = std::numeric_limits<double>::infinity();
   for (const auto& [id, flow] : flows_) {
     (void)id;

@@ -13,12 +13,12 @@
 // Reschedule with nothing dirty skips the waterfill outright; otherwise it
 // re-waterfills only the connected component(s) reachable from the dirty
 // links. Components cannot affect each other's max-min rates, so the
-// restricted waterfill assigns the same rates the global one would — the
-// one cross-component coupling is flows with empty routes (rated at the
-// global first-round min share), so any dirt while one is live forces a
-// full pass. The global max-min reference lives in tests/flow_model.h; the
-// property and determinism tests compare every started flow's rate against
-// it, bit for bit, after every event (StartedFlows()).
+// restricted waterfill assigns the same rates the global one would. A
+// loopback flow (empty route) shares no link: it runs at an unconstrained
+// rate from the end of its setup RTT and never joins a waterfill. The
+// global max-min reference lives in tests/flow_model.h; the property and
+// determinism tests compare every started flow's rate against it, bit for
+// bit, after every event (StartedFlows()).
 //
 // Model notes (documented substitutions): transfers begin after one route
 // RTT (connection + request); TCP slow-start and congestion dynamics are
@@ -28,14 +28,13 @@
 // Failure model: a flow crossing lossy links (LinkFaultProfile) may abort
 // with a Status instead of completing — the seeded roll happens at start so
 // the event count stays flow-level — and a flow whose route goes down stalls
-// at rate 0 and fails after FlowOptions::stall_timeout rather than hanging
-// the event loop forever.
+// at rate 0 and fails after its stall_timeout rather than hanging the event
+// loop forever.
 #ifndef SRC_NET_FLOW_H_
 #define SRC_NET_FLOW_H_
 
 #include <functional>
 #include <map>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -57,46 +56,31 @@ struct Route {
 
 using FlowId = uint64_t;
 
-// Failure-detection knobs for a flow. Defaults preserve the failure-free
-// pre-fault behavior: no stall deadline, and loss aborts only fire on
-// routes whose links actually carry a fault profile.
-struct FlowOptions {
-  // Fail with kUnavailable if the flow spends this long at rate 0 while
-  // started (all paths down). 0 = never (legacy behavior: hang).
-  SimDuration stall_timeout = 0;
-  // Whether lossy links may abort this flow.
-  bool fail_on_loss = true;
-  // A flow is modeled as aborting when loss defeats retransmission; the
-  // per-link abort chance is min(1, loss_probability * this multiplier),
-  // independent across route links. 4.0 makes transfers robust below ~10%
-  // loss and mostly doomed above ~25%, matching TCP-over-Tor intuition.
-  double loss_abort_multiplier = 4.0;
-};
+// A flow is modeled as aborting when loss defeats retransmission; the
+// per-link abort chance is min(1, loss_probability * this multiplier),
+// independent across route links. 4.0 makes transfers robust below ~10%
+// loss and mostly doomed above ~25%, matching TCP-over-Tor intuition.
+inline constexpr double kLossAbortMultiplier = 4.0;
+
+// The nominal rate of a loopback flow, in bytes/us: it finishes "instantly".
+inline constexpr double kUnconstrainedBytesPerUs = 1e9;
 
 class FlowScheduler {
  public:
-  explicit FlowScheduler(EventLoop& loop) : loop_(loop) {}
+  // `loss_seed` seeds the loss-abort stream (FaultInjector::SeedFor("net.flows")).
+  FlowScheduler(EventLoop& loop, uint64_t loss_seed) : loop_(loop), loss_prng_(loss_seed) {}
 
-  // Seeds the loss-abort stream (FaultInjector::SeedFor("net.flows")).
-  // Without a seed, loss aborts are disabled and flows always run to
-  // completion as before.
-  void SeedFaults(uint64_t seed) { loss_prng_.emplace(seed); }
-
-  // Transfers `bytes * overhead_factor` wire bytes along `route`; calls
-  // `done` with the completion time. `overhead_factor` >= 1 models protocol
-  // framing (Tor cells ~1.12, Dissent DC-net much higher). Legacy form:
-  // failures (loss abort, cancellation) are swallowed — `done` simply never
-  // fires — so callers that care about faults must use the Status form.
+  // Transfers `bytes * overhead_factor` wire bytes along `route`.
+  // `overhead_factor` >= 1 models protocol framing (Tor cells ~1.12, Dissent
+  // DC-net much higher). `done` fires exactly once: with the completion time
+  // on success, or kUnavailable (loss abort, stall) / kCancelled
+  // (CancelFlow). A started flow that spends `stall_timeout` at rate 0 (all
+  // paths down) fails with kUnavailable; 0 means no deadline.
   FlowId StartFlow(const Route& route, uint64_t bytes, double overhead_factor,
-                   std::function<void(SimTime)> done);
-
-  // Status form: `done` fires exactly once — with the completion time on
-  // success, or kUnavailable (loss abort, stall) / kCancelled (CancelFlow).
-  FlowId StartFlow(const Route& route, uint64_t bytes, double overhead_factor,
-                   const FlowOptions& options, std::function<void(Result<SimTime>)> done);
+                   SimDuration stall_timeout, std::function<void(Result<SimTime>)> done);
 
   // Cancels an in-progress flow (nym terminated mid-download). False if the
-  // flow already completed. A Status-form flow's callback fires kCancelled.
+  // flow already completed; otherwise its callback fires kCancelled.
   bool CancelFlow(FlowId id);
 
   size_t active_flows() const { return flows_.size(); }
@@ -121,9 +105,8 @@ class FlowScheduler {
   std::vector<StartedFlow> StartedFlows() const;
 
   // Waterfill-effort introspection (always counted, metrics attached or
-  // not): how many Reschedules ran the full waterfill, a component-restricted
-  // one, or skipped the computation entirely.
-  uint64_t waterfills_full() const { return waterfills_full_; }
+  // not): how many Reschedules ran a component-restricted waterfill, or
+  // skipped the computation entirely.
   uint64_t waterfills_component() const { return waterfills_component_; }
   uint64_t waterfill_skips() const { return waterfill_skips_; }
 
@@ -135,7 +118,7 @@ class FlowScheduler {
     double rate_bytes_per_us = 0;
     bool started = false;  // becomes true after the setup RTT
     SimTime created_at = 0;
-    FlowOptions options;
+    SimDuration stall_timeout = 0;  // 0 = no deadline
     // Loss abort decided at start (seeded): the flow dies when setup ends.
     bool doomed = false;
     // Stall tracking: set while the flow is started but rated 0.
@@ -159,20 +142,20 @@ class FlowScheduler {
   // link on its route (src/net/tap.h). Deduplicated and ordered by link id,
   // so observation order is reproducible.
   void NotifyFlowTaps(FlowId id, const Flow& flow, bool completed);
-  // Refreshes rates (full / component / skip as dirtiness requires) and
-  // schedules the next completion event.
+  // Refreshes rates (component waterfill, or a skip when nothing is dirty)
+  // and schedules the next completion event.
   void Reschedule();
   // Removes the flow and fires its callback with a failure Status.
   void FailFlow(FlowId id, Status status, const char* counter);
 
   // Membership bookkeeping: called when a flow becomes started / when a
-  // started flow is removed. Marks the flow's links dirty.
+  // started flow is removed. Marks the flow's links dirty (a loopback flow
+  // has none).
   void AddFlowMembership(FlowId id, const Flow& flow);
   void RemoveFlowMembership(FlowId id, const Flow& flow);
 
-  // Waterfills `flow_ids` (ascending) over exactly the links they cross.
-  // Pass every started flow for the full pass; pass one dirty closure for
-  // the restricted pass.
+  // Waterfills `flow_ids` (ascending, each with a non-empty route) over
+  // exactly the links they cross: the dirty closure Reschedule found.
   void Waterfill(const std::vector<FlowId>& flow_ids);
   // Stall-deadline arm/disarm for `flow_ids` (ascending). Only flows whose
   // rate was just recomputed can transition, so restricting the scan keeps
@@ -186,19 +169,14 @@ class FlowScheduler {
   SimTime last_settle_ = 0;
   uint64_t pending_event_ = 0;
   bool has_pending_event_ = false;
-  std::optional<Prng> loss_prng_;
+  Prng loss_prng_;
 
   // --- Incremental fair-share state --------------------------------------
   // Keyed by creation order (LinkIdLess), never address: iteration reaches
   // the waterfill's float rounding and must be reproducible run to run.
   std::map<Link*, LinkState, LinkIdLess> link_states_;
   std::set<Link*, LinkIdLess> dirty_links_;
-  // Set when an empty-route flow starts: its rate is the global first-round
-  // min share, the one value a component-restricted pass cannot see.
-  bool global_dirty_ = false;
-  int started_empty_route_flows_ = 0;
 
-  uint64_t waterfills_full_ = 0;
   uint64_t waterfills_component_ = 0;
   uint64_t waterfill_skips_ = 0;
 

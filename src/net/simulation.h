@@ -36,10 +36,11 @@ class Simulation {
 
  private:
   EventLoop loop_;
+  Prng prng_;
+  // Before flows_, which takes its loss-abort seed from it.
+  FaultInjector faults_;
   FlowScheduler flows_;
   Internet internet_;
-  Prng prng_;
-  FaultInjector faults_;
   std::vector<std::unique_ptr<Link>> links_;
 };
 

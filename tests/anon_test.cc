@@ -421,6 +421,41 @@ TEST(SweetTest, HighLatencyTunnel) {
   EXPECT_TRUE(sweet.ProtectsNetworkIdentity());
 }
 
+// ---------------------------------------------------------- Failed fetches
+
+// A fetch whose flow dies must still answer. Loss on the host uplink dooms
+// every flow (abort chance min(1, 0.3 x 4) = 1), so each anonymizer's Fetch
+// callback fires exactly once, with kUnavailable.
+TEST(AnonymizerTest, DoomedFlowFailsEachFetchOnce) {
+  AnonHarness harness;
+  DissentServers servers(harness.sim);
+  IncognitoVpn vpn(harness.Attachment());
+  SweetTunnel sweet(harness.Attachment(), /*instance_id=*/1);
+  DissentClient dissent(harness.Attachment(), servers, 9);
+  harness.AttachGuest(&dissent);
+  const std::vector<Anonymizer*> anonymizers = {&vpn, &sweet, &dissent};
+  for (Anonymizer* anonymizer : anonymizers) {
+    anonymizer->Start(nullptr);
+  }
+  harness.sim.loop().RunUntilIdle();
+
+  LinkFaultProfile profile;
+  profile.loss_probability = 0.3;
+  harness.uplink->SetFaultProfile(profile, harness.sim.faults().SeedFor("host-uplink"));
+  for (Anonymizer* anonymizer : anonymizers) {
+    ASSERT_TRUE(anonymizer->ready()) << anonymizer->Name();
+    int calls = 0;
+    Status status = OkStatus();
+    anonymizer->Fetch("files.example.com", 0, 1'000'000, [&](Result<FetchReceipt> r) {
+      ++calls;
+      status = r.status();
+    });
+    harness.sim.loop().RunUntilIdle();
+    EXPECT_EQ(calls, 1) << anonymizer->Name();
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable) << anonymizer->Name();
+  }
+}
+
 // ---------------------------------------------------------------- Chained
 
 TEST(ChainTest, TorOverDissentComposition) {

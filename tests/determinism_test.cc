@@ -79,8 +79,8 @@ std::string RunScenario(uint64_t seed, FlowAuditor* audit = nullptr) {
         break;
     }
     ++started;
-    sim.flows().StartFlow(Route::Through(path), bytes, 1.0,
-                          [&completed](SimTime) { ++completed; });
+    sim.flows().StartFlow(Route::Through(path), bytes, 1.0, /*stall_timeout=*/0,
+                          [&completed](Result<SimTime>) { ++completed; });
     // Stagger the starts so flows overlap and bandwidth gets re-divided
     // across changing sets of contenders (the order-sensitive code path).
     RunFor(sim, Millis(sim.prng().NextBelow(30)), audit);
@@ -123,8 +123,6 @@ std::string RunFaultScenario(uint64_t seed, FlowAuditor* audit = nullptr) {
 
   int completed = 0;
   int started = 0;
-  FlowOptions options;
-  options.stall_timeout = Seconds(3);
   for (int i = 0; i < 24; ++i) {
     uint64_t bytes = sim.prng().NextInRange(20'000, 400'000);
     std::vector<Link*> path;
@@ -143,7 +141,7 @@ std::string RunFaultScenario(uint64_t seed, FlowAuditor* audit = nullptr) {
     const int copies = sim.faults().Roll("chaos.extra-load") ? 2 : 1;
     for (int c = 0; c < copies; ++c) {
       ++started;
-      sim.flows().StartFlow(Route::Through(path), bytes, 1.0, options,
+      sim.flows().StartFlow(Route::Through(path), bytes, 1.0, /*stall_timeout=*/Seconds(3),
                             [&completed](Result<SimTime>) { ++completed; });
     }
     RunFor(sim, Millis(sim.prng().NextBelow(30)), audit);

@@ -401,11 +401,9 @@ TEST(FlowFaultTest, StalledFlowFailsWithStatusInsteadOfHanging) {
   Simulation sim(1);
   Link* link = sim.CreateLink("path", Millis(5), 1'000'000);
   link->SetDown(true);
-  FlowOptions options;
-  options.stall_timeout = Seconds(2);
   Result<SimTime> outcome = InternalError("pending");
   bool done = false;
-  sim.flows().StartFlow(Route::Through({link}), 500'000, 1.0, options,
+  sim.flows().StartFlow(Route::Through({link}), 500'000, 1.0, /*stall_timeout=*/Seconds(2),
                         [&](Result<SimTime> finished) {
                           outcome = std::move(finished);
                           done = true;
@@ -421,10 +419,8 @@ TEST(FlowFaultTest, StalledFlowRecoversWhenRouteComesBack) {
   Simulation sim(1);
   Link* link = sim.CreateLink("path", Millis(5), 8'000'000);
   link->SetDown(true);
-  FlowOptions options;
-  options.stall_timeout = Seconds(5);
   Result<SimTime> outcome = UnavailableError("pending");
-  sim.flows().StartFlow(Route::Through({link}), 100'000, 1.0, options,
+  sim.flows().StartFlow(Route::Through({link}), 100'000, 1.0, /*stall_timeout=*/Seconds(5),
                         [&](Result<SimTime> finished) { outcome = std::move(finished); });
   // The route flaps back up before the stall deadline; the deadline event
   // notices and the flow rejoins the competition instead of dying.
@@ -442,7 +438,7 @@ TEST(FlowFaultTest, LossDoomsFlowsDeterministically) {
   link->SetFaultProfile(profile, sim.faults().SeedFor("lossy"));
   Result<SimTime> outcome = InternalError("pending");
   bool done = false;
-  sim.flows().StartFlow(Route::Through({link}), 1'000'000, 1.0, FlowOptions{},
+  sim.flows().StartFlow(Route::Through({link}), 1'000'000, 1.0, /*stall_timeout=*/0,
                         [&](Result<SimTime> finished) {
                           outcome = std::move(finished);
                           done = true;
@@ -450,14 +446,8 @@ TEST(FlowFaultTest, LossDoomsFlowsDeterministically) {
   sim.loop().RunUntilIdle();
   ASSERT_TRUE(done);
   EXPECT_EQ(outcome.status().code(), StatusCode::kUnavailable);
-
-  // The legacy callback form swallows the failure but must not hang the
-  // loop: the flow dies at the end of its setup RTT.
-  bool legacy_fired = false;
-  sim.flows().StartFlow(Route::Through({link}), 1'000'000, 1.0,
-                        [&](SimTime) { legacy_fired = true; });
-  sim.loop().RunUntilIdle();
-  EXPECT_FALSE(legacy_fired);
+  // The flow died at the end of its setup RTT instead of hanging the loop.
+  EXPECT_EQ(sim.now(), Millis(10));
   EXPECT_EQ(sim.flows().active_flows(), 0u);
 }
 
@@ -465,7 +455,7 @@ TEST(FlowFaultTest, CancelDeliversCancelledStatus) {
   Simulation sim(1);
   Link* link = sim.CreateLink("path", Millis(5), 8'000'000);
   Result<SimTime> outcome = InternalError("pending");
-  FlowId id = sim.flows().StartFlow(Route::Through({link}), 1'000'000, 1.0, FlowOptions{},
+  FlowId id = sim.flows().StartFlow(Route::Through({link}), 1'000'000, 1.0, /*stall_timeout=*/0,
                                     [&](Result<SimTime> finished) {
                                       outcome = std::move(finished);
                                     });

@@ -10,8 +10,8 @@
 //   * flows are visited in ascending id order, links in creation order;
 //   * a route that crosses a link twice claims two shares of it;
 //   * a downed link has zero capacity;
-//   * an empty route is fixed in the first round at that round's min
-//     share, or at 1e9 bytes/us when no started flow crosses a link.
+//   * an empty route (loopback) shares no link and is rated at
+//     kUnconstrainedBytesPerUs (1e9 bytes/us), outside the filling.
 // Components cannot affect each other's max-min rates and every fixed rate
 // is computed from the flow's own links only, so the model's rates equal
 // the scheduler's bit for bit: the tests compare them with ==.
@@ -22,12 +22,10 @@
 #define TESTS_FLOW_MODEL_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
-#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -59,8 +57,14 @@ inline std::vector<double> ReferenceRates(const StartedFlows& flows, const LinkD
     }
   }
   std::vector<double> rates(flows.size(), 0.0);
-  std::vector<size_t> unfixed(flows.size());
-  std::iota(unfixed.begin(), unfixed.end(), size_t{0});
+  std::vector<size_t> unfixed;
+  for (size_t i = 0; i < flows.size(); ++i) {
+    if (flows[i].links.empty()) {
+      rates[i] = kUnconstrainedBytesPerUs;
+    } else {
+      unfixed.push_back(i);
+    }
+  }
   while (!unfixed.empty()) {
     double min_share = std::numeric_limits<double>::infinity();
     for (const auto& [link, count] : unfixed_crossings) {
@@ -71,10 +75,6 @@ inline std::vector<double> ReferenceRates(const StartedFlows& flows, const LinkD
     std::vector<size_t> still_unfixed;
     for (size_t i : unfixed) {
       const std::vector<Link*>& links = flows[i].links;
-      if (links.empty()) {
-        rates[i] = std::isfinite(min_share) ? min_share : 1e9;
-        continue;
-      }
       double own_share = std::numeric_limits<double>::infinity();
       for (const Link* link : links) {
         own_share = std::min(own_share, capacity.at(link) / unfixed_crossings.at(link));
@@ -146,21 +146,24 @@ inline std::string MaxMinViolation(const StartedFlows& flows, const LinkDown& is
 //
 // Link flaps reach the rates only at the next Reschedule (flow.h), so the
 // auditor models each link as it stood at the scheduler's last Reschedule:
-// it re-reads link state whenever the scheduler's reschedule count (full +
-// component + skipped) has moved since the previous check, and otherwise
+// it re-reads link state whenever the scheduler's reschedule count
+// (component + skipped) has moved since the previous check, and otherwise
 // keeps the state it read then. This assumes no link flaps after a
 // Reschedule within the same event, which holds for flaps applied between
 // events or as events of their own.
 class FlowAuditor {
  public:
-  // Which flows carry a stall deadline. With it, a flow on a non-empty
-  // route must be stalled exactly when it has a deadline and the model
-  // rates it 0. Without it, and always for empty routes, a stalled flow
-  // must be rated 0. (An empty route is never down, so when its deadline
-  // fires the flow rejoins instead of failing, and its flag stays off until
-  // a later waterfill re-arms it.)
+  // Which flows carry a stall deadline. With it, a flow must be stalled
+  // exactly when it has a deadline and the model rates it 0. Without it, a
+  // stalled flow must be rated 0.
   void ExpectStallDeadlines(std::function<bool(FlowId)> has_deadline) {
     has_deadline_ = std::move(has_deadline);
+  }
+
+  // An extra property checked after the model comparison at every check:
+  // returns "" when it holds, otherwise the failure to record.
+  void AlsoRequire(std::function<std::string(const FlowScheduler&)> property) {
+    property_ = std::move(property);
   }
 
   // Compares every started flow with the model now; records the first
@@ -171,8 +174,7 @@ class FlowAuditor {
       return;
     }
     const StartedFlows flows = scheduler.StartedFlows();
-    const uint64_t reschedules = scheduler.waterfills_full() +
-                                 scheduler.waterfills_component() + scheduler.waterfill_skips();
+    const uint64_t reschedules = scheduler.waterfills_component() + scheduler.waterfill_skips();
     if (reschedules != reschedules_) {
       reschedules_ = reschedules;
       down_.clear();
@@ -196,10 +198,9 @@ class FlowAuditor {
         out << "flow " << flow.id << ": rate " << flow.rate_bytes_per_us << ", model " << want[i];
         break;
       }
-      const bool stall_known = has_deadline_ && !flow.links.empty();
       const bool rated_zero = want[i] <= 0;
-      if (stall_known ? flow.stalled != (has_deadline_(flow.id) && rated_zero)
-                      : flow.stalled && !rated_zero) {
+      if (has_deadline_ ? flow.stalled != (has_deadline_(flow.id) && rated_zero)
+                        : flow.stalled && !rated_zero) {
         out << "flow " << flow.id << ": stalled=" << flow.stalled << " at model rate " << want[i];
         break;
       }
@@ -207,6 +208,9 @@ class FlowAuditor {
     std::string failure = out.str();
     if (failure.empty()) {
       failure = MaxMinViolation(flows, is_down);
+    }
+    if (failure.empty() && property_) {
+      failure = property_(scheduler);
     }
     if (!failure.empty()) {
       failure_ = "check " + std::to_string(checks_) + ": " + failure;
@@ -251,6 +255,7 @@ class FlowAuditor {
   }
 
   std::function<bool(FlowId)> has_deadline_;
+  std::function<std::string(const FlowScheduler&)> property_;
   std::map<const Link*, bool, LinkIdLess> down_;
   uint64_t reschedules_ = 0;
   uint64_t checks_ = 0;

@@ -5,8 +5,9 @@
 // bit, and satisfy the max-min certificate (FlowAuditor).
 //
 // The flows run over several disjoint link clusters, so reschedules restrict
-// themselves to components; routes include empty ones (which force full
-// passes), ones that cross a link twice, and stall deadlines that fire.
+// themselves to components; routes include empty ones (which run
+// unconstrained), ones that cross a link twice, and stall deadlines that
+// fire.
 //
 // In the style of rapidcheck: each case is generated from a seed, and a
 // failing case is shrunk, by dropping ops while it still fails, to a short
@@ -126,26 +127,22 @@ std::vector<Op> Generate(uint64_t seed, int length) {
 // Which edges a run reached; a property that never met them would prove
 // nothing.
 struct Coverage {
-  bool empty_route = false;     // an empty-route flow started
-  bool coupled_empty = false;   // ...and was rated at a constrained min share
+  bool empty_route = false;     // an empty-route flow ran to completion
   bool repeated_link = false;   // a started flow crosses one link twice
   bool zero_rate = false;       // a started flow was rated 0 (route down)
   bool stalled = false;         // ...with its stall deadline armed
   bool stall_failed = false;    // a stall deadline fired and failed a flow
   bool cancelled = false;       // a started flow was cancelled
-  uint64_t full = 0;
   uint64_t component = 0;
   uint64_t skips = 0;
 
   void Add(const Coverage& other) {
     empty_route |= other.empty_route;
-    coupled_empty |= other.coupled_empty;
     repeated_link |= other.repeated_link;
     zero_rate |= other.zero_rate;
     stalled |= other.stalled;
     stall_failed |= other.stall_failed;
     cancelled |= other.cancelled;
-    full += other.full;
     component += other.component;
     skips += other.skips;
   }
@@ -174,10 +171,10 @@ class World {
     const std::vector<Link*>& cluster = clusters_[static_cast<size_t>(op.cluster)];
     switch (op.kind) {
       case Op::kStart: {
-        FlowOptions options;
-        options.stall_timeout = op.stall;
-        FlowId id = flows.StartFlow(Route::Through(RouteShape(cluster, op.pick)), op.value, 1.0,
-                                    options, [this](Result<SimTime> done) {
+        const std::vector<Link*> links = RouteShape(cluster, op.pick);
+        FlowId id = flows.StartFlow(Route::Through(links), op.value, 1.0, op.stall,
+                                    [this, loopback = links.empty()](Result<SimTime> done) {
+                                      coverage_.empty_route |= loopback && done.ok();
                                       coverage_.stall_failed |=
                                           !done.ok() &&
                                           done.status().code() == StatusCode::kUnavailable;
@@ -209,9 +206,10 @@ class World {
     return audit_.failure();
   }
 
+  FlowAuditor& audit() { return audit_; }
+
   Coverage coverage() {
     Coverage out = coverage_;
-    out.full = sim_.flows().waterfills_full();
     out.component = sim_.flows().waterfills_component();
     out.skips = sim_.flows().waterfill_skips();
     return out;
@@ -225,8 +223,6 @@ class World {
       std::vector<Link*> sorted = flow.links;
       std::sort(sorted.begin(), sorted.end(), LinkIdLess());
       coverage_.repeated_link |= std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
-      coverage_.empty_route |= flow.links.empty();
-      coverage_.coupled_empty |= flow.links.empty() && flow.rate_bytes_per_us < 1e9;
       coverage_.zero_rate |= !flow.links.empty() && flow.rate_bytes_per_us == 0;
       coverage_.stalled |= flow.stalled;
     }
@@ -285,13 +281,11 @@ TEST(FlowPropertyTest, IncrementalRatesMatchGlobalMaxMinModel) {
     }
   }
   EXPECT_TRUE(coverage.empty_route);
-  EXPECT_TRUE(coverage.coupled_empty);
   EXPECT_TRUE(coverage.repeated_link);
   EXPECT_TRUE(coverage.zero_rate);
   EXPECT_TRUE(coverage.stalled);
   EXPECT_TRUE(coverage.stall_failed);
   EXPECT_TRUE(coverage.cancelled);
-  EXPECT_GT(coverage.full, 0u);
   EXPECT_GT(coverage.component, 0u);
   EXPECT_GT(coverage.skips, 0u);
 }
@@ -302,8 +296,8 @@ TEST(FlowPropertyTest, RepeatedLinkClaimsTwoShares) {
   Link* a = sim.CreateLink("a", Millis(1), 6'000'000);
   Link* b = sim.CreateLink("b", Millis(1), 8'000'000);
   FlowAuditor audit;
-  FlowId twice = sim.flows().StartFlow(Route::Through({a, b, a}), 1'000'000, 1.0, nullptr);
-  FlowId once = sim.flows().StartFlow(Route::Through({a}), 1'000'000, 1.0, nullptr);
+  FlowId twice = sim.flows().StartFlow(Route::Through({a, b, a}), 1'000'000, 1.0, 0, nullptr);
+  FlowId once = sim.flows().StartFlow(Route::Through({a}), 1'000'000, 1.0, 0, nullptr);
   audit.RunFor(sim.loop(), sim.flows(), Millis(10));
   EXPECT_EQ(audit.failure(), "");
   // Three crossings of a 6 Mbit link: 2 Mbit per crossing, for each flow.
@@ -311,19 +305,49 @@ TEST(FlowPropertyTest, RepeatedLinkClaimsTwoShares) {
   EXPECT_EQ(sim.flows().FlowRateBps(once), 2'000'000u);
 }
 
-TEST(FlowPropertyTest, EmptyRouteTakesTheGlobalFirstRoundShare) {
-  std::vector<Op> ops = {
-      {Op::kStart, 0, 1, 200'000, 0},       {Op::kStart, 2, 4, 200'000, 0},
-      {Op::kAdvance, 0, 0, Millis(20), 0},  {Op::kStart, 1, 0, 200'000, 0},
-      {Op::kAdvance, 0, 0, Millis(1), 0},   {Op::kDown, 2, 1, 0, 0},
-      {Op::kAdvance, 0, 0, Millis(20), 0},  {Op::kUp, 2, 1, 0, 0},
-      {Op::kAdvance, 0, 0, Millis(500), 0},
+TEST(FlowPropertyTest, EmptyRouteIsUnconstrained) {
+  // A loopback flow lives beside a saturated link and a downed one (the
+  // loopback's own start brings the flap into the rates, so the flow
+  // crossing it sits at 0). It is sized to outlast the sequence at the
+  // unconstrained rate and carries a stall deadline, so a zero rating
+  // would both move its rate and arm the deadline.
+  constexpr uint64_t kLoopbackBytes = 1'000'000'000'000'000;  // ~1 s at 1e9 bytes/us
+  const std::vector<Op> ops = {
+      {Op::kStart, 0, 1, 200'000, 0},      {Op::kStart, 2, 4, 200'000, 0},
+      {Op::kAdvance, 0, 0, Millis(20), 0}, {Op::kDown, 2, 1, 0, 0},
+      {Op::kStart, 1, 0, kLoopbackBytes, Millis(50)},
+      {Op::kAdvance, 0, 0, Millis(1), 0},  {Op::kAdvance, 0, 0, Millis(20), 0},
+      {Op::kUp, 2, 1, 0, 0},               {Op::kAdvance, 0, 0, Millis(500), 0},
   };
-  size_t failed_at = 0;
-  Coverage coverage;
-  EXPECT_EQ(RunOps(ops, &failed_at, &coverage), "");
-  EXPECT_TRUE(coverage.coupled_empty);
-  EXPECT_GT(coverage.full, 0u);
+  World world;
+  int checks_beside_zero_rate = 0;
+  world.audit().AlsoRequire([&checks_beside_zero_rate](const FlowScheduler& flows) {
+    bool loopback_live = false;
+    bool zero_rate = false;
+    for (const FlowScheduler::StartedFlow& flow : flows.StartedFlows()) {
+      zero_rate |= flow.rate_bytes_per_us == 0;
+      if (!flow.links.empty()) {
+        continue;
+      }
+      loopback_live = true;
+      if (flows.FlowRateBps(flow.id) != 8'000'000'000'000'000u) {
+        return "loopback flow " + std::to_string(flow.id) + " at " +
+               std::to_string(flows.FlowRateBps(flow.id)) + " bps";
+      }
+      if (flow.stalled) {
+        return "loopback flow " + std::to_string(flow.id) + " stalled";
+      }
+    }
+    checks_beside_zero_rate += loopback_live && zero_rate ? 1 : 0;
+    return std::string();
+  });
+  for (const Op& op : ops) {
+    ASSERT_EQ(world.Apply(op), "");
+  }
+  EXPECT_GT(checks_beside_zero_rate, 0);
+  const Coverage coverage = world.coverage();
+  EXPECT_TRUE(coverage.zero_rate);
+  EXPECT_FALSE(coverage.stalled);
 }
 
 TEST(FlowPropertyTest, StallDeadlineFiresOnADownedRoute) {

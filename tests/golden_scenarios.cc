@@ -33,10 +33,11 @@ auto RunFig5(Emit emit) {
   int done = 0;
   for (int f = 0; f < 3; ++f) {
     sim.flows().StartFlow(Route::Through({uplink, relay, exit}), 400'000 + 100'000 * f, 1.12,
-                          [&done](SimTime) { ++done; });
+                          /*stall_timeout=*/0, [&done](Result<SimTime>) { ++done; });
   }
   // A competing short flow on the uplink only, plus a flap mid-transfer.
-  sim.flows().StartFlow(Route::Through({uplink}), 250'000, 1.0, [&done](SimTime) { ++done; });
+  sim.flows().StartFlow(Route::Through({uplink}), 250'000, 1.0, /*stall_timeout=*/0,
+                        [&done](Result<SimTime>) { ++done; });
   sim.loop().ScheduleAt(Millis(400), [relay] { relay->SetDown(true); });
   sim.loop().ScheduleAt(Millis(700), [relay] { relay->SetDown(false); });
   sim.RunUntil([&done] { return done == 4; });

@@ -323,10 +323,10 @@ TEST_P(FlowConservation, CompletionTimesRespectCapacity) {
     SimDuration start_delay = static_cast<SimDuration>(prng.NextBelow(Seconds(2)));
     sim.loop().ScheduleAfter(start_delay, [&sim, bottleneck, bytes, &completed,
                                            &last_completion] {
-      sim.flows().StartFlow(Route::Through({bottleneck}), bytes, 1.0,
-                            [&completed, &last_completion](SimTime t) {
+      sim.flows().StartFlow(Route::Through({bottleneck}), bytes, 1.0, /*stall_timeout=*/0,
+                            [&completed, &last_completion](Result<SimTime> t) {
                               ++completed;
-                              last_completion = std::max(last_completion, t);
+                              last_completion = std::max(last_completion, *t);
                             });
     });
   }

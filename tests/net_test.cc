@@ -109,8 +109,8 @@ TEST(FlowTest, SingleFlowTakesFullBandwidth) {
   Simulation sim(1);
   Link* uplink = sim.CreateLink("uplink", Millis(40), 10'000'000);  // 10 Mbit/s
   SimTime finished = 0;
-  sim.flows().StartFlow(Route::Through({uplink}), 10'000'000 / 8, 1.0,
-                        [&](SimTime t) { finished = t; });
+  sim.flows().StartFlow(Route::Through({uplink}), 10'000'000 / 8, 1.0, /*stall_timeout=*/0,
+                        [&](Result<SimTime> t) { finished = *t; });
   sim.loop().RunUntilIdle();
   // 80 ms setup RTT + 1 second of transfer at 10 Mbit/s.
   EXPECT_NEAR(ToSeconds(finished), 1.08, 0.01);
@@ -121,8 +121,8 @@ TEST(FlowTest, TwoFlowsShareBottleneckFairly) {
   Link* uplink = sim.CreateLink("uplink", Millis(0), 10'000'000);
   std::vector<double> times;
   for (int i = 0; i < 2; ++i) {
-    sim.flows().StartFlow(Route::Through({uplink}), 10'000'000 / 8, 1.0,
-                          [&](SimTime t) { times.push_back(ToSeconds(t)); });
+    sim.flows().StartFlow(Route::Through({uplink}), 10'000'000 / 8, 1.0, /*stall_timeout=*/0,
+                          [&](Result<SimTime> t) { times.push_back(ToSeconds(*t)); });
   }
   sim.loop().RunUntilIdle();
   ASSERT_EQ(times.size(), 2u);
@@ -135,10 +135,10 @@ TEST(FlowTest, LateFlowSpeedsUpAfterFirstFinishes) {
   Simulation sim(1);
   Link* uplink = sim.CreateLink("uplink", Millis(0), 8'000'000);  // 1 MB/s
   double t_small = 0, t_big = 0;
-  sim.flows().StartFlow(Route::Through({uplink}), 1'000'000, 1.0,
-                        [&](SimTime t) { t_small = ToSeconds(t); });
-  sim.flows().StartFlow(Route::Through({uplink}), 3'000'000, 1.0,
-                        [&](SimTime t) { t_big = ToSeconds(t); });
+  sim.flows().StartFlow(Route::Through({uplink}), 1'000'000, 1.0, /*stall_timeout=*/0,
+                        [&](Result<SimTime> t) { t_small = ToSeconds(*t); });
+  sim.flows().StartFlow(Route::Through({uplink}), 3'000'000, 1.0, /*stall_timeout=*/0,
+                        [&](Result<SimTime> t) { t_big = ToSeconds(*t); });
   sim.loop().RunUntilIdle();
   // Shared 0.5 MB/s until the small flow's 1 MB is done at t=2; the big flow
   // then has 2 MB left at full rate: t=2+2=4.
@@ -150,8 +150,8 @@ TEST(FlowTest, OverheadFactorInflatesBytes) {
   Simulation sim(1);
   Link* uplink = sim.CreateLink("uplink", Millis(0), 8'000'000);
   double t = 0;
-  sim.flows().StartFlow(Route::Through({uplink}), 1'000'000, 1.12,
-                        [&](SimTime when) { t = ToSeconds(when); });
+  sim.flows().StartFlow(Route::Through({uplink}), 1'000'000, 1.12, /*stall_timeout=*/0,
+                        [&](Result<SimTime> when) { t = ToSeconds(*when); });
   sim.loop().RunUntilIdle();
   EXPECT_NEAR(t, 1.12, 0.01);
 }
@@ -161,8 +161,8 @@ TEST(FlowTest, MultiLinkRouteBottleneckedByNarrowest) {
   Link* fast = sim.CreateLink("fast", Millis(5), 1'000'000'000);
   Link* slow = sim.CreateLink("slow", Millis(5), 8'000'000);
   double t = 0;
-  sim.flows().StartFlow(Route::Through({fast, slow}), 1'000'000, 1.0,
-                        [&](SimTime when) { t = ToSeconds(when); });
+  sim.flows().StartFlow(Route::Through({fast, slow}), 1'000'000, 1.0, /*stall_timeout=*/0,
+                        [&](Result<SimTime> when) { t = ToSeconds(*when); });
   sim.loop().RunUntilIdle();
   // Setup 2*(5+5)=20 ms, then 1 MB at 1 MB/s.
   EXPECT_NEAR(t, 1.02, 0.01);
@@ -173,7 +173,8 @@ TEST(FlowTest, CancelStopsFlow) {
   Link* uplink = sim.CreateLink("uplink", Millis(0), 8'000'000);
   bool done = false;
   FlowId id = sim.flows().StartFlow(Route::Through({uplink}), 1'000'000, 1.0,
-                                    [&](SimTime) { done = true; });
+                                    /*stall_timeout=*/0,
+                                    [&](Result<SimTime> t) { done = t.ok(); });
   sim.RunFor(Millis(100));
   EXPECT_TRUE(sim.flows().CancelFlow(id));
   sim.loop().RunUntilIdle();
@@ -189,10 +190,11 @@ TEST(FlowTest, EightFlowsScaleLinearly) {
   int completed = 0;
   SimTime last = 0;
   for (int i = 0; i < 8; ++i) {
-    sim.flows().StartFlow(Route::Through({uplink}), kernel_tarball, 1.0, [&](SimTime t) {
-      ++completed;
-      last = t;
-    });
+    sim.flows().StartFlow(Route::Through({uplink}), kernel_tarball, 1.0, /*stall_timeout=*/0,
+                          [&](Result<SimTime> t) {
+                            ++completed;
+                            last = *t;
+                          });
   }
   sim.loop().RunUntilIdle();
   EXPECT_EQ(completed, 8);
@@ -203,7 +205,8 @@ TEST(FlowTest, EightFlowsScaleLinearly) {
 TEST(FlowTest, FlowRateVisible) {
   Simulation sim(1);
   Link* uplink = sim.CreateLink("uplink", Millis(1), 10'000'000);
-  FlowId id = sim.flows().StartFlow(Route::Through({uplink}), 100'000'000, 1.0, nullptr);
+  FlowId id = sim.flows().StartFlow(Route::Through({uplink}), 100'000'000, 1.0,
+                                    /*stall_timeout=*/0, nullptr);
   sim.RunFor(Millis(50));
   EXPECT_NEAR(static_cast<double>(sim.flows().FlowRateBps(id)), 10'000'000, 200'000);
 }

@@ -169,8 +169,8 @@ StormResult RunNetStorm(uint64_t seed, int threads) {
     for (int f = 0; f < flow_count; ++f) {
       uint64_t bytes = 100'000 + prng.NextBelow(400'000);
       Simulation* sim_ptr = &sim;
-      sim.flows().StartFlow(Route::Through({first, second}), bytes, 1.1,
-                            [sim_ptr](SimTime) {
+      sim.flows().StartFlow(Route::Through({first, second}), bytes, 1.1, /*stall_timeout=*/0,
+                            [sim_ptr](Result<SimTime>) {
                               if (MetricsRegistry* meters = sim_ptr->loop().meters()) {
                                 meters->GetCounter("storm.flows_done")->Increment();
                               }

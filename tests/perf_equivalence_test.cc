@@ -182,8 +182,6 @@ std::vector<uint64_t> DriveFlowScenario(Simulation& sim, int steps, FlowAuditor&
 
   std::vector<uint64_t> log;
   std::vector<FlowId> issued;
-  FlowOptions options;
-  options.stall_timeout = Seconds(5);
   audit.ExpectStallDeadlines([](FlowId) { return true; });
   for (int i = 0; i < steps; ++i) {
     std::vector<Link*>& links = clusters[sim.prng().NextBelow(clusters.size())];
@@ -206,7 +204,7 @@ std::vector<uint64_t> DriveFlowScenario(Simulation& sim, int steps, FlowAuditor&
         }
         FlowId id = sim.flows().StartFlow(Route::Through(path),
                                           sim.prng().NextInRange(20'000, 400'000), 1.0,
-                                          options, [](Result<SimTime>) {});
+                                          /*stall_timeout=*/Seconds(5), [](Result<SimTime>) {});
         issued.push_back(id);
         break;
       }
@@ -241,11 +239,9 @@ TEST(FlowEquivalenceTest, IncrementalMatchesModelUnderStress) {
   EXPECT_GT(audit.rates_compared(), audit.checks());
 
   // The incremental scheduler really scheduled incrementally: it skipped
-  // clean reschedules, restricted dirty ones to components, and never fell
-  // back to a full pass (no empty-route flows in this scenario).
+  // clean reschedules and restricted dirty ones to components.
   EXPECT_GT(sim.flows().waterfill_skips(), 0u);
   EXPECT_GT(sim.flows().waterfills_component(), 0u);
-  EXPECT_EQ(sim.flows().waterfills_full(), 0u);
 }
 
 TEST(FlowEquivalenceTest, RepeatedSeedsStayIdentical) {
@@ -261,18 +257,29 @@ TEST(FlowEquivalenceTest, RepeatedSeedsStayIdentical) {
   }
 }
 
-TEST(FlowEquivalenceTest, EmptyRouteFlowForcesFullWaterfill) {
+TEST(FlowEquivalenceTest, EmptyRouteFlowCompletesOneMicrosecondAfterStart) {
   Simulation sim(5);
   Link* link = sim.CreateLink("uplink", Millis(5), 8'000'000);
-  bool normal_done = false;
-  sim.flows().StartFlow(Route::Through({link}), 100'000, 1.0,
-                        [&](SimTime) { normal_done = true; });
-  bool empty_done = false;
-  sim.flows().StartFlow(Route{}, 50'000, 1.0, [&](SimTime) { empty_done = true; });
-  sim.RunUntil([&] { return normal_done && empty_done; });
-  // The empty-route flow's rate is the global first-round min share, so its
-  // arrival must have forced at least one full pass.
-  EXPECT_GT(sim.flows().waterfills_full(), 0u);
+  FlowId normal =
+      sim.flows().StartFlow(Route::Through({link}), 100'000, 1.0, /*stall_timeout=*/0, nullptr);
+  sim.RunFor(Millis(20));  // past the 10 ms setup RTT, 80 ms before completion
+  ASSERT_EQ(sim.flows().FlowRateBps(normal), 8'000'000u);
+
+  // A loopback flow shares no link: it runs unconstrained from the end of
+  // its (zero) setup RTT and takes nothing from the uplink's flow.
+  const SimTime started = sim.now();
+  Result<SimTime> empty_done = InternalError("pending");
+  uint64_t normal_rate_at_completion = 0;
+  sim.flows().StartFlow(Route{}, 50'000, 1.0, /*stall_timeout=*/0,
+                        [&](Result<SimTime> finished) {
+                          empty_done = std::move(finished);
+                          normal_rate_at_completion = sim.flows().FlowRateBps(normal);
+                        });
+  sim.RunFor(Millis(1));
+  ASSERT_TRUE(empty_done.ok());
+  EXPECT_EQ(*empty_done, started + 1);
+  EXPECT_EQ(normal_rate_at_completion, 8'000'000u);
+  EXPECT_EQ(sim.flows().FlowRateBps(normal), 8'000'000u);
 }
 
 TEST(FlowEquivalenceTest, CleanRescheduleSkipsTheWaterfill) {
@@ -280,7 +287,8 @@ TEST(FlowEquivalenceTest, CleanRescheduleSkipsTheWaterfill) {
   Link* link = sim.CreateLink("uplink", Millis(5), 8'000'000);
   int completed = 0;
   for (int i = 0; i < 4; ++i) {
-    sim.flows().StartFlow(Route::Through({link}), 200'000, 1.0, [&](SimTime) { ++completed; });
+    sim.flows().StartFlow(Route::Through({link}), 200'000, 1.0, /*stall_timeout=*/0,
+                          [&](Result<SimTime>) { ++completed; });
   }
   sim.RunUntil([&] { return completed == 4; });
   // Every StartFlow triggers a Reschedule before the flow has started (it
