@@ -1,131 +1,223 @@
 #include "src/hv/ksm.h"
 
 #include <algorithm>
-#include <numeric>
-#include <tuple>
+#include <iterator>
+#include <map>
+#include <utility>
 
 namespace nymix {
 
 namespace {
 
-auto MappingKey(const MemoryContents& memory) {
-  return std::tie(memory.image->identity(), memory.cycles, memory.prefixes);
-}
-
-// Pages per content rank that one mapping backs before copy-on-write:
-// block b backs `cycles` pages plus one per prefix above b.
-std::vector<uint64_t> MappedPages(const MemoryContents& memory) {
-  const std::vector<uint32_t>& ranks = memory.image->ranks();
-  std::vector<uint64_t> pages(memory.image->ids().size(), 0);
-  size_t passed = 0;  // prefixes <= block
-  for (uint64_t block = 0; block < ranks.size(); ++block) {
-    while (passed < memory.prefixes.size() && memory.prefixes[passed] <= block) {
-      ++passed;
-    }
-    pages[ranks[block]] += memory.cycles + (memory.prefixes.size() - passed);
+// A memory's image pages below rank `rank`. Block b backs one page per q
+// in Q greater than b, where Q is the memory's prefixes plus block_count()
+// repeated `cycles` times, so summed over the blocks below that rank this
+// is the sum over Q of D(rank, q).
+uint64_t MappedBelow(const MemoryContents& memory, uint64_t rank) {
+  const ImageContents& image = *memory.image;
+  uint64_t pages = memory.cycles * image.CountDominated(rank, image.block_count());
+  for (uint64_t prefix : memory.prefixes) {
+    pages += image.CountDominated(rank, prefix);
   }
   return pages;
 }
 
-// Adds `group`, memories that share one mapping, to `totals` (pages per
-// content rank of their image). Copy-on-write took each memory's `dirtied`
-// pages from the lowest rank up: every rank below the memory's boundary
-// rank whole, and the rest from the boundary rank itself.
-void AddMapping(const std::vector<const MemoryContents*>& group, std::vector<uint64_t>& totals) {
-  const std::vector<uint64_t> mapped = MappedPages(*group.front());
-  const size_t ranks = mapped.size();
-  for (size_t rank = 0; rank < ranks; ++rank) {
-    totals[rank] += group.size() * mapped[rank];
+// Where copy-on-write left a memory: it took the `dirtied` pages from the
+// lowest rank up, so the memory backs every rank from `from` on whole,
+// keeps `left` pages at rank from - 1, and nothing below.
+struct Cut {
+  const MemoryContents* memory;
+  uint64_t from = 0;
+  uint64_t left = 0;
+};
+
+Cut CutOf(const MemoryContents& memory) {
+  Cut cut{&memory};
+  if (memory.dirtied == 0) {
+    return cut;
   }
-  std::vector<uint64_t> through;      // pages mapped at ranks <= index
-  std::vector<uint64_t> boundaries;   // memories per boundary rank
-  for (const MemoryContents* memory : group) {
-    if (memory->dirtied == 0) {
-      continue;
-    }
-    if (through.empty()) {
-      through.resize(ranks);
-      std::partial_sum(mapped.begin(), mapped.end(), through.begin());
-      boundaries.assign(ranks + 1, 0);
-    }
-    size_t boundary = static_cast<size_t>(
-        std::upper_bound(through.begin(), through.end(), memory->dirtied) - through.begin());
-    ++boundaries[boundary];
-    if (boundary < ranks) {
-      totals[boundary] -= memory->dirtied - (boundary == 0 ? 0 : through[boundary - 1]);
+  // The first rank R with more than `dirtied` pages below it (there is
+  // one: the memory keeps at least one page).
+  uint64_t lo = 1;
+  uint64_t hi = memory.image->ids().size();
+  while (lo < hi) {
+    uint64_t mid = lo + (hi - lo) / 2;
+    if (MappedBelow(memory, mid) > memory.dirtied) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
     }
   }
-  uint64_t covering = 0;  // memories whose boundary lies above `rank`
-  for (size_t rank = boundaries.empty() ? 0 : ranks; rank-- > 0;) {
-    covering += boundaries[rank + 1];
-    totals[rank] -= covering * mapped[rank];
+  cut.from = lo;
+  cut.left = MappedBelow(memory, lo) - memory.dirtied;
+  return cut;
+}
+
+// The multiset union Q* of the Q of the memories that back a rank whole,
+// as q -> multiplicity. A regular rank whose block is b then holds
+// T(b) = #{q in Q* : q > b} pages.
+using Covering = std::map<uint64_t, uint64_t>;
+
+void Cover(Covering& covering, const MemoryContents& memory) {
+  if (memory.cycles > 0) {
+    covering[memory.image->block_count()] += memory.cycles;
   }
+  for (uint64_t prefix : memory.prefixes) {
+    ++covering[prefix];
+  }
+}
+
+uint64_t PagesAt(const Covering& covering, uint64_t block) {
+  uint64_t pages = 0;
+  for (auto it = covering.upper_bound(block); it != covering.end(); ++it) {
+    pages += it->second;
+  }
+  return pages;
+}
+
+// The largest and second-largest q in Q* (0 where it holds fewer): a block
+// b has T(b) = 0 when b >= the largest, T(b) = 1 when it is between the two.
+std::pair<uint64_t, uint64_t> TopTwo(const Covering& covering) {
+  if (covering.empty()) {
+    return {0, 0};
+  }
+  auto top = covering.rbegin();
+  if (top->second > 1) {
+    return {top->first, top->first};
+  }
+  auto next = std::next(top);
+  return {top->first, next == covering.rend() ? 0 : next->first};
+}
+
+// Pages of one content id, evaluated one at a time.
+struct Held {
+  uint64_t id;
+  uint64_t pages;
+};
+
+// Merges `memories`, which all map content equal to `image`, into `stats`,
+// except for the special ranks, whose ids and pages go to `held` instead:
+// those in `special` (ids that may merge beyond this image), the irregular
+// ranks and the rank of each memory's copy-on-write cut. Between
+// consecutive cuts the memories backing a rank whole do not change, so a
+// segment's ranks with T = 0 and T = 1, which do not merge, are two
+// dominance counts. Its other ranks merge: each is one shared page, and
+// the pages they hold are the image's pages less the special ranks' and
+// one per T = 1 rank.
+void MergeImage(const ImageContents& image, const std::vector<const MemoryContents*>& memories,
+                std::vector<uint64_t> special, KsmStats& stats, std::vector<Held>& held) {
+  const uint64_t ranks = image.ids().size();
+  const uint64_t blocks = image.block_count();
+  std::vector<Cut> cuts;
+  std::map<uint64_t, uint64_t> kept;  // cut rank -> pages its memories keep there
+  uint64_t pages = 0;
+  for (const MemoryContents* memory : memories) {
+    Cut cut = CutOf(*memory);
+    if (cut.from > 0) {
+      kept[cut.from - 1] += cut.left;
+      special.push_back(cut.from - 1);
+    }
+    cuts.push_back(cut);
+    pages += memory->image_pages();
+  }
+  std::sort(cuts.begin(), cuts.end(), [](const Cut& a, const Cut& b) { return a.from < b.from; });
+  special.insert(special.end(), image.irregular_ranks().begin(), image.irregular_ranks().end());
+  std::sort(special.begin(), special.end());
+  special.erase(std::unique(special.begin(), special.end()), special.end());
+
+  Covering covering;
+  auto next_cut = cuts.begin();
+  auto next_special = special.begin();
+  uint64_t ones = 0;  // regular, non-special ranks holding one page
+  for (uint64_t lo = 0; lo < ranks;) {
+    for (; next_cut != cuts.end() && next_cut->from <= lo; ++next_cut) {
+      Cover(covering, *next_cut->memory);
+    }
+    uint64_t hi = next_cut != cuts.end() ? next_cut->from : ranks;
+    auto [top, second] = TopTwo(covering);
+    uint64_t count = image.CountDominated(hi, blocks) - image.CountDominated(lo, blocks);
+    uint64_t below_top = image.CountDominated(hi, top) - image.CountDominated(lo, top);
+    uint64_t below_second = image.CountDominated(hi, second) - image.CountDominated(lo, second);
+    uint64_t none = count - below_top;
+    uint64_t one = below_top - below_second;
+    for (; next_special != special.end() && *next_special < hi; ++next_special) {
+      uint64_t rank = *next_special;
+      auto cut_here = kept.find(rank);
+      uint64_t at = cut_here == kept.end() ? 0 : cut_here->second;
+      for (uint32_t block : image.BlocksAt(rank)) {
+        uint64_t t = PagesAt(covering, block);
+        at += t;
+        --count;
+        if (t == 0) {
+          --none;
+        } else if (t == 1) {
+          --one;
+        }
+      }
+      held.push_back({image.ids()[rank], at});
+      pages -= at;
+    }
+    stats.pages_shared += count - none - one;
+    ones += one;
+    lo = hi;
+  }
+  stats.pages_sharing += pages - ones;
 }
 
 }  // namespace
 
 KsmStats MergeContents(const std::vector<const MemoryContents*>& memories) {
-  uint64_t zero_pages = 0;
+  std::vector<Held> held = {{kZeroPageContent, 0}};
   std::vector<const MemoryContents*> mapped;
   for (const MemoryContents* memory : memories) {
-    zero_pages += memory->zero_pages;
-    if (memory->image != nullptr) {
+    held.front().pages += memory->zero_pages;
+    if (memory->image != nullptr && memory->image_pages() > 0) {
       mapped.push_back(memory);
     }
   }
+  // The memories with image pages left, one group per image identity.
   std::sort(mapped.begin(), mapped.end(), [](const MemoryContents* a, const MemoryContents* b) {
-    return MappingKey(*a) < MappingKey(*b);
+    return a->image->identity() < b->image->identity();
   });
-
-  // Pages per content rank, one entry per image identity.
-  struct ImageTotals {
-    const ImageContents* image;
-    std::vector<uint64_t> pages;
-  };
-  std::vector<ImageTotals> images;
-  std::vector<const MemoryContents*> group;
-  for (size_t begin = 0; begin < mapped.size();) {
-    const MemoryContents& head = *mapped[begin];
-    group.clear();
-    size_t end = begin;
-    for (; end < mapped.size() && MappingKey(*mapped[end]) == MappingKey(head); ++end) {
-      group.push_back(mapped[end]);
+  std::vector<std::vector<const MemoryContents*>> images;
+  for (const MemoryContents* memory : mapped) {
+    if (images.empty() || images.back().front()->image->identity() != memory->image->identity()) {
+      images.emplace_back();
     }
-    if (images.empty() || images.back().image->identity() != head.image->identity()) {
-      images.push_back({head.image.get(), std::vector<uint64_t>(head.image->ids().size(), 0)});
-    }
-    AddMapping(group, images.back().pages);
-    begin = end;
+    images.back().push_back(memory);
   }
 
-  // Equal content ids are one content wherever they come from (the zero
-  // page, or blocks two different images have in common): walk every
-  // image's ascending ids together and merge per id.
+  // Ids two images hold in common, or one image shares with the zero page,
+  // merge across images: those ranks are evaluated one at a time.
+  std::vector<uint64_t> common = {kZeroPageContent};
+  for (size_t i = 0; i < images.size(); ++i) {
+    for (size_t j = i + 1; j < images.size(); ++j) {
+      const std::vector<uint64_t>& a = images[i].front()->image->ids();
+      const std::vector<uint64_t>& b = images[j].front()->image->ids();
+      std::set_intersection(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(common));
+    }
+  }
+  std::sort(common.begin(), common.end());
+  common.erase(std::unique(common.begin(), common.end()), common.end());
+
   KsmStats stats;
-  std::vector<size_t> next(images.size(), 0);
-  bool zero_pending = zero_pages > 0;
-  for (;;) {
-    bool any = zero_pending;
-    uint64_t id = kZeroPageContent;
-    for (size_t i = 0; i < images.size(); ++i) {
-      if (next[i] < images[i].pages.size()) {
-        uint64_t candidate = images[i].image->ids()[next[i]];
-        id = any ? std::min(id, candidate) : candidate;
-        any = true;
+  for (const std::vector<const MemoryContents*>& group : images) {
+    const ImageContents& image = *group.front()->image;
+    std::vector<uint64_t> special;
+    for (uint64_t id : common) {
+      auto it = std::lower_bound(image.ids().begin(), image.ids().end(), id);
+      if (it != image.ids().end() && *it == id) {
+        special.push_back(static_cast<uint64_t>(it - image.ids().begin()));
       }
     }
-    if (!any) {
-      break;
-    }
+    MergeImage(image, group, std::move(special), stats, held);
+  }
+
+  std::sort(held.begin(), held.end(), [](const Held& a, const Held& b) { return a.id < b.id; });
+  for (size_t begin = 0, end = 0; begin < held.size(); begin = end) {
     uint64_t pages = 0;
-    if (zero_pending && id == kZeroPageContent) {
-      pages += zero_pages;
-      zero_pending = false;
-    }
-    for (size_t i = 0; i < images.size(); ++i) {
-      if (next[i] < images[i].pages.size() && images[i].image->ids()[next[i]] == id) {
-        pages += images[i].pages[next[i]++];
-      }
+    for (end = begin; end < held.size() && held[end].id == held[begin].id; ++end) {
+      pages += held[end].pages;
     }
     if (pages > 1) {
       stats.pages_shared += 1;

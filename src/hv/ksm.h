@@ -5,12 +5,17 @@
 // the paper measures "over 5% saving at 8 nyms".
 //
 // Merging is computed in closed form from each memory's MemoryContents
-// (src/hv/guest_memory.h): no page is enumerated and no per-page state is
-// kept. A pass costs O(image blocks) per distinct mapping (in a fleet, one
-// per VM role) plus O(log blocks) per memory. A pass whose memories
-// all kept their write-generation, with none retired, reuses the last
-// result. tests/ksm_property_test.cc checks the closed form against a
-// brute-force page-array model kept in tests/ksm_model.h.
+// (src/hv/guest_memory.h): no page, block or rank is enumerated and no
+// per-page state is kept. Each memory's copy-on-write cut is a binary
+// search over the image's dominance index (ImageContents); between cuts,
+// the ranks that hold zero or one page are two dominance counts. Only
+// cut ranks, irregular ranks and ids shared with the zero page or another
+// image are evaluated one at a time. A pass costs
+// O(memories · |Q| · log² blocks), Q a memory's partial passes plus one,
+// whatever the image size. A pass whose memories all kept their
+// write-generation, with none retired, reuses the last result.
+// tests/ksm_property_test.cc checks the closed form against a brute-force
+// page-array model kept in tests/ksm_model.h.
 #ifndef SRC_HV_KSM_H_
 #define SRC_HV_KSM_H_
 

@@ -57,19 +57,43 @@ std::shared_ptr<const MemFs> DistributionFs(const std::string& name, uint64_t se
 
 ImageContents::ImageContents(const std::vector<Sha256Digest>& block_digests,
                              const Sha256Digest& identity)
-    : identity_(identity), ranks_(block_digests.size()) {
+    : identity_(identity) {
   std::vector<std::pair<uint64_t, uint32_t>> by_id;
   by_id.reserve(block_digests.size());
   for (size_t block = 0; block < block_digests.size(); ++block) {
     by_id.emplace_back(DigestPrefix64(block_digests[block]), static_cast<uint32_t>(block));
   }
   std::sort(by_id.begin(), by_id.end());
+  blocks_.reserve(by_id.size());
   for (const auto& [id, block] : by_id) {
     if (ids_.empty() || ids_.back() != id) {
       ids_.push_back(id);
+    } else if (irregular_.empty() || irregular_.back() != ids_.size() - 1) {
+      irregular_.push_back(static_cast<uint32_t>(ids_.size() - 1));
+      extra_through_.push_back(static_cast<uint32_t>(blocks_.size() - ids_.size() + 1));
+    } else {
+      ++extra_through_.back();
     }
-    ranks_[block] = static_cast<uint32_t>(ids_.size() - 1);
+    blocks_.push_back(block);
   }
+  index_ = WaveletMatrix(blocks_, blocks_.size());
+}
+
+uint64_t ImageContents::Position(uint64_t rank) const {
+  NYMIX_CHECK(rank <= ids_.size());
+  size_t before = static_cast<size_t>(
+      std::lower_bound(irregular_.begin(), irregular_.end(), rank) - irregular_.begin());
+  return rank + (before == 0 ? 0 : extra_through_[before - 1]);
+}
+
+uint64_t ImageContents::CountDominated(uint64_t rank, uint64_t block) const {
+  return index_.CountLess(Position(rank), block);
+}
+
+std::span<const uint32_t> ImageContents::BlocksAt(uint64_t rank) const {
+  NYMIX_CHECK(rank < ids_.size());
+  uint64_t begin = Position(rank);
+  return std::span<const uint32_t>(blocks_).subspan(begin, Position(rank + 1) - begin);
 }
 
 BaseImage::BaseImage(std::string name, uint64_t seed, uint64_t size_bytes,

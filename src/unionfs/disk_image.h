@@ -12,21 +12,28 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/crypto/merkle.h"
 #include "src/unionfs/union_fs.h"
 #include "src/util/prng.h"
+#include "src/util/wavelet_matrix.h"
 
 namespace nymix {
 
 inline constexpr uint64_t kDiskBlockSize = 4096;
 
-// The content ids of an image's blocks, ranked: what guest memory needs to
-// describe image-backed pages without storing them page by page. Built
-// once, next to the block digests it derives from, and immutable after
-// that, so any number of memories and threads can share it.
+// The content ids of an image's blocks, ranked, with a dominance index:
+// what guest memory and KSM need to describe and merge image-backed pages
+// without storing them page by page. The index lists the blocks in rank
+// order (equal ranks by block index) in a wavelet matrix, so the number of
+// blocks with rank < R and index < x is a query, not a walk. A rank held by
+// more than one block (two blocks with one content id) is irregular; such
+// ranks are few and kept in a list. Built once, next to the block digests
+// it derives from, and immutable after that, so any number of memories and
+// threads can share it.
 class ImageContents {
  public:
   // `identity` names the content: two views with equal identities hold the
@@ -34,16 +41,29 @@ class ImageContents {
   ImageContents(const std::vector<Sha256Digest>& block_digests, const Sha256Digest& identity);
 
   const Sha256Digest& identity() const { return identity_; }
-  uint64_t block_count() const { return ranks_.size(); }
-  // Distinct block content ids, ascending.
+  uint64_t block_count() const { return blocks_.size(); }
+  // Distinct block content ids, ascending; a content's rank is its index.
   const std::vector<uint64_t>& ids() const { return ids_; }
-  // Per block, the index into ids() of its content id.
-  const std::vector<uint32_t>& ranks() const { return ranks_; }
+  // Ranks held by more than one block, ascending.
+  const std::vector<uint32_t>& irregular_ranks() const { return irregular_; }
+
+  // D(rank, block): the blocks with rank below `rank` and index below
+  // `block`, for rank <= ids().size(). O(log blocks).
+  uint64_t CountDominated(uint64_t rank, uint64_t block) const;
+
+  // The blocks holding content rank `rank`, ascending.
+  std::span<const uint32_t> BlocksAt(uint64_t rank) const;
 
  private:
+  // Blocks with rank below `rank`: where that rank's blocks start in blocks_.
+  uint64_t Position(uint64_t rank) const;
+
   Sha256Digest identity_;
   std::vector<uint64_t> ids_;
-  std::vector<uint32_t> ranks_;
+  std::vector<uint32_t> blocks_;  // block indices in rank order
+  std::vector<uint32_t> irregular_;
+  std::vector<uint32_t> extra_through_;  // per irregular rank, surplus blocks up to it
+  WaveletMatrix index_;                  // over blocks_
 };
 
 class BaseImage {

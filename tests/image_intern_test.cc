@@ -1,9 +1,11 @@
 // The interned, immutable distribution image: one object per (name, seed,
 // size) per process, shared read-only by every caller and thread, with a
 // Merkle verdict fixed at construction that must equal the full check.
-// Labeled `parallel` so CI's TSan job runs the concurrent-intern case.
+// Labeled `parallel` so CI's TSan job runs the concurrent-intern case and
+// the concurrent reads of one image's dominance index.
 #include <gtest/gtest.h>
 
+#include "src/hv/ksm.h"
 #include "src/unionfs/disk_image.h"
 #include "src/util/thread_pool.h"
 
@@ -80,6 +82,32 @@ TEST(ImageInternTest, VerdictEqualsFullCheck) {
   auto twice = tampered->TamperedCopy(9, 1000);
   EXPECT_FALSE(twice->verified());
   EXPECT_EQ(twice->verified(), twice->VerifyAllBlocks());
+}
+
+TEST(ImageInternTest, ConcurrentMergesReadOneIndex) {
+  auto image = BaseImage::CreateDistribution("intern-merge", 12, 64 * kMiB);
+  // Fleet-shaped memories on the one interned image: mapped past a wrap,
+  // with partial passes, and dirtied into the image to different depths.
+  std::vector<GuestMemory> memories;
+  memories.reserve(6);
+  for (uint64_t i = 0; i < 6; ++i) {
+    GuestMemory& memory = memories.emplace_back(uint64_t{96} * kMiB);
+    memory.MapImagePages(image->contents(), 3'440 + 7'000 * i);
+    memory.DirtyPages(memory.zero_pages() + 500 * i);
+  }
+  std::vector<const MemoryContents*> contents;
+  for (const GuestMemory& memory : memories) {
+    contents.push_back(&memory.contents());
+  }
+  constexpr size_t kWorkers = 8;
+  ThreadPool pool(static_cast<int>(kWorkers));
+  std::vector<KsmStats> results(kWorkers);
+  pool.RunIndexed(kWorkers, [&](size_t i) { results[i] = MergeContents(contents); });
+  EXPECT_GT(results.front().pages_sharing, 0u);
+  for (const KsmStats& result : results) {
+    EXPECT_EQ(result.pages_shared, results.front().pages_shared);
+    EXPECT_EQ(result.pages_sharing, results.front().pages_sharing);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -39,6 +40,15 @@ struct TestImage {
   uint64_t block_count() const { return digests.size(); }
 };
 
+// Which images a world's hosts hold. The default is the small release image
+// the seeded cases run on.
+struct Shape {
+  uint64_t release_seed = 7;
+  uint64_t release_blocks = kReleaseBlocks;
+  // One block of the second image holds content id 0, the zero page's.
+  bool zero_id = false;
+};
+
 // A distinct view object of `digests`, named by `identity`.
 TestImage MakeImage(std::vector<Sha256Digest> digests, const Sha256Digest& identity) {
   auto contents = std::make_shared<const ImageContents>(digests, identity);
@@ -47,7 +57,7 @@ TestImage MakeImage(std::vector<Sha256Digest> digests, const Sha256Digest& ident
 
 // Second image: some blocks repeat within it and some repeat the release
 // image's, so contents are shared across images with different identities.
-TestImage OtherImage(const TestImage& release) {
+TestImage OtherImage(const TestImage& release, const Shape& shape) {
   std::vector<Sha256Digest> digests;
   auto unique = BaseImage::CreateDistribution("other", 9, kOtherBlocks * kDiskBlockSize);
   for (uint64_t block = 0; block < kOtherBlocks; ++block) {
@@ -58,6 +68,11 @@ TestImage OtherImage(const TestImage& release) {
     } else {
       digests.push_back(unique->ReadBlockDigest(block));
     }
+  }
+  if (shape.zero_id) {
+    Sha256Digest zero_prefix = unique->ReadBlockDigest(kOtherBlocks - 1);
+    std::fill(zero_prefix.begin(), zero_prefix.begin() + 8, uint8_t{0});
+    digests[2] = zero_prefix;
   }
   Sha256Digest identity = MerkleTree::Build(digests).root();
   return MakeImage(std::move(digests), identity);
@@ -144,6 +159,7 @@ struct Coverage {
   bool skipped = false;        // a scan skipped an unchanged memory
   bool retired = false;        // a scan dropped a memory its last pass saw
   bool mixed_images = false;   // a reconcile merged both images at once
+  bool zero_id = false;        // zero pages merged with image pages of content id 0
 
   void Add(const Coverage& other) {
     wrapped |= other.wrapped;
@@ -153,6 +169,7 @@ struct Coverage {
     skipped |= other.skipped;
     retired |= other.retired;
     mixed_images |= other.mixed_images;
+    zero_id |= other.zero_id;
   }
 };
 
@@ -165,13 +182,14 @@ struct Coverage {
 // last pass saw unchanged.
 class World {
  public:
-  World() {
-    auto release = BaseImage::CreateDistribution("nymix", 7, kReleaseBlocks * kDiskBlockSize);
+  explicit World(const Shape& shape) {
+    auto release = BaseImage::CreateDistribution("nymix", shape.release_seed,
+                                                 shape.release_blocks * kDiskBlockSize);
     for (int h = 0; h < kHosts; ++h) {
       auto host = std::make_unique<Host>();
       host->release = h == 0 ? TestImage{release->block_digests(), release->contents()}
                              : MakeImage(release->block_digests(), release->contents()->identity());
-      host->other = OtherImage(host->release);
+      host->other = OtherImage(host->release, shape);
       host->obs.metrics.set_enabled(true);
       host->loop.set_observability(&host->obs);
       Host* raw = host.get();
@@ -284,6 +302,18 @@ class World {
     return out;
   }
 
+  // Notes a merge over `models` in which the zero page's content id also
+  // names image pages: more pages hold content 0 than are zero pages.
+  void NoteZeroId(const std::vector<const PageArrayMemory*>& models) {
+    std::map<uint64_t, uint64_t> histogram;
+    uint64_t zero = 0;
+    for (const PageArrayMemory* model : models) {
+      model->AddTo(histogram);
+      zero += model->zero_pages();
+    }
+    coverage_.zero_id |= zero > 0 && histogram[kZeroPageContent] > zero;
+  }
+
   static std::string Check(const char* call, const Memory& memory) {
     const GuestMemory& real = *memory.real;
     if (real.zero_pages() != memory.model.zero_pages() ||
@@ -306,6 +336,7 @@ class World {
     KsmStats real = host.ksm->ScanNow();
 
     KsmStats want = BruteForceMerge(RunningModels(host));
+    NoteZeroId(RunningModels(host));
     uint64_t want_merged = 0;
     uint64_t want_skipped = 0;
     uint64_t want_scanned = 0;
@@ -366,6 +397,7 @@ class World {
     }
     FleetKsmStats real = FleetKsmIndex::Reconcile(snapshots);
     KsmStats want = BruteForceMerge(fleet);
+    NoteZeroId(fleet);
     if (real.hosts != static_cast<uint64_t>(kHosts) || real.pages_shared != want.pages_shared ||
         real.pages_sharing != want.pages_sharing || real.local_pages_sharing != want_local) {
       std::ostringstream out;
@@ -384,8 +416,9 @@ class World {
 
 // Runs `ops` on a fresh world; returns the first failure (with the index
 // of the call that exposed it), or "".
-std::string RunOps(const std::vector<Op>& ops, size_t* failed_at, Coverage* coverage = nullptr) {
-  World world;
+std::string RunOps(const std::vector<Op>& ops, size_t* failed_at, Coverage* coverage = nullptr,
+                   const Shape& shape = {}) {
+  World world(shape);
   for (size_t i = 0; i < ops.size(); ++i) {
     std::string failure = world.Apply(ops[i]);
     if (!failure.empty()) {
@@ -470,6 +503,138 @@ TEST(KsmPropertyTest, RetirementAndUnchangedSkips) {
   };
   size_t failed_at = 0;
   EXPECT_EQ(RunOps(ops, &failed_at), "");
+}
+
+// The fleet's release image (64 MiB, 16,384 blocks, so every level of the
+// dominance index is used) with fleet-shaped memories: AnonVMs of 98,304
+// pages mapping 3,440 and CommVMs of 32,768 pages mapping 1,966, on two
+// hosts, dirtied past their zero pages into the image.
+TEST(KsmPropertyTest, FleetShapedMemoriesOnTheReleaseImage) {
+  constexpr uint64_t kAnonPages = 98'304;
+  constexpr uint64_t kCommPages = 32'768;
+  constexpr uint64_t kAnonMapped = 3'440;
+  constexpr uint64_t kCommMapped = 1'966;
+  std::vector<Op> ops = {
+      {Op::kBoot, 0, 0, kAnonPages},
+      {Op::kBoot, 0, 0, kCommPages},
+      {Op::kBoot, 1, 0, kAnonPages},
+      {Op::kBoot, 1, 0, kCommPages},
+      {Op::kBoot, 0, 0, kAnonPages},
+      {Op::kMap, 0, 0, kAnonMapped},
+      {Op::kMap, 1, 0, kCommMapped},
+      {Op::kMap, 2, 2, kAnonMapped},
+      {Op::kMap, 3, 2, kCommMapped},
+      {Op::kMap, 4, 4, kAnonMapped},
+      {Op::kScan, 0, 0, 0},
+      {Op::kScan, 1, 0, 0},
+      {Op::kReconcile, 0, 0, 0},
+      {Op::kDirty, 0, 0, kAnonPages - kAnonMapped + 1'000},
+      {Op::kDirty, 1, 0, kCommPages - kCommMapped + 1},
+      {Op::kDirty, 2, 0, kAnonPages - kAnonMapped + 2'500},
+      {Op::kDirty, 3, 0, kCommPages - kCommMapped + 1'965},
+      {Op::kDirty, 4, 0, kAnonPages - kAnonMapped + 1'000},
+      {Op::kScan, 0, 0, 0},
+      {Op::kScan, 1, 0, 0},
+      {Op::kReconcile, 0, 0, 0},
+      {Op::kScan, 0, 0, 0},
+  };
+  Coverage coverage;
+  size_t failed_at = 0;
+  EXPECT_EQ(RunOps(ops, &failed_at, &coverage, Shape{.release_seed = 42, .release_blocks = 16'384}),
+            "");
+  EXPECT_TRUE(coverage.image_dirtied);
+  EXPECT_TRUE(coverage.skipped);
+}
+
+// The second image holds content id 0 at one block, so its pages there
+// merge with every memory's zero pages, on a host and across hosts.
+TEST(KsmPropertyTest, ImageContentIdEqualToTheZeroPage) {
+  std::vector<Op> ops = {
+      {Op::kBoot, 0, 0, 97},    {Op::kMap, 0, 1, 60},    {Op::kBoot, 1, 0, 256},
+      {Op::kMap, 1, 3, 150},    {Op::kBoot, 2, 0, 40},   {Op::kMap, 2, 0, 30},
+      {Op::kScan, 0, 0, 0},     {Op::kScan, 1, 0, 0},    {Op::kReconcile, 0, 0, 0},
+      {Op::kDirty, 1, 0, 111},  {Op::kDirty, 0, 0, 40},  {Op::kScan, 0, 0, 0},
+      {Op::kScan, 1, 0, 0},     {Op::kReconcile, 0, 0, 0},
+  };
+  Coverage coverage;
+  size_t failed_at = 0;
+  EXPECT_EQ(RunOps(ops, &failed_at, &coverage, Shape{.zero_id = true}), "");
+  EXPECT_TRUE(coverage.zero_id);
+  EXPECT_TRUE(coverage.image_dirtied);
+}
+
+// The dominance index against direct counts: every (rank, block) pair on
+// a 1,000-block image with irregular ranks, and random pairs on 16,384
+// blocks. D(R, x) counts the blocks with rank < R and index < x.
+void ExpectIndexMatches(const std::vector<Sha256Digest>& digests, uint64_t random_queries) {
+  ImageContents image(digests, MerkleTree::Build(digests).root());
+  const uint64_t blocks = digests.size();
+  std::vector<uint64_t> rank_of(blocks);
+  for (uint64_t block = 0; block < blocks; ++block) {
+    auto it = std::lower_bound(image.ids().begin(), image.ids().end(),
+                               DigestPrefix64(digests[block]));
+    ASSERT_TRUE(it != image.ids().end() && *it == DigestPrefix64(digests[block]));
+    rank_of[block] = static_cast<uint64_t>(it - image.ids().begin());
+  }
+  for (uint64_t rank = 0; rank < image.ids().size(); ++rank) {
+    std::vector<uint32_t> want;
+    for (uint64_t block = 0; block < blocks; ++block) {
+      if (rank_of[block] == rank) {
+        want.push_back(static_cast<uint32_t>(block));
+      }
+    }
+    std::span<const uint32_t> got = image.BlocksAt(rank);
+    ASSERT_EQ(std::vector<uint32_t>(got.begin(), got.end()), want) << "rank " << rank;
+    bool irregular = std::binary_search(image.irregular_ranks().begin(),
+                                        image.irregular_ranks().end(), rank);
+    EXPECT_EQ(irregular, want.size() > 1) << "rank " << rank;
+  }
+  if (random_queries == 0) {
+    // below[x] = blocks with rank < R and index < x, advanced one rank at a time.
+    std::vector<uint64_t> below(blocks + 1, 0);
+    for (uint64_t rank = 0; rank <= image.ids().size(); ++rank) {
+      for (uint64_t x = 0; x <= blocks; ++x) {
+        ASSERT_EQ(image.CountDominated(rank, x), below[x]) << "R=" << rank << " x=" << x;
+      }
+      if (rank < image.ids().size()) {
+        for (uint32_t block : image.BlocksAt(rank)) {
+          for (uint64_t x = block + 1; x <= blocks; ++x) {
+            ++below[x];
+          }
+        }
+      }
+    }
+    return;
+  }
+  Prng prng(blocks);
+  for (uint64_t i = 0; i < random_queries; ++i) {
+    uint64_t rank = prng.NextBelow(image.ids().size() + 1);
+    uint64_t x = prng.NextBelow(blocks + 1);
+    uint64_t want = 0;
+    for (uint64_t block = 0; block < x; ++block) {
+      want += rank_of[block] < rank;
+    }
+    ASSERT_EQ(image.CountDominated(rank, x), want) << "R=" << rank << " x=" << x;
+  }
+}
+
+TEST(ImageIndexTest, EveryQueryOnAThousandBlocks) {
+  auto source = BaseImage::CreateDistribution("index", 1, 1'000 * kDiskBlockSize);
+  std::vector<Sha256Digest> digests = source->block_digests();
+  // Irregular ranks: runs of repeats, a block repeating a far one, and the
+  // largest and smallest contents repeated.
+  for (uint64_t block = 100; block < 110; ++block) {
+    digests[block] = digests[99];
+  }
+  digests[998] = digests[3];
+  digests[500] = digests[501];
+  ExpectIndexMatches(digests, 0);
+}
+
+TEST(ImageIndexTest, RandomQueriesOnTheReleaseImage) {
+  auto release = BaseImage::CreateDistribution("nymix", 42, 64 * kMiB);
+  ASSERT_EQ(release->block_count(), 16'384u);
+  ExpectIndexMatches(release->block_digests(), 10'000);
 }
 
 }  // namespace

@@ -1002,7 +1002,7 @@ FlowAnalysis RunFlow(const SymbolModel& model, const IdentityRegistry& registry)
         Diagnostic{issue.path, issue.line, 1, "nymflow-registry-error", issue.message});
   }
 
-  Engine engine{model, registry};
+  Engine engine{.model = model, .reg = registry, .summaries = {}, .emitted = {}};
 
   // Seed declassifier summaries from in-code annotations; registry-declared
   // declassifiers are matched directly at call sites.
