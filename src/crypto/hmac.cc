@@ -11,7 +11,8 @@ Sha256Digest HmacSha256(ByteSpan key, ByteSpan message) {
   if (key.size() > 64) {
     Sha256Digest digest = Sha256::Hash(key);
     std::memcpy(block_key, digest.data(), digest.size());
-  } else {
+  } else if (!key.empty()) {
+    // An empty span may carry a null data(), which memcpy must never see.
     std::memcpy(block_key, key.data(), key.size());
   }
 

@@ -44,6 +44,7 @@ FlowId FlowScheduler::StartFlow(const Route& route, uint64_t bytes, double overh
   RefreshMeters();
   FlowId id = next_id_++;
   Flow flow;
+  flow.id = id;
   for (Link* link : route.links) {
     // Flows fair-share inside one shard's scheduler; a cross-shard half-link
     // has no local receiving side, so routing a flow over it would silently
@@ -100,7 +101,7 @@ FlowId FlowScheduler::StartFlow(const Route& route, uint64_t bytes, double overh
     if (it->second.links.empty()) {
       it->second.rate_bytes_per_us = kUnconstrainedBytesPerUs;
     }
-    AddFlowMembership(id, it->second);
+    AddFlowMembership(it->second);
     Reschedule();
   });
   Reschedule();
@@ -118,7 +119,7 @@ bool FlowScheduler::CancelFlow(FlowId id) {
   }
   auto node = flows_.extract(it);
   if (node.mapped().started) {
-    RemoveFlowMembership(id, node.mapped());
+    RemoveFlowMembership(node.mapped());
   }
   if (MetricsRegistry* meters = loop_.meters()) {
     meters->GetCounter("net.flows_cancelled")->Increment();
@@ -161,12 +162,24 @@ void FlowScheduler::NotifyFlowTaps(FlowId id, const Flow& flow, bool completed) 
   meta.completed = completed;
   // Dedupe in id order: a route crossing the same link twice is one
   // observation, and ordered iteration keeps tap callback order a function
-  // of creation order only.
-  std::set<Link*, LinkIdLess> unique(flow.links.begin(), flow.links.end());
-  for (Link* link : unique) {
-    if (LinkTap* tap = link->tap()) {
-      tap->OnFlowEnded(*link, meta);
+  // of creation order only. Routes are a few links long, so each step picks
+  // the next larger id by a scan instead of building a sorted copy.
+  const Link* prev = nullptr;
+  for (;;) {
+    Link* next = nullptr;
+    for (Link* link : flow.links) {
+      if ((prev == nullptr || link->id() > prev->id()) &&
+          (next == nullptr || link->id() < next->id())) {
+        next = link;
+      }
     }
+    if (next == nullptr) {
+      return;
+    }
+    if (LinkTap* tap = next->tap()) {
+      tap->OnFlowEnded(*next, meta);
+    }
+    prev = next;
   }
 }
 
@@ -180,7 +193,7 @@ void FlowScheduler::FailFlow(FlowId id, Status status, const char* counter) {
   }
   auto node = flows_.extract(it);
   if (node.mapped().started) {
-    RemoveFlowMembership(id, node.mapped());
+    RemoveFlowMembership(node.mapped());
   }
   if (MetricsRegistry* meters = loop_.meters()) {
     meters->GetCounter("net.flows_failed")->Increment();
@@ -197,26 +210,41 @@ void FlowScheduler::FailFlow(FlowId id, Status status, const char* counter) {
   }
 }
 
-void FlowScheduler::AddFlowMembership(FlowId id, const Flow& flow) {
-  for (Link* link : flow.links) {
-    LinkState& state = link_states_[link];
-    state.flow_ids.insert(std::upper_bound(state.flow_ids.begin(), state.flow_ids.end(), id), id);
-    dirty_links_.insert(link);
+FlowScheduler::LinkState& FlowScheduler::StateOf(Link* link) {
+  LinkState& state = link_states_[link];
+  state.link = link;
+  return state;
+}
+
+void FlowScheduler::MarkDirty(LinkState& state) {
+  if (!state.dirty) {
+    state.dirty = true;
+    dirty_links_.push_back(&state);
   }
 }
 
-void FlowScheduler::RemoveFlowMembership(FlowId id, const Flow& flow) {
+void FlowScheduler::NoteLinkStateChanged(Link* link) { MarkDirty(StateOf(link)); }
+
+void FlowScheduler::AddFlowMembership(Flow& flow) {
+  flow.link_states.reserve(flow.links.size());
   for (Link* link : flow.links) {
-    auto it = link_states_.find(link);
-    NYMIX_CHECK_MSG(it != link_states_.end(), "flow removed from untracked link");
-    std::vector<FlowId>& ids = it->second.flow_ids;
-    auto pos = std::lower_bound(ids.begin(), ids.end(), id);
-    NYMIX_CHECK_MSG(pos != ids.end() && *pos == id, "flow missing from link membership");
-    ids.erase(pos);
-    dirty_links_.insert(link);
-    if (ids.empty()) {
-      link_states_.erase(it);
-    }
+    LinkState& state = StateOf(link);
+    auto pos = std::upper_bound(state.flows.begin(), state.flows.end(), flow.id,
+                                [](FlowId id, const Flow* other) { return id < other->id; });
+    state.flows.insert(pos, &flow);
+    MarkDirty(state);
+    flow.link_states.push_back(&state);
+  }
+}
+
+void FlowScheduler::RemoveFlowMembership(const Flow& flow) {
+  for (LinkState* state : flow.link_states) {
+    std::vector<Flow*>& flows = state->flows;
+    auto pos = std::lower_bound(flows.begin(), flows.end(), flow.id,
+                                [](const Flow* other, FlowId id) { return other->id < id; });
+    NYMIX_CHECK_MSG(pos != flows.end() && *pos == &flow, "flow missing from link membership");
+    flows.erase(pos);
+    MarkDirty(*state);
   }
 }
 
@@ -243,7 +271,7 @@ void FlowScheduler::Settle() {
   for (FlowId id : finished) {
     auto node = flows_.extract(id);
     if (node.mapped().started) {
-      RemoveFlowMembership(id, node.mapped());
+      RemoveFlowMembership(node.mapped());
     }
     if (node.mapped().has_stall_event) {
       loop_.Cancel(node.mapped().stall_event);
@@ -262,35 +290,32 @@ void FlowScheduler::Settle() {
   }
 }
 
-void FlowScheduler::Waterfill(const std::vector<FlowId>& flow_ids) {
+void FlowScheduler::Waterfill() {
   // Max-min fair allocation by progressive filling over exactly the links
-  // the given flows cross. Keyed by creation order (LinkIdLess), not
-  // pointer: the min-share scan iterates these maps, and address-ordered
-  // iteration would make float rounding — and therefore reported
-  // bandwidths — vary run to run.
-  std::map<Link*, double, LinkIdLess> capacity;    // bytes/us remaining per link
-  std::map<Link*, int, LinkIdLess> unfixed_count;  // unfixed flows per link
-  std::vector<Flow*> unfixed;
-  unfixed.reserve(flow_ids.size());
-  for (FlowId id : flow_ids) {
-    Flow& flow = flows_.at(id);
-    flow.rate_bytes_per_us = 0;
-    unfixed.push_back(&flow);
-    for (Link* link : flow.links) {
-      // A downed link contributes zero capacity: flows crossing it rate at
-      // 0 and (with a stall_timeout) eventually fail instead of hanging.
-      capacity.emplace(link,
-                       link->is_down() ? 0.0 : static_cast<double>(link->bandwidth_bps()) / 8e6);
-      ++unfixed_count[link];
+  // the component's flows cross.
+  for (LinkState* state : comp_links_) {
+    // A downed link contributes zero capacity: flows crossing it rate at
+    // 0 and (with a stall_timeout) eventually fail instead of hanging.
+    const Link* link = state->link;
+    state->capacity = link->is_down() ? 0.0 : static_cast<double>(link->bandwidth_bps()) / 8e6;
+    state->unfixed = 0;
+  }
+  unfixed_.clear();
+  for (Flow* flow : comp_flows_) {
+    flow->rate_bytes_per_us = 0;
+    unfixed_.push_back(flow);
+    for (LinkState* state : flow->link_states) {
+      ++state->unfixed;
     }
   }
 
-  while (!unfixed.empty()) {
-    // Find the most contended link's per-flow share.
+  while (!unfixed_.empty()) {
+    // Find the most contended link's per-flow share. A minimum is exact, so
+    // the order the links are scanned in cannot reach the result.
     double min_share = std::numeric_limits<double>::infinity();
-    for (const auto& [link, count] : unfixed_count) {
-      if (count > 0) {
-        min_share = std::min(min_share, capacity[link] / count);
+    for (const LinkState* state : comp_links_) {
+      if (state->unfixed > 0) {
+        min_share = std::min(min_share, state->capacity / state->unfixed);
       }
     }
     // Fix every flow bottlenecked at that share. A bottlenecked flow is
@@ -302,35 +327,37 @@ void FlowScheduler::Waterfill(const std::vector<FlowId>& flow_ids) {
     // from links it crosses, so it is bit-identical either way; it is
     // always >= min_share (min_share minimizes over a superset of links),
     // so the epsilon window and the progress guarantee are unchanged.
-    std::vector<Flow*> still_unfixed;
-    for (Flow* flow : unfixed) {
+    // Flows are fixed in ascending id, so each link's capacity is reduced
+    // in the same order the global model reduces it.
+    still_unfixed_.clear();
+    for (Flow* flow : unfixed_) {
       double own_share = std::numeric_limits<double>::infinity();
-      for (Link* link : flow->links) {
-        own_share = std::min(own_share, capacity[link] / unfixed_count[link]);
+      for (const LinkState* state : flow->link_states) {
+        own_share = std::min(own_share, state->capacity / state->unfixed);
       }
       if (own_share <= min_share + 1e-12) {
         flow->rate_bytes_per_us = own_share;
-        for (Link* link : flow->links) {
-          capacity[link] -= own_share;
-          --unfixed_count[link];
+        for (LinkState* state : flow->link_states) {
+          state->capacity -= own_share;
+          --state->unfixed;
         }
       } else {
-        still_unfixed.push_back(flow);
+        still_unfixed_.push_back(flow);
       }
     }
-    NYMIX_CHECK_MSG(still_unfixed.size() < unfixed.size(), "waterfilling did not progress");
-    unfixed = std::move(still_unfixed);
+    NYMIX_CHECK_MSG(still_unfixed_.size() < unfixed_.size(), "waterfilling did not progress");
+    unfixed_.swap(still_unfixed_);
   }
 }
 
-void FlowScheduler::UpdateStallWatches(const std::vector<FlowId>& flow_ids) {
+void FlowScheduler::UpdateStallWatches() {
   // Stall bookkeeping: a started flow rated 0 with a stall deadline either
   // arms its deadline or, if rates recovered, disarms it. Scanning only the
   // just-recomputed flows (ascending id, like a full scan would visit them)
   // is exact: a flow whose rate was not recomputed cannot transition.
   const SimTime now = loop_.now();
-  for (FlowId id : flow_ids) {
-    Flow& flow = flows_.at(id);
+  for (Flow* started : comp_flows_) {
+    Flow& flow = *started;
     if (!flow.started || flow.stall_timeout == 0) {
       continue;
     }
@@ -338,7 +365,7 @@ void FlowScheduler::UpdateStallWatches(const std::vector<FlowId>& flow_ids) {
     if (rate_zero && !flow.stalled) {
       flow.stalled = true;
       flow.stalled_since = now;
-      const FlowId flow_id = id;
+      const FlowId flow_id = flow.id;
       flow.stall_event = loop_.ScheduleAfter(flow.stall_timeout, [this, flow_id] {
         auto it = flows_.find(flow_id);
         if (it == flows_.end() || !it->second.stalled) {
@@ -395,34 +422,41 @@ void FlowScheduler::Reschedule() {
     // Closure: any flow on a dirty link, any link of such a flow, and so on.
     // Links outside the closure saw no membership or capacity change and
     // share no flow with one that did, so their flows' max-min rates are
-    // unchanged by definition of the waterfill.
-    std::set<Link*, LinkIdLess> comp_links;
-    std::set<FlowId> comp_flows;
-    std::vector<Link*> frontier;
-    for (Link* link : dirty_links_) {
+    // unchanged by definition of the waterfill. Every link and flow reached
+    // is marked with this pass's stamp; the dirty links and, after them,
+    // each newly reached flow's links are appended to comp_links_, which
+    // doubles as the search queue.
+    const uint64_t stamp = ++visit_stamp_;
+    comp_links_.clear();
+    comp_flows_.clear();
+    for (LinkState* state : dirty_links_) {
+      state->dirty = false;
       // A dirty link with no started flows (flap on an idle link, or the
       // last flow just left) constrains nobody — skip it.
-      if (link_states_.count(link) != 0 && comp_links.insert(link).second) {
-        frontier.push_back(link);
+      if (!state->flows.empty()) {
+        state->visit_stamp = stamp;
+        comp_links_.push_back(state);
       }
     }
-    while (!frontier.empty()) {
-      Link* link = frontier.back();
-      frontier.pop_back();
-      for (FlowId id : link_states_.at(link).flow_ids) {
-        if (!comp_flows.insert(id).second) {
+    for (size_t next_link = 0; next_link < comp_links_.size(); ++next_link) {
+      for (Flow* flow : comp_links_[next_link]->flows) {
+        if (flow->visit_stamp == stamp) {
           continue;
         }
-        for (Link* next : flows_.at(id).links) {
-          if (comp_links.insert(next).second) {
-            frontier.push_back(next);
+        flow->visit_stamp = stamp;
+        comp_flows_.push_back(flow);
+        for (LinkState* state : flow->link_states) {
+          if (state->visit_stamp != stamp) {
+            state->visit_stamp = stamp;
+            comp_links_.push_back(state);
           }
         }
       }
     }
-    std::vector<FlowId> ids(comp_flows.begin(), comp_flows.end());
-    Waterfill(ids);
-    UpdateStallWatches(ids);
+    std::sort(comp_flows_.begin(), comp_flows_.end(),
+              [](const Flow* a, const Flow* b) { return a->id < b->id; });
+    Waterfill();
+    UpdateStallWatches();
     ++waterfills_component_;
     if (recomputes_counter_ != nullptr) {
       recomputes_counter_->Increment();

@@ -8,7 +8,7 @@
 // cell overhead appears as a per-flow byte inflation factor.
 //
 // Rescheduling is dirty-driven (docs/performance.md): the scheduler keeps
-// per-link membership (which started flows cross each link) and a set of
+// per-link membership (which started flows cross each link) and a list of
 // links whose membership or capacity changed since the last waterfill. A
 // Reschedule with nothing dirty skips the waterfill outright; otherwise it
 // re-waterfills only the connected component(s) reachable from the dirty
@@ -19,6 +19,18 @@
 // global max-min reference lives in tests/flow_model.h; the property and
 // determinism tests compare every started flow's rate against it, bit for
 // bit, after every event (StartedFlows()).
+//
+// A component pass allocates nothing in steady state. Each link's state
+// (membership plus the waterfill's scratch: remaining capacity, unfixed
+// crossings, a visit stamp, a dirty flag) is created the first time the
+// link carries a flow or is marked dirty, and is never erased, so a started
+// flow caches pointers to its route's states, one per crossing. The closure
+// marks links and flows with one per-pass stamp instead of inserting into
+// sets, collects them into scratch vectors the scheduler reuses, and sorts
+// the flows by id. Rounding cannot depend on the order links are scanned
+// in: a round's min share and a flow's own share are exact minimums, and
+// every subtraction runs in ascending flow id, then route order, as in the
+// global model.
 //
 // Model notes (documented substitutions): transfers begin after one route
 // RTT (connection + request); TCP slow-start and congestion dynamics are
@@ -35,7 +47,6 @@
 
 #include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "src/net/link.h"
@@ -91,7 +102,7 @@ class FlowScheduler {
   // Marks `link` dirty (capacity changed: SetDown flap). Rates only move at
   // the next Reschedule, exactly as before the incremental scheduler. Wired
   // from Link::SetDown via Link::set_flow_scheduler.
-  void NoteLinkStateChanged(Link* link) { dirty_links_.insert(link); }
+  void NoteLinkStateChanged(Link* link);
 
   // Every started flow (ascending id) with its route, its exact fair-share
   // rate and its stall flag: the read-only view the tests audit against the
@@ -111,8 +122,14 @@ class FlowScheduler {
   uint64_t waterfill_skips() const { return waterfill_skips_; }
 
  private:
+  struct LinkState;
+
   struct Flow {
+    FlowId id = 0;
     std::vector<Link*> links;
+    // The state of each route link, one entry per crossing (a link crossed
+    // twice appears twice); filled when the flow starts.
+    std::vector<LinkState*> link_states;
     double remaining_bytes = 0;
     double wire_bytes_total = 0;  // initial remaining_bytes, for tap reports
     double rate_bytes_per_us = 0;
@@ -126,14 +143,24 @@ class FlowScheduler {
     SimTime stalled_since = 0;
     uint64_t stall_event = 0;
     bool has_stall_event = false;
+    uint64_t visit_stamp = 0;  // Reschedule's closure mark
     std::function<void(Result<SimTime>)> done;
   };
 
-  // Which started flows cross a link. flow_ids is kept sorted and may hold
-  // duplicates (a route may cross the same link twice — each crossing claims
-  // a capacity share, matching the waterfill's multiplicity accounting).
+  // One link's fair-share state. Created once and never erased, so flows
+  // and dirty_links_ hold pointers to it; a link nobody crosses any more
+  // just has no flows.
   struct LinkState {
-    std::vector<FlowId> flow_ids;
+    Link* link = nullptr;
+    // Started flows crossing the link, ascending id. May hold a flow twice
+    // (a route may cross the same link twice — each crossing claims a
+    // capacity share, matching the waterfill's multiplicity accounting).
+    std::vector<Flow*> flows;
+    // Waterfill scratch, set for the links of the component being filled.
+    double capacity = 0;  // bytes/us remaining
+    int unfixed = 0;      // crossings by flows not yet fixed
+    uint64_t visit_stamp = 0;
+    bool dirty = false;  // listed in dirty_links_
   };
 
   // Advances all running flows to now, completing any that finished.
@@ -148,19 +175,21 @@ class FlowScheduler {
   // Removes the flow and fires its callback with a failure Status.
   void FailFlow(FlowId id, Status status, const char* counter);
 
+  LinkState& StateOf(Link* link);
+  void MarkDirty(LinkState& state);
   // Membership bookkeeping: called when a flow becomes started / when a
   // started flow is removed. Marks the flow's links dirty (a loopback flow
   // has none).
-  void AddFlowMembership(FlowId id, const Flow& flow);
-  void RemoveFlowMembership(FlowId id, const Flow& flow);
+  void AddFlowMembership(Flow& flow);
+  void RemoveFlowMembership(const Flow& flow);
 
-  // Waterfills `flow_ids` (ascending, each with a non-empty route) over
-  // exactly the links they cross: the dirty closure Reschedule found.
-  void Waterfill(const std::vector<FlowId>& flow_ids);
-  // Stall-deadline arm/disarm for `flow_ids` (ascending). Only flows whose
-  // rate was just recomputed can transition, so restricting the scan keeps
-  // the scheduled-event sequence identical to a full scan.
-  void UpdateStallWatches(const std::vector<FlowId>& flow_ids);
+  // Waterfills comp_flows_ (ascending id, each with a non-empty route) over
+  // comp_links_, exactly the links they cross: the closure Reschedule found.
+  void Waterfill();
+  // Stall-deadline arm/disarm for comp_flows_. Only flows whose rate was
+  // just recomputed can transition, so restricting the scan keeps the
+  // scheduled-event sequence identical to a full scan.
+  void UpdateStallWatches();
   void RefreshMeters();
 
   EventLoop& loop_;
@@ -172,10 +201,18 @@ class FlowScheduler {
   Prng loss_prng_;
 
   // --- Incremental fair-share state --------------------------------------
-  // Keyed by creation order (LinkIdLess), never address: iteration reaches
-  // the waterfill's float rounding and must be reproducible run to run.
+  // Only looked up when a flow starts or a link flaps; map nodes keep every
+  // LinkState at one address for the scheduler's lifetime.
   std::map<Link*, LinkState, LinkIdLess> link_states_;
-  std::set<Link*, LinkIdLess> dirty_links_;
+  std::vector<LinkState*> dirty_links_;  // each at most once (LinkState::dirty)
+  // Per-pass scratch, reused so a component pass allocates nothing once the
+  // vectors have grown: the closure's links and flows, the pass stamp, and
+  // the waterfill's unfixed lists.
+  std::vector<LinkState*> comp_links_;
+  std::vector<Flow*> comp_flows_;
+  uint64_t visit_stamp_ = 0;
+  std::vector<Flow*> unfixed_;
+  std::vector<Flow*> still_unfixed_;
 
   uint64_t waterfills_component_ = 0;
   uint64_t waterfill_skips_ = 0;

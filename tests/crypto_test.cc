@@ -88,6 +88,12 @@ TEST(HmacTest, LongKeyIsHashedFirst) {
   EXPECT_EQ(DigestHex(tag), "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+TEST(HmacTest, EmptyKeyAndMessage) {
+  // An empty key is zero-padded to the block size like any short key.
+  auto tag = HmacSha256(Bytes(), Bytes());
+  EXPECT_EQ(DigestHex(tag), "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad");
+}
+
 TEST(HkdfTest, Rfc5869Case1) {
   Bytes ikm(22, 0x0b);
   Bytes salt = MustHex("000102030405060708090a0b0c");

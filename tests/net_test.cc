@@ -2,6 +2,7 @@
 
 #include "src/net/nat.h"
 #include "src/net/simulation.h"
+#include "tests/flow_model.h"
 
 namespace nymix {
 namespace {
@@ -209,6 +210,111 @@ TEST(FlowTest, FlowRateVisible) {
                                     /*stall_timeout=*/0, nullptr);
   sim.RunFor(Millis(50));
   EXPECT_NEAR(static_cast<double>(sim.flows().FlowRateBps(id)), 10'000'000, 200'000);
+}
+
+// Every started flow's rate equals the global max-min model's, bit for bit.
+void ExpectModelRates(const FlowScheduler& flows) {
+  const StartedFlows started = flows.StartedFlows();
+  const std::vector<double> want =
+      ReferenceRates(started, [](const Link* link) { return link->is_down(); });
+  for (size_t i = 0; i < started.size(); ++i) {
+    EXPECT_EQ(started[i].rate_bytes_per_us, want[i]) << "flow " << started[i].id;
+  }
+}
+
+double StartedRate(const FlowScheduler& flows, FlowId id) {
+  for (const FlowScheduler::StartedFlow& flow : flows.StartedFlows()) {
+    if (flow.id == id) {
+      return flow.rate_bytes_per_us;
+    }
+  }
+  ADD_FAILURE() << "flow " << id << " not started";
+  return -1;
+}
+
+TEST(FlowTest, IdleLinkFlapMakesTheNextRescheduleAComponentPass) {
+  Simulation sim(1);
+  FlowScheduler& flows = sim.flows();
+  Link* idle = sim.CreateLink("idle", Millis(1), 8'000'000);
+  Link* busy = sim.CreateLink("busy", Millis(1), 8'000'000);
+  // A flow in its setup RTT crosses no link yet: its StartFlow skips.
+  flows.StartFlow(Route::Through({busy}), 1'000'000, 1.0, /*stall_timeout=*/0, nullptr);
+  EXPECT_EQ(flows.waterfills_component(), 0u);
+  EXPECT_EQ(flows.waterfill_skips(), 1u);
+  // A link no flow has ever crossed, marked dirty: the next Reschedule runs
+  // a (flowless) component pass instead of skipping.
+  flows.NoteLinkStateChanged(idle);
+  flows.StartFlow(Route::Through({busy}), 1'000'000, 1.0, /*stall_timeout=*/0, nullptr);
+  EXPECT_EQ(flows.waterfills_component(), 1u);
+  EXPECT_EQ(flows.waterfill_skips(), 1u);
+  // The mark was consumed.
+  flows.StartFlow(Route::Through({busy}), 1'000'000, 1.0, /*stall_timeout=*/0, nullptr);
+  EXPECT_EQ(flows.waterfills_component(), 1u);
+  EXPECT_EQ(flows.waterfill_skips(), 2u);
+}
+
+TEST(FlowTest, LinkReusedAfterItsLastFlowLeftRatesAtTheModel) {
+  Simulation sim(1);
+  FlowScheduler& flows = sim.flows();
+  Link* shared = sim.CreateLink("shared", Millis(0), 16'000'000);  // 2 bytes/us
+  Link* narrow = sim.CreateLink("narrow", Millis(0), 8'000'000);   // 1 byte/us
+  bool first_done = false;
+  flows.StartFlow(Route::Through({shared}), 1'000, 1.0, /*stall_timeout=*/0,
+                  [&](Result<SimTime> t) { first_done = t.ok(); });
+  const FlowId background =
+      flows.StartFlow(Route::Through({narrow}), 100'000'000, 1.0, /*stall_timeout=*/0, nullptr);
+  sim.RunUntil([&] { return first_done; });
+  ASSERT_EQ(flows.StartedFlows().size(), 1u);
+  EXPECT_EQ(StartedRate(flows, background), 1.0);
+
+  // `shared` carries nothing now. A flap on it still costs a component pass.
+  const uint64_t component = flows.waterfills_component();
+  const uint64_t skips = flows.waterfill_skips();
+  flows.NoteLinkStateChanged(shared);
+  const FlowId late = flows.StartFlow(Route::Through({shared, narrow}), 100'000'000, 1.0,
+                                      /*stall_timeout=*/0, nullptr);
+  EXPECT_EQ(flows.waterfills_component(), component + 1);
+  EXPECT_EQ(flows.waterfill_skips(), skips);
+
+  // Crossing `shared` again, the new flow is re-rated with the background
+  // flow it meets on `narrow`: half of `narrow` each.
+  sim.RunFor(Millis(1));
+  ASSERT_EQ(flows.StartedFlows().size(), 2u);
+  ExpectModelRates(flows);
+  EXPECT_EQ(StartedRate(flows, background), 0.5);
+  EXPECT_EQ(StartedRate(flows, late), 0.5);
+}
+
+TEST(FlowTest, RouteCrossingALinkTwiceClaimsTwoShares) {
+  struct CountingTap : LinkTap {
+    void OnPacket(const Link&, const PacketMetadata&) override {}
+    void OnFlowEnded(const Link&, const FlowMetadata&) override { ++flows_ended; }
+    int flows_ended = 0;
+  };
+  Simulation sim(1);
+  FlowScheduler& flows = sim.flows();
+  Link* hairpin = sim.CreateLink("hairpin", Millis(0), 8'000'000);  // 1 byte/us
+  CountingTap tap;
+  hairpin->AttachTap(&tap);
+  const FlowId twice = flows.StartFlow(Route::Through({hairpin, hairpin}), 100'000'000, 1.0,
+                                       /*stall_timeout=*/0, nullptr);
+  sim.RunFor(Millis(1));
+  EXPECT_EQ(StartedRate(flows, twice), 0.5);
+
+  const FlowId once = flows.StartFlow(Route::Through({hairpin}), 100'000'000, 1.0,
+                                      /*stall_timeout=*/0, nullptr);
+  sim.RunFor(Millis(1));
+  ExpectModelRates(flows);
+  // Three crossings split the link: the doubled flow is held to one third
+  // and claims two of them.
+  EXPECT_DOUBLE_EQ(StartedRate(flows, twice), 1.0 / 3);
+  EXPECT_DOUBLE_EQ(StartedRate(flows, once), 1.0 / 3);
+
+  // Leaving releases both crossings, and the link's tap sees the flow once.
+  EXPECT_TRUE(flows.CancelFlow(twice));
+  EXPECT_EQ(tap.flows_ended, 1);
+  ExpectModelRates(flows);
+  EXPECT_EQ(StartedRate(flows, once), 1.0);
 }
 
 // ---------------------------------------------------------------- NAT
