@@ -1,6 +1,6 @@
 // HMAC-SHA256 (RFC 2104), HKDF (RFC 5869) and PBKDF2 (RFC 8018) built on
 // SHA-256. PBKDF2 turns nym passwords into archive keys; HKDF derives
-// subkeys (encryption key, guard seed) from a master secret.
+// subkeys from a master secret.
 #ifndef SRC_CRYPTO_HMAC_H_
 #define SRC_CRYPTO_HMAC_H_
 

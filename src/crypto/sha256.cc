@@ -79,6 +79,10 @@ void Sha256::ProcessBlock(const uint8_t* block) {
 }
 
 void Sha256::Update(ByteSpan data) {
+  // An empty span may carry a null data(), which memcpy must never see.
+  if (data.empty()) {
+    return;
+  }
   total_bytes_ += data.size();
   size_t offset = 0;
   if (buffered_ > 0) {

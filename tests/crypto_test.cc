@@ -63,6 +63,16 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Sha256Test, EmptyUpdateAfterPartialBlockIsANoOp) {
+  // An empty Bytes carries a null data(), which must not reach memcpy after
+  // a partial block.
+  Bytes data = BytesFromString("0123456789");
+  Sha256 hasher;
+  hasher.Update(data);
+  hasher.Update(Bytes());
+  EXPECT_EQ(hasher.Finish(), Sha256::Hash(data));
+}
+
 TEST(Sha256Test, DigestPrefixIsBigEndianPrefix) {
   Sha256Digest digest = Sha256::Hash("abc");
   EXPECT_EQ(DigestPrefix64(digest), 0xba7816bf8f01cfeaULL);
@@ -86,6 +96,14 @@ TEST(HmacTest, LongKeyIsHashedFirst) {
   auto tag = HmacSha256(long_key,
                         BytesFromString("Test Using Larger Than Block-Size Key - Hash Key First"));
   EXPECT_EQ(DigestHex(tag), "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(HmacTest, KeysAtTheBlockSizeEdge) {
+  // 64 bytes is used as is; 65 is hashed first.
+  EXPECT_EQ(DigestHex(HmacSha256(Bytes(64, 0x0b), BytesFromString("Hi There"))),
+            "21cd586aeca0579d99a1c938127c92525a371f807bc5ba6eb78bc825bd4f2be3");
+  EXPECT_EQ(DigestHex(HmacSha256(Bytes(65, 0x0b), BytesFromString("Hi There"))),
+            "727b82fba264393c5d67fd6d6ad783e9019a1fa6a857fccb70f5852f04be5d5d");
 }
 
 TEST(HmacTest, EmptyKeyAndMessage) {
@@ -122,6 +140,84 @@ TEST(Pbkdf2Test, Rfc7914Vector) {
             "f94185216dde0465e68b9d57c20dacbc"
             "49ca9cccf179b645991664b39d77ef31"
             "7c71b845b1e30bd509112041d3a19783");
+}
+
+// Expected values from Python's hashlib.pbkdf2_hmac("sha256", ...).
+TEST(Pbkdf2Test, KnownAnswersPastTheFirstIteration) {
+  Bytes password = BytesFromString("password");
+  Bytes salt = BytesFromString("salt");
+  EXPECT_EQ(HexEncode(Pbkdf2Sha256(password, salt, 2, 32)),
+            "ae4d0c95af6b46d32d0adff928f06dd02a303f8ef3c251dfd6e2d85a95474c43");
+  EXPECT_EQ(HexEncode(Pbkdf2Sha256(password, salt, 4096, 32)),
+            "c5e478d59288c841aa530db6845c4c8d962893a001ce4e11a4963873aa98134a");
+  EXPECT_EQ(HexEncode(Pbkdf2Sha256(BytesFromString("passwordPASSWORDpassword"),
+                                   BytesFromString("saltSALTsaltSALTsaltSALTsaltSALTsalt"), 4096,
+                                   40)),
+            "348c89dbcbd32b2f32d814b8116e84cf2b17347ebc1800181c4e2a1fb8dd53e1c635518c7dac47e9");
+  EXPECT_EQ(HexEncode(Pbkdf2Sha256(Bytes(), salt, 2048, 32)),
+            "455173ea1c11cc1a74bbfb8c2002d363459fbaaea68fe01481c402ffc9428649");
+  EXPECT_EQ(HexEncode(Pbkdf2Sha256(Bytes(65, 'k'), BytesFromString("nym-Gmail"), 2048, 64)),
+            "4d782df95ced0a805b00fec6aac3b9ecfed0046754d076b754cb7c4059d17581"
+            "ef1dd35f2c4a442d77f6af9f7af7f4ded8799fc15c04e6a97fc15e07a60ef17b");
+}
+
+// Reference HMAC straight from RFC 2104: H((K ^ opad) || H((K ^ ipad) || m)),
+// rehashing the padded key on every call.
+Sha256Digest TextbookHmac(const Bytes& key, const Bytes& message) {
+  Bytes block_key = key.size() > 64 ? DigestToBytes(Sha256::Hash(key)) : key;
+  block_key.resize(64, 0);
+  Bytes inner;
+  Bytes outer;
+  for (uint8_t byte : block_key) {
+    inner.push_back(byte ^ 0x36);
+    outer.push_back(byte ^ 0x5c);
+  }
+  inner.insert(inner.end(), message.begin(), message.end());
+  Bytes inner_digest = DigestToBytes(Sha256::Hash(inner));
+  outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+  return Sha256::Hash(outer);
+}
+
+// Reference PBKDF2 (RFC 8018 section 5.2) on TextbookHmac.
+Bytes TextbookPbkdf2(const Bytes& password, const Bytes& salt, uint32_t iterations,
+                     size_t length) {
+  Bytes output;
+  for (uint32_t block = 1; output.size() < length; ++block) {
+    Bytes u = salt;
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      u.push_back(static_cast<uint8_t>(block >> shift));
+    }
+    Bytes accum(kSha256DigestSize, 0);
+    for (uint32_t iter = 0; iter < iterations; ++iter) {
+      u = DigestToBytes(TextbookHmac(password, u));
+      for (size_t i = 0; i < accum.size(); ++i) {
+        accum[i] ^= u[i];
+      }
+    }
+    output.insert(output.end(), accum.begin(), accum.end());
+  }
+  output.resize(length);
+  return output;
+}
+
+TEST(Pbkdf2Test, MatchesTextbookReference) {
+  // Every key length at the block-size edges against every salt length
+  // 0-80; the cases cycle through iterations 1-33 and output lengths 1-97
+  // (one to four blocks, partial last blocks included).
+  Prng prng(23);
+  size_t case_index = 0;
+  for (size_t key_length : {0, 1, 63, 64, 65, 130}) {
+    for (size_t salt_length = 0; salt_length <= 80; ++salt_length, ++case_index) {
+      Bytes password = prng.NextBytes(key_length);
+      Bytes salt = prng.NextBytes(salt_length);
+      auto iterations = static_cast<uint32_t>(1 + case_index % 33);
+      size_t length = 1 + (case_index * 7) % 97;
+      ASSERT_EQ(HexEncode(Pbkdf2Sha256(password, salt, iterations, length)),
+                HexEncode(TextbookPbkdf2(password, salt, iterations, length)))
+          << "key=" << key_length << " salt=" << salt_length << " c=" << iterations
+          << " dk=" << length;
+    }
+  }
 }
 
 TEST(Pbkdf2Test, IterationsChangeOutput) {
