@@ -23,9 +23,8 @@ int main(int argc, char** argv) {
                                "BBC",   "Facebook", "Slashdot", "ESPN"};
 
   std::printf("# Figure 3: RAM usage and KSM shared pages vs number of nyms\n");
-  std::printf("# host: %u cores, %s RAM, baseline %s\n", bed.host().config().cores,
-              FormatSize(bed.host().config().ram_bytes).c_str(),
-              FormatSize(bed.host().config().baseline_bytes).c_str());
+  std::printf("# host: %u cores, %s RAM, baseline %s\n", kHostCores,
+              FormatSize(kHostRamBytes).c_str(), FormatSize(kHostBaselineBytes).c_str());
   std::printf("%-5s %-10s %12s %12s %12s %14s %14s\n", "nyms", "site", "expected(MB)",
               "used_before", "used_after", "shared_before", "shared_after");
 

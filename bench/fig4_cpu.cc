@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   stats.Attach(bed.sim());
   std::printf("# Figure 4: average Peacekeeper score vs number of nyms\n");
   std::printf("# quad-core host, virtualization overhead %.0f%%\n",
-              100 * bed.host().config().virtualization_overhead);
+              100 * kHostVirtualizationOverhead);
   std::printf("%-5s %10s %10s\n", "nyms", "actual", "expected");
 
   // N = 0: native run on the host.
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   double single = AverageScore(bed, 1);
   for (size_t n = 1; n <= 8; ++n) {
     double actual = n == 1 ? single : AverageScore(bed, n);
-    double expected = Peacekeeper::ExpectedScore(single, n, bed.host().config().cores);
+    double expected = Peacekeeper::ExpectedScore(single, n, kHostCores);
     std::printf("%-5zu %10.0f %10.0f\n", n, actual, expected);
     stats.Set("score_nyms_" + std::to_string(n), actual);
   }

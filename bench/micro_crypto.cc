@@ -1,6 +1,7 @@
 // Micro-benchmarks for the crypto substrate: the archive pipeline's
-// throughput justifies the NymManager's archive_processing_bps model
-// constant, and PBKDF2 cost shows the password-guessing barrier.
+// throughput justifies NymManager's kArchiveProcessingBps model constant
+// (src/core/nym_manager.cc), and PBKDF2 cost shows the password-guessing
+// barrier.
 #include <benchmark/benchmark.h>
 
 #include "src/crypto/aead.h"

@@ -21,7 +21,7 @@ int main() {
   Nym* nym = bed.CreateNymBlocking("speaker", options);
   auto* dissent = static_cast<DissentClient*>(nym->anonymizer());
   std::printf("joined DC-net group: member %zu of %zu, slot %zu (shuffled per round)\n",
-              *dissent->member_index(), bed.dissent().config().group_size, *dissent->slot());
+              *dissent->member_index(), kDissentGroupSize, *dissent->slot());
 
   // Buddies gate (§7): refuse to post when the anonymity set is too small.
   IntersectionObserver adversary;
@@ -47,8 +47,7 @@ int main() {
   NYMIX_CHECK(mixed.ok());
   std::printf("round output (slot payload): \"%s\"\n", StringFromBytes(*mixed).c_str());
   std::printf("round latency: %.2f s (batching interval %.2f s)\n\n",
-              ToSeconds(bed.sim().now() - start),
-              ToSeconds(bed.dissent().config().round_interval));
+              ToSeconds(bed.sim().now() - start), ToSeconds(kDissentRoundInterval));
 
   // A disruptor jams the next round; checksums catch it and the
   // seed-reveal audit names the culprit.

@@ -63,8 +63,7 @@ int main() {
   // Memory economics of running three nymboxes (Figure 3 mechanics).
   KsmStats ksm = bed.host().ksm().ScanNow();
   std::printf("host memory: used %s of %s; KSM merged %llu guest pages (saves %s)\n\n",
-              FormatSize(bed.host().UsedMemoryBytes()).c_str(),
-              FormatSize(bed.host().config().ram_bytes).c_str(),
+              FormatSize(bed.host().UsedMemoryBytes()).c_str(), FormatSize(kHostRamBytes).c_str(),
               static_cast<unsigned long long>(ksm.pages_sharing),
               FormatSize(ksm.bytes_saved()).c_str());
 

@@ -240,7 +240,7 @@ int main() {
       std::printf("t=%.1fs | nyms: %zu | host memory %s / %s | KSM saved %s\n",
                   ToSeconds(bed.sim().now()), bed.manager().nyms().size(),
                   FormatSize(bed.host().UsedMemoryBytes()).c_str(),
-                  FormatSize(bed.host().config().ram_bytes).c_str(),
+                  FormatSize(kHostRamBytes).c_str(),
                   FormatSize(bed.host().ksm().stats().bytes_saved()).c_str());
       for (Nym* nym : bed.manager().nyms()) {
         std::printf("  %-16s %-10s %-12s seq=%u\n", nym->name().c_str(),

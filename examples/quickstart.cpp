@@ -63,7 +63,7 @@ int main() {
   bed.host().ksm().ScanNow();
   std::printf("terminated: host memory %s -> %s (baseline %s); %zu nyms remain\n",
               FormatSize(used_before).c_str(), FormatSize(bed.host().UsedMemoryBytes()).c_str(),
-              FormatSize(bed.host().config().baseline_bytes).c_str(),
+              FormatSize(kHostBaselineBytes).c_str(),
               bed.manager().nyms().size());
   std::printf("\nquickstart complete at virtual t=%.1f s\n", ToSeconds(bed.sim().now()));
   return 0;

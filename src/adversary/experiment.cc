@@ -10,6 +10,22 @@
 namespace nymix {
 namespace {
 
+// Correlation window for the flow-matching attack.
+constexpr SimDuration kCorrelationWindow = Millis(500);
+// Exit-fingerprint probe: minimum shared sites for a verdict (attacks.h).
+constexpr size_t kMinCommonSites = 3;
+
+// Per-cluster Tor deployment. 4 exits x 4 sites makes a coincidental
+// full-map agreement a 1-in-256 event per pair — rare enough that the
+// clean fleet's exit advantage stays ~0 at any test scale.
+TorNetwork::Config AdversaryTorConfig() {
+  TorNetwork::Config config;
+  config.relay_count = 8;
+  config.guard_count = 2;
+  config.exit_count = 4;
+  return config;
+}
+
 // The four-site workloads. Canonical names/domains; each cluster registers
 // replicas under "h<c>-" / "h<c>." prefixes (a shard's DNS would otherwise
 // overwrite duplicate names across clusters). Distinct byte sizes per site
@@ -55,7 +71,7 @@ FleetDriver::Config DriverConfig(const AdversaryOptions& options) {
   config.passes_per_generation = options.passes_per_generation;
   config.think_label = "adversary.think";
   config.name_prefix = "adv-h";
-  config.tor = options.tor;
+  config.tor = AdversaryTorConfig();
   return config;
 }
 
@@ -232,9 +248,9 @@ AdversaryReport AdversaryExperiment::Analyze() const {
   }
 
   AdversaryReport report;
-  report.linkage = LinkNyms(records, options_.min_common_sites);
+  report.linkage = LinkNyms(records, kMinCommonSites);
   report.anonymity = IntersectLifetimes(records, exit_flows);
-  report.correlation = CorrelateFlows(entry_flows, exit_flows, options_.correlation_window);
+  report.correlation = CorrelateFlows(entry_flows, exit_flows, kCorrelationWindow);
   report.nym_instances = records.size();
   report.entry_flows = entry_flows.size();
   report.exit_flows = exit_flows.size();

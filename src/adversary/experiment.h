@@ -58,22 +58,6 @@ struct AdversaryOptions {
   int passes_per_generation = 1;
   WorkloadMix workload = WorkloadMix::kMixed;
   LeakPlant plant = LeakPlant::kNone;
-  // Correlation window for the flow-matching attack.
-  SimDuration correlation_window = Millis(500);
-  // Exit-fingerprint probe: minimum shared sites for a verdict (attacks.h).
-  size_t min_common_sites = 3;
-  // Per-cluster Tor deployment. 4 exits x 4 sites makes a coincidental
-  // full-map agreement a 1-in-256 event per pair — rare enough that the
-  // clean fleet's exit advantage stays ~0 at any test scale.
-  TorNetwork::Config tor = MakeAdversaryTorConfig();
-
-  static TorNetwork::Config MakeAdversaryTorConfig() {
-    TorNetwork::Config config;
-    config.relay_count = 8;
-    config.guard_count = 2;
-    config.exit_count = 4;
-    return config;
-  }
 };
 
 // Quantified leak metrics — what the oracles threshold and the ablation

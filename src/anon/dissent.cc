@@ -1,6 +1,18 @@
 #include "src/anon/dissent.h"
 
 namespace nymix {
+namespace {
+
+constexpr uint64_t kServerBandwidthBps = 100'000'000;
+// DH + shuffle setup after the join exchange.
+constexpr SimDuration kKeyCeremony = SecondsF(1.5);
+// Round accounting: each round carries one slot's share of the group pipe.
+constexpr uint64_t kRoundCapacityBytes =
+    kServerBandwidthBps / kDissentGroupSize / 8 *
+    static_cast<uint64_t>(ToSeconds(kDissentRoundInterval) * 1000) / 1000;
+static_assert(kRoundCapacityBytes > 0);
+
+}  // namespace
 
 void DissentServers::FrontServer::OnDatagram(const Packet& packet,
                                              const std::function<void(Packet)>& reply) {
@@ -19,15 +31,13 @@ void DissentServers::FrontServer::OnDatagram(const Packet& packet,
   });
 }
 
-DissentServers::DissentServers(Simulation& sim, Config config)
-    : sim_(sim), config_(config), front_(sim.loop()) {
-  NYMIX_CHECK(config_.group_size > 0);
+DissentServers::DissentServers(Simulation& sim) : sim_(sim), front_(sim.loop()) {
   // The group link is the DC-net's effective pipe: aggregate server
   // bandwidth divided by the member count, with round batching latency.
-  group_link_ = sim.CreateLink("dissent-group", config_.round_interval,
-                               config_.server_bandwidth_bps / config_.group_size);
+  group_link_ = sim.CreateLink("dissent-group", kDissentRoundInterval,
+                               kServerBandwidthBps / kDissentGroupSize);
   front_ip_ = sim.internet().RegisterHost("dissent.front.net", &front_, group_link_);
-  dcnet_ = std::make_unique<DcNetGroup>(config_.group_size, /*slot_bytes=*/512,
+  dcnet_ = std::make_unique<DcNetGroup>(kDissentGroupSize, /*slot_bytes=*/512,
                                         sim.prng().NextU64());
 }
 
@@ -35,7 +45,7 @@ size_t DissentServers::AssignSlot(uint64_t client_nonce) {
   ++members_joined_;
   // The verifiable shuffle's output position for this member. Mix the nonce
   // so slots look random but are reproducible.
-  return static_cast<size_t>(Mix64(client_nonce ^ members_joined_) % config_.group_size);
+  return static_cast<size_t>(Mix64(client_nonce ^ members_joined_) % kDissentGroupSize);
 }
 
 DissentClient::DissentClient(ClientAttachment attachment, DissentServers& servers, uint64_t seed)
@@ -80,7 +90,7 @@ void DissentClient::HandlePacket(const Packet& packet) {
   pending_exchange_ = 0;
   member_index_ = servers_.members_joined();  // joining order = member id
   slot_ = servers_.AssignSlot(join_nonce_);
-  attachment_.sim->loop().ScheduleAfter(servers_.config().key_ceremony, [this] {
+  attachment_.sim->loop().ScheduleAfter(kKeyCeremony, [this] {
     joined_ = true;
     if (on_joined_) {
       auto callback = std::move(on_joined_);
@@ -111,8 +121,8 @@ void DissentClient::PostAnonymousMessage(ByteSpan message,
   // One round of wall-clock latency: everyone must transmit before the
   // servers can combine.
   attachment_.sim->loop().ScheduleAfter(
-      servers_.config().round_interval, [&group, me, round, payload = std::move(payload),
-                                         done = std::move(done)] {
+      kDissentRoundInterval,
+      [&group, me, round, payload = std::move(payload), done = std::move(done)] {
         std::vector<size_t> slots = group.SlotPermutation(round);
         std::vector<Bytes> messages(group.member_count());
         messages[me] = payload;  // everyone else transmits cover traffic
@@ -144,20 +154,15 @@ void DissentClient::Fetch(const std::string& host, uint64_t request_bytes,
     links.push_back(access);
   }
   uint64_t total = request_bytes + response_bytes;
-  // Round accounting: each round carries one slot's share of the group pipe.
-  uint64_t round_capacity =
-      servers_.config().server_bandwidth_bps / servers_.config().group_size / 8 *
-      static_cast<uint64_t>(ToSeconds(servers_.config().round_interval) * 1000) / 1000;
   Ipv4Address observed = servers_.front_ip();
   attachment_.sim->flows().StartFlow(
       Route::Through(std::move(links)), total, OverheadFactor(), /*stall_timeout=*/0,
-      [rounds = rounds_used_, total, round_capacity, observed,
-       done = std::move(done)](Result<SimTime> t) {
+      [rounds = rounds_used_, total, observed, done = std::move(done)](Result<SimTime> t) {
         if (!t.ok()) {
           done(t.status());
           return;
         }
-        *rounds += round_capacity == 0 ? 1 : (total + round_capacity - 1) / round_capacity;
+        *rounds += (total + kRoundCapacityBytes - 1) / kRoundCapacityBytes;
         done(FetchReceipt{*t, observed});
       });
 }

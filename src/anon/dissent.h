@@ -20,21 +20,17 @@
 
 namespace nymix {
 
+// Clients sharing the DC-net.
+inline constexpr size_t kDissentGroupSize = 16;
+// Round batching: the group link's latency, and one round of wall-clock
+// delay per anonymous post.
+inline constexpr SimDuration kDissentRoundInterval = Millis(500);
+
+// The anytrust server set (one honest server suffices).
 class DissentServers {
  public:
-  struct Config {
-    size_t server_count = 3;  // anytrust: one honest server suffices
-    size_t group_size = 16;   // clients sharing the DC-net
-    uint64_t server_bandwidth_bps = 100'000'000;
-    SimDuration server_link_latency = Millis(20);
-    SimDuration round_interval = Millis(500);
-    SimDuration key_ceremony = SecondsF(1.5);  // DH + shuffle setup
-  };
+  explicit DissentServers(Simulation& sim);
 
-  explicit DissentServers(Simulation& sim) : DissentServers(sim, Config{}) {}
-  DissentServers(Simulation& sim, Config config);
-
-  const Config& config() const { return config_; }
   Link* group_link() const { return group_link_; }
   Ipv4Address front_ip() const { return front_ip_; }
   Simulation& sim() { return sim_; }
@@ -60,7 +56,6 @@ class DissentServers {
   };
 
   Simulation& sim_;
-  Config config_;
   FrontServer front_;
   Ipv4Address front_ip_;
   Link* group_link_;

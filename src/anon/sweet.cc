@@ -1,20 +1,29 @@
 #include "src/anon/sweet.h"
 
 namespace nymix {
+namespace {
 
-SweetTunnel::SweetTunnel(ClientAttachment attachment, uint64_t instance_id, Config config)
-    : attachment_(attachment), config_(config) {
+constexpr SimDuration kMailBatchLatency = SecondsF(1.5);  // spool polling interval
+constexpr uint64_t kMailBandwidthBps = 2'000'000;
+constexpr double kMimeOverhead = 1.37;  // base64 + headers
+constexpr SimDuration kAccountSetup = SecondsF(1.0);
+
+}  // namespace
+
+SweetTunnel::SweetTunnel(ClientAttachment attachment, uint64_t instance_id)
+    : attachment_(attachment) {
   NYMIX_CHECK(attachment_.sim != nullptr);
   mail_link_ = attachment_.sim->CreateLink("sweet-mail-" + std::to_string(instance_id),
-                                           config_.mail_batch_latency,
-                                           config_.mail_bandwidth_bps);
+                                           kMailBatchLatency, kMailBandwidthBps);
   gateway_ip_ = attachment_.sim->internet().RegisterHost(
       "mail-" + std::to_string(instance_id) + ".sweet.net", &gateway_, mail_link_);
 }
 
+double SweetTunnel::OverheadFactor() const { return kMimeOverhead; }
+
 void SweetTunnel::Start(std::function<void(Result<SimTime>)> ready) {
   auto once = OnceCallback<Result<SimTime>>(std::move(ready));
-  attachment_.sim->loop().ScheduleAfter(config_.account_setup, [this, once]() mutable {
+  attachment_.sim->loop().ScheduleAfter(kAccountSetup, [this, once]() mutable {
     ready_ = true;
     once(attachment_.sim->now());
   });
@@ -39,7 +48,7 @@ void SweetTunnel::Fetch(const std::string& host, uint64_t request_bytes, uint64_
   }
   Ipv4Address observed = gateway_ip_;
   attachment_.sim->flows().StartFlow(
-      Route::Through(std::move(links)), request_bytes + response_bytes, config_.mime_overhead,
+      Route::Through(std::move(links)), request_bytes + response_bytes, kMimeOverhead,
       /*stall_timeout=*/0, [observed, done = std::move(done)](Result<SimTime> t) {
         if (!t.ok()) {
           done(t.status());

@@ -12,16 +12,7 @@ namespace nymix {
 
 class SweetTunnel : public Anonymizer {
  public:
-  struct Config {
-    SimDuration mail_batch_latency = SecondsF(1.5);  // spool polling interval
-    uint64_t mail_bandwidth_bps = 2'000'000;
-    double mime_overhead = 1.37;  // base64 + headers
-    SimDuration account_setup = SecondsF(1.0);
-  };
-
-  SweetTunnel(ClientAttachment attachment, uint64_t instance_id)
-      : SweetTunnel(attachment, instance_id, Config{}) {}
-  SweetTunnel(ClientAttachment attachment, uint64_t instance_id, Config config);
+  SweetTunnel(ClientAttachment attachment, uint64_t instance_id);
 
   AnonymizerKind kind() const override { return AnonymizerKind::kSweet; }
   std::string_view Name() const override { return "SWEET"; }
@@ -29,7 +20,7 @@ class SweetTunnel : public Anonymizer {
   bool ready() const override { return ready_; }
   void Fetch(const std::string& host, uint64_t request_bytes, uint64_t response_bytes,
              std::function<void(Result<FetchReceipt>)> done) override;
-  double OverheadFactor() const override { return config_.mime_overhead; }
+  double OverheadFactor() const override;
   bool ProtectsNetworkIdentity() const override { return true; }
 
   Ipv4Address mail_gateway_ip() const { return gateway_ip_; }
@@ -44,7 +35,6 @@ class SweetTunnel : public Anonymizer {
   };
 
   ClientAttachment attachment_;
-  Config config_;
   MailGateway gateway_;
   Ipv4Address gateway_ip_;
   Link* mail_link_;

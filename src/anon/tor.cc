@@ -6,6 +6,44 @@
 #include "src/util/prng.h"
 
 namespace nymix {
+namespace {
+
+// The deployed relays: 100 Mbit/s access links 5 ms from the core, and
+// 30 ms of crypto processing per cell.
+constexpr uint64_t kRelayBandwidthBps = 100'000'000;
+constexpr SimDuration kRelayLinkLatency = Millis(5);
+constexpr SimDuration kRelayCryptoDelay = Millis(30);
+
+// Fresh bootstrap: network consensus + relay descriptors.
+constexpr uint64_t kConsensusBytes = 2 * kMiB;
+constexpr uint64_t kDescriptorsBytes = 6 * kMiB;
+// Warm bootstrap with cached state: differential refresh only.
+constexpr uint64_t kRefreshBytes = 256 * kKiB;
+// Client-side processing time folded into bootstrap (parse, verify).
+constexpr SimDuration kBootstrapProcessing = SecondsF(2.0);
+constexpr int kCircuitHops = 3;
+// 512-byte cells carrying 498 payload bytes, ~3% TLS/TCP framing per hop.
+constexpr double kCellOverhead = (512.0 / 498.0) * 1.03 * 1.03 * 1.03;
+// Entry-guard rotation period: "Tor normally maintains the same entry
+// relay for several months — and may increase this period further
+// [14, 20]" (§3.5). Persisted guards older than this are re-drawn.
+constexpr SimDuration kGuardLifetime = Seconds(90LL * 24 * 3600);  // ~3 months
+
+// --- Robustness (fault injection / recovery) ------------------------------
+// A circuit-build attempt that has not completed within this window is
+// failed and retried with backoff (real Tor's CircuitBuildTimeout).
+constexpr SimDuration kCircuitBuildTimeout = Seconds(10);
+// Circuit, directory and fetch retries: 500 ms, x2, 4 attempts.
+constexpr BackoffPolicy kRetry{};
+// Consecutive failed build attempts before the entry guard is marked
+// dead and the next one is derived (seeded clients re-derive from the
+// same seed, preserving the §3.5 persistence argument).
+constexpr int kGuardFailureThreshold = 2;
+// Directory and fetch flows fail after stalling this long at rate 0.
+constexpr SimDuration kDirectoryStallTimeout = Seconds(60);
+constexpr SimDuration kFetchStallTimeout = Seconds(30);
+
+}  // namespace
 
 std::string_view AnonymizerKindName(AnonymizerKind kind) {
   switch (kind) {
@@ -25,8 +63,8 @@ std::string_view AnonymizerKindName(AnonymizerKind kind) {
 
 // ------------------------------------------------------------------ relays
 
-TorRelay::TorRelay(EventLoop& loop, std::string nickname, SimDuration crypto_delay)
-    : loop_(loop), nickname_(std::move(nickname)), crypto_delay_(crypto_delay) {}
+TorRelay::TorRelay(EventLoop& loop, std::string nickname)
+    : loop_(loop), nickname_(std::move(nickname)) {}
 
 void TorRelay::OnDatagram(const Packet& packet, const std::function<void(Packet)>& reply) {
   ++cells_processed_;
@@ -54,7 +92,7 @@ void TorRelay::OnDatagram(const Packet& packet, const std::function<void(Packet)
       inner.payload = BytesFromString(inner_text);
       inner.annotation = "Tor";
       Packet request = packet;  // addressing for the eventual answer
-      loop_.ScheduleAfter(crypto_delay_, [this, inner = std::move(inner),
+      loop_.ScheduleAfter(kRelayCryptoDelay, [this, inner = std::move(inner),
                                           request = std::move(request), reply]() mutable {
         internet_->SendBetweenHosts(
             self_ip_, std::move(inner), [request, reply](Packet answer) {
@@ -82,7 +120,7 @@ void TorRelay::OnDatagram(const Packet& packet, const std::function<void(Packet)
   response.protocol = IpProtocol::kTcp;
   response.payload = BytesFromString("ACK " + text);
   response.annotation = "Tor";
-  loop_.ScheduleAfter(crypto_delay_, [reply, response = std::move(response)]() mutable {
+  loop_.ScheduleAfter(kRelayCryptoDelay, [reply, response = std::move(response)]() mutable {
     reply(std::move(response));
   });
 }
@@ -94,9 +132,8 @@ TorNetwork::TorNetwork(Simulation& sim, Config config) : sim_(sim), config_(conf
   for (size_t i = 0; i < config_.relay_count; ++i) {
     std::string nickname = "relay" + std::to_string(i);
     relays_.push_back(
-        std::make_unique<TorRelay>(sim.loop(), nickname, config_.relay_crypto_delay));
-    Link* access = sim.CreateLink("tor-" + nickname, config_.relay_link_latency,
-                                  config_.relay_bandwidth_bps);
+        std::make_unique<TorRelay>(sim.loop(), nickname));
+    Link* access = sim.CreateLink("tor-" + nickname, kRelayLinkLatency, kRelayBandwidthBps);
     Ipv4Address ip = sim.internet().RegisterHost(nickname + ".tor.net", relays_.back().get(),
                                                  access);
     relays_.back()->AttachToInternet(&sim.internet(), ip);
@@ -106,7 +143,7 @@ TorNetwork::TorNetwork(Simulation& sim, Config config) : sim_(sim), config_(conf
     info.ip = ip;
     info.is_guard = i < config_.guard_count;
     info.is_exit = i >= config_.relay_count - config_.exit_count;
-    info.bandwidth_bps = config_.relay_bandwidth_bps;
+    info.bandwidth_bps = kRelayBandwidthBps;
     infos_.push_back(info);
   }
   directory_ip_ = sim.internet().RegisterHost("dirauth.tor.net", &directory_);
@@ -175,19 +212,21 @@ bool TorNetwork::RelayUp(size_t index) const {
 // ------------------------------------------------------------------ client
 
 TorClient::TorClient(ClientAttachment attachment, TorNetwork& network, uint64_t seed,
-                     TorClientConfig config)
+                     std::optional<uint64_t> exit_pin_seed)
     : attachment_(attachment),
       network_(network),
-      config_(config),
+      exit_pin_seed_(exit_pin_seed),
       seed_(seed),
       prng_(seed),
       // Retry/jitter streams are derived statelessly from the seed so they
       // never perturb prng_'s draw sequence (guard/relay choices must stay
       // byte-compatible with fault-free runs).
-      circuit_backoff_(config.circuit_retry, Mix64(seed ^ Fnv1a64("tor.circuit.backoff"))) {
+      circuit_backoff_(kRetry, Mix64(seed ^ Fnv1a64("tor.circuit.backoff"))) {
   NYMIX_CHECK(attachment_.sim != nullptr);
   NYMIX_CHECK(attachment_.vm_uplink != nullptr);
 }
+
+double TorClient::OverheadFactor() const { return kCellOverhead; }
 
 TorClient::~TorClient() {
   // Owner teardown: a build pending at destruction must not complete — the
@@ -216,7 +255,7 @@ void TorClient::ChooseGuardIfNeeded() {
   // Rotate out a guard past its lifetime ([14, 20]); a seeded choice is
   // location-derived and therefore stable.
   if (guard_index_.has_value() && !guard_seed_.has_value() &&
-      attachment_.sim->now() - guard_chosen_at_ > config_.guard_lifetime) {
+      attachment_.sim->now() - guard_chosen_at_ > kGuardLifetime) {
     guard_index_.reset();
   }
   MetricsRegistry* meters = attachment_.sim->loop().meters();
@@ -261,21 +300,20 @@ void TorClient::DownloadDirectory(std::function<void(Status)> then) {
   SimTime started = attachment_.sim->now();
   std::weak_ptr<char> alive = alive_;
   RetryWithBackoff(
-      attachment_.sim->loop(), config_.directory_retry,
+      attachment_.sim->loop(), kRetry,
       Mix64(seed_ ^ Fnv1a64("tor.directory.backoff")), "tor.directory",
       [this, alive](std::function<void(Status)> finish) {
         if (alive.expired()) {
           return;  // client torn down; dropping finish cancels the retry run
         }
-        uint64_t bytes = has_cached_consensus_
-                             ? config_.refresh_bytes
-                             : config_.consensus_bytes + config_.descriptors_bytes;
+        uint64_t bytes =
+            has_cached_consensus_ ? kRefreshBytes : kConsensusBytes + kDescriptorsBytes;
         if (MetricsRegistry* meters = attachment_.sim->loop().meters()) {
           meters->GetCounter("anon.tor.directory_bytes")->Increment(bytes);
         }
         Route route = Route::Through(attachment_.client_links);
         attachment_.sim->flows().StartFlow(
-            route, bytes, 1.0, config_.directory_stall_timeout,
+            route, bytes, 1.0, kDirectoryStallTimeout,
             [finish = std::move(finish)](Result<SimTime> finished) {
               finish(finished.ok() ? OkStatus() : finished.status());
             });
@@ -289,7 +327,7 @@ void TorClient::DownloadDirectory(std::function<void(Status)> then) {
           return;
         }
         has_cached_consensus_ = true;
-        attachment_.sim->loop().ScheduleAfter(config_.bootstrap_processing,
+        attachment_.sim->loop().ScheduleAfter(kBootstrapProcessing,
                                               [this, alive, started, then] {
                                                 if (alive.expired()) {
                                                   return;
@@ -380,26 +418,22 @@ void TorClient::StartBuildAttempt() {
   pending_step_ = 1;
   ++build_generation_;
   const uint64_t generation = build_generation_;
-  if (config_.circuit_build_timeout > 0) {
-    timeout_event_ = attachment_.sim->loop().ScheduleAfter(
-        config_.circuit_build_timeout,
-        [this, alive = std::weak_ptr<char>(alive_), generation] {
-          if (alive.expired()) {
-            return;  // client torn down with the timeout still queued
-          }
-          if (generation != build_generation_ || pending_step_ == 0) {
-            return;  // attempt already finished or was superseded
-          }
-          has_timeout_event_ = false;
-          if (MetricsRegistry* meters = attachment_.sim->loop().meters()) {
-            meters->GetCounter("anon.tor.circuit_timeouts")->Increment();
-          }
-          OnBuildAttemptFailure(
-              DeadlineExceededError("circuit build timed out at step " +
-                                    std::to_string(pending_step_)));
-        });
-    has_timeout_event_ = true;
-  }
+  timeout_event_ = attachment_.sim->loop().ScheduleAfter(
+      kCircuitBuildTimeout, [this, alive = std::weak_ptr<char>(alive_), generation] {
+        if (alive.expired()) {
+          return;  // client torn down with the timeout still queued
+        }
+        if (generation != build_generation_ || pending_step_ == 0) {
+          return;  // attempt already finished or was superseded
+        }
+        has_timeout_event_ = false;
+        if (MetricsRegistry* meters = attachment_.sim->loop().meters()) {
+          meters->GetCounter("anon.tor.circuit_timeouts")->Increment();
+        }
+        OnBuildAttemptFailure(DeadlineExceededError("circuit build timed out at step " +
+                                                    std::to_string(pending_step_)));
+      });
+  has_timeout_event_ = true;
   SendCircuitCell(pending_step_);
 }
 
@@ -430,7 +464,7 @@ void TorClient::OnBuildAttemptFailure(Status status) {
     meters->GetCounter("anon.tor.circuit_build_failures")->Increment();
   }
   ++consecutive_guard_failures_;
-  if (consecutive_guard_failures_ >= config_.guard_failure_threshold) {
+  if (consecutive_guard_failures_ >= kGuardFailureThreshold) {
     // The common cause of repeated timeouts is a dead entry guard (every
     // cell physically goes through it); fail over before retrying.
     MarkGuardFailed();
@@ -502,7 +536,7 @@ void TorClient::HandlePacket(const Packet& packet) {
   if (pending_step_ == 0 || text.find(expect) == std::string::npos) {
     return;  // stale or unrelated cell
   }
-  if (pending_step_ < config_.circuit_hops) {
+  if (pending_step_ < kCircuitHops) {
     ++pending_step_;
     SendCircuitCell(pending_step_);
     return;
@@ -548,12 +582,12 @@ size_t TorClient::ExitIndexForDestination(const std::string& host) {
   }
   const std::vector<size_t>& pool = alive.empty() ? exits : alive;
   size_t exit;
-  if (config_.exit_pin_seed.has_value()) {
+  if (exit_pin_seed_.has_value()) {
     // Planted circuit reuse: the exit is a pure function of (pin seed,
     // destination), shared by every client carrying the same pin. No prng_
     // draw happens on this branch — the plant must not perturb any other
     // seeded decision this client makes.
-    exit = pool[Mix64(*config_.exit_pin_seed ^ Fnv1a64(host)) % pool.size()];
+    exit = pool[Mix64(*exit_pin_seed_ ^ Fnv1a64(host)) % pool.size()];
   } else {
     exit = pool[prng_.NextBelow(pool.size())];
   }
@@ -593,7 +627,7 @@ void TorClient::Fetch(const std::string& host, uint64_t request_bytes, uint64_t 
   const Ipv4Address destination = *resolved;
   std::weak_ptr<char> alive = alive_;
   RetryWithBackoff(
-      attachment_.sim->loop(), config_.fetch_retry,
+      attachment_.sim->loop(), kRetry,
       Mix64(seed_ ^ Fnv1a64("tor.fetch.backoff") ^ Fnv1a64(host)), "tor.fetch",
       [this, alive, host, destination, request_bytes, response_bytes,
        receipt](std::function<void(Status)> finish) {
@@ -604,8 +638,7 @@ void TorClient::Fetch(const std::string& host, uint64_t request_bytes, uint64_t 
         Ipv4Address exit_ip = network_.relays()[exit_index].ip;
         Route route = RouteThroughCircuit(destination, exit_index);
         attachment_.sim->flows().StartFlow(
-            route, request_bytes + response_bytes, config_.cell_overhead,
-            config_.fetch_stall_timeout,
+            route, request_bytes + response_bytes, kCellOverhead, kFetchStallTimeout,
             [this, alive, host, exit_ip, receipt,
              finish = std::move(finish)](Result<SimTime> t) {
               if (alive.expired()) {
@@ -651,7 +684,7 @@ Status TorClient::SaveState(MemFs& fs) const {
     // CommVM state (the ~15% non-AnonVM share of a nym archive, §5.3).
     NYMIX_RETURN_IF_ERROR(fs.WriteFile(
         "/var/lib/tor/cached-microdescs",
-        Blob::Synthetic(config_.consensus_bytes + config_.descriptors_bytes,
+        Blob::Synthetic(kConsensusBytes + kDescriptorsBytes,
                         Fnv1a64("cached-microdescs"), 0.55)));
   }
   return fs.WriteFile("/var/lib/tor/state", Blob::FromString(state));

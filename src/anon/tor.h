@@ -37,7 +37,7 @@ struct TorRelayInfo {
 // does not pass through OnDatagram.
 class TorRelay : public InternetHost {
  public:
-  TorRelay(EventLoop& loop, std::string nickname, SimDuration crypto_delay);
+  TorRelay(EventLoop& loop, std::string nickname);
 
   // Called by TorNetwork after registration.
   void AttachToInternet(Internet* internet, Ipv4Address self_ip) {
@@ -56,7 +56,6 @@ class TorRelay : public InternetHost {
  private:
   EventLoop& loop_;
   std::string nickname_;
-  SimDuration crypto_delay_;
   Internet* internet_ = nullptr;
   Ipv4Address self_ip_;
   uint64_t cells_processed_ = 0;
@@ -73,9 +72,6 @@ class TorNetwork {
     size_t relay_count = 12;
     size_t guard_count = 4;   // first `guard_count` relays are guards
     size_t exit_count = 4;    // last `exit_count` relays are exits
-    uint64_t relay_bandwidth_bps = 100'000'000;
-    SimDuration relay_link_latency = Millis(5);
-    SimDuration relay_crypto_delay = Millis(30);
   };
 
   explicit TorNetwork(Simulation& sim) : TorNetwork(sim, Config{}) {}
@@ -119,52 +115,17 @@ class TorNetwork {
   Ipv4Address directory_ip_;
 };
 
-struct TorClientConfig {
-  // Fresh bootstrap: network consensus + relay descriptors.
-  uint64_t consensus_bytes = 2 * kMiB;
-  uint64_t descriptors_bytes = 6 * kMiB;
-  // Warm bootstrap with cached state: differential refresh only.
-  uint64_t refresh_bytes = 256 * kKiB;
-  // Client-side processing time folded into bootstrap (parse, verify).
-  SimDuration bootstrap_processing = SecondsF(2.0);
-  int circuit_hops = 3;
-  // 512-byte cells carrying 498 payload bytes, ~3% TLS/TCP framing per hop.
-  double cell_overhead = (512.0 / 498.0) * 1.03 * 1.03 * 1.03;
-  // Entry-guard rotation period: "Tor normally maintains the same entry
-  // relay for several months — and may increase this period further
-  // [14, 20]" (§3.5). Persisted guards older than this are re-drawn.
-  SimDuration guard_lifetime = Seconds(90LL * 24 * 3600);  // ~3 months
-
-  // --- Robustness knobs (fault injection / recovery) --------------------
-  // A circuit-build attempt that has not completed within this window is
-  // failed and retried with backoff (real Tor's CircuitBuildTimeout).
-  SimDuration circuit_build_timeout = Seconds(10);
-  BackoffPolicy circuit_retry;  // defaults: 500 ms, x2, 4 attempts
-  // Consecutive failed build attempts before the entry guard is marked
-  // dead and the next one is derived (seeded clients re-derive from the
-  // same seed, preserving the §3.5 persistence argument).
-  int guard_failure_threshold = 2;
-  // Directory and fetch flows fail after stalling this long at rate 0.
-  SimDuration directory_stall_timeout = Seconds(60);
-  BackoffPolicy directory_retry;
-  SimDuration fetch_stall_timeout = Seconds(30);
-  BackoffPolicy fetch_retry;
-
-  // --- Leak-plant knob (src/adversary) ----------------------------------
-  // When set, per-destination exit selection is derived from
+class TorClient : public Anonymizer {
+ public:
+  // `exit_pin_seed` is the leak plant (src/adversary): when set,
+  // per-destination exit selection is derived from
   // Mix64(*exit_pin_seed ^ Fnv1a64(host)) instead of this client's private
   // prng stream — so every nym sharing the pin seed lands on the SAME exit
   // for the same destination, the "reused circuit" isolation failure the
-  // adversary suite must catch. Never set on the clean path; the default
-  // (nullopt) draws from prng_ exactly as before, consuming identical Prng
-  // state.
-  std::optional<uint64_t> exit_pin_seed;
-};
-
-class TorClient : public Anonymizer {
- public:
+  // adversary suite must catch. Never set on the clean path; nullopt draws
+  // from prng_ exactly as before, consuming identical Prng state.
   TorClient(ClientAttachment attachment, TorNetwork& network, uint64_t seed,
-            TorClientConfig config = TorClientConfig{});
+            std::optional<uint64_t> exit_pin_seed = std::nullopt);
   ~TorClient() override;
 
   AnonymizerKind kind() const override { return AnonymizerKind::kTor; }
@@ -173,7 +134,7 @@ class TorClient : public Anonymizer {
   bool ready() const override { return circuit_ready_; }
   void Fetch(const std::string& host, uint64_t request_bytes, uint64_t response_bytes,
              std::function<void(Result<FetchReceipt>)> done) override;
-  double OverheadFactor() const override { return config_.cell_overhead; }
+  double OverheadFactor() const override;
   bool ProtectsNetworkIdentity() const override { return true; }
   Status SaveState(MemFs& fs) const override;
   Status RestoreState(const MemFs& fs) override;
@@ -206,7 +167,7 @@ class TorClient : public Anonymizer {
   void ChooseGuardIfNeeded();
   void BuildCircuit(std::function<void(Result<SimTime>)> ready);
   // One seeded attempt of the current build; retried with backoff on
-  // timeout until the circuit_retry budget is spent.
+  // timeout until the retry budget is spent.
   void StartBuildAttempt();
   void OnBuildAttemptFailure(Status status);
   // Fails over the entry guard: mark it dead and re-derive the next one
@@ -223,7 +184,7 @@ class TorClient : public Anonymizer {
 
   ClientAttachment attachment_;
   TorNetwork& network_;
-  TorClientConfig config_;
+  std::optional<uint64_t> exit_pin_seed_;
   uint64_t seed_;
   Prng prng_;
   // Lifetime token for deferred work. The client schedules events on the

@@ -4,10 +4,36 @@ namespace nymix {
 namespace {
 
 // Cloud fetch wire sizes: a small consensus-style request, a directory-ish
-// reply. Serialization on the 50 Mbit default channel stays well under the
+// reply. Serialization on the 50 Mbit channel stays well under the
 // window period, so replies always make their promised window.
 constexpr size_t kCloudRequestBytes = 512;
 constexpr size_t kCloudReplyBytes = 4096;
+
+// Crossed-topology shape: the window period shared by the request and
+// reply send schedules, the ring channel's wire parameters, and the upper
+// bound of the per-host visit multiplier.
+constexpr SimDuration kCloudWindow = Seconds(5);
+constexpr SimDuration kCloudLatency = Millis(200);
+constexpr uint64_t kCloudBandwidthBps = 50'000'000;
+constexpr int kCloudWeightMax = 3;
+static_assert(kCloudWindow > 0 && kCloudLatency > 0 && kCloudWeightMax >= 1);
+
+constexpr SimDuration kKsmInterval = Seconds(2);
+// Virtual time at which each host snapshots its memory contents for the
+// cross-host reconcile (shard-local event, so it is exact and
+// thread-count-invariant). Mid-run: reconciling at the end would see only
+// wiped memory, since every nym terminates.
+constexpr SimDuration kKsmSnapshotTime = Seconds(30);
+
+// Per-cluster test Tor deployment; small so flow competition stays
+// host-local (the real contention is each host's uplink anyway).
+TorNetwork::Config ClusterTorConfig() {
+  TorNetwork::Config config;
+  config.relay_count = 6;
+  config.guard_count = 2;
+  config.exit_count = 2;
+  return config;
+}
 
 // Adapter so the cloud gateway/client sinks can be plain lambdas owned by
 // the fleet (PacketSink is the only wire-facing interface).
@@ -20,12 +46,7 @@ class FnPacketSink : public PacketSink {
   std::function<void(const Packet&)> fn_;
 };
 
-FleetDriver::Config DriverConfig(const FleetOptions& options, bool crossed) {
-  if (crossed) {
-    NYMIX_CHECK(options.cloud_weight_max >= 1);
-    NYMIX_CHECK(options.cloud_window > 0);
-    NYMIX_CHECK(options.cloud_latency > 0);
-  }
+FleetDriver::Config DriverConfig(const FleetOptions& options) {
   FleetDriver::Config config;
   config.nym_count = options.nym_count;
   config.nyms_per_host = options.nyms_per_host;
@@ -33,7 +54,7 @@ FleetDriver::Config DriverConfig(const FleetOptions& options, bool crossed) {
   config.passes_per_generation = options.visits_per_generation;
   config.think_label = "fleet.think";
   config.name_prefix = "c";
-  config.tor = options.tor;
+  config.tor = ClusterTorConfig();
   config.placement = options.placement;
   config.images = options.images;
   return config;
@@ -69,7 +90,7 @@ ShardedFleet::ShardedFleet(ShardedSimulation& sharded, const FleetOptions& optio
       // A crossed fleet needs a second shard to host the cloud; on a 1-shard
       // plan it degrades to the isolated workload (fleet.h documents this).
       crossed_(options.topology == FleetTopology::kCrossed && sharded.shard_count() >= 2),
-      driver_(sharded, DriverConfig(options_, crossed_), seed, *this) {
+      driver_(sharded, DriverConfig(options_), seed, *this) {
   if (!crossed_) {
     return;
   }
@@ -78,15 +99,14 @@ ShardedFleet::ShardedFleet(ShardedSimulation& sharded, const FleetOptions& optio
   // the hour, replies half a window later), which is the application
   // lookahead the executor's adaptive horizon feeds on.
   const int shards = sharded_.shard_count();
-  SendSchedule request_windows{options_.cloud_window, 0};
-  SendSchedule reply_windows{options_.cloud_window, options_.cloud_window / 2};
+  SendSchedule request_windows{kCloudWindow, 0};
+  SendSchedule reply_windows{kCloudWindow, kCloudWindow / 2};
   cloud_edges_.resize(static_cast<size_t>(shards));
   for (int s = 0; s < shards; ++s) {
     int server = (s + 1) % shards;
     CloudEdge& edge = cloud_edges_[static_cast<size_t>(s)];
-    edge.channel =
-        sharded_.CreateChannel("cloud-s" + std::to_string(s), s, server,
-                               options_.cloud_latency, options_.cloud_bandwidth_bps);
+    edge.channel = sharded_.CreateChannel("cloud-s" + std::to_string(s), s, server,
+                                          kCloudLatency, kCloudBandwidthBps);
     edge.channel->PromiseSendWindows(request_windows, reply_windows);
     // Worst case every slot on the shard has a request and a reply
     // buffered in the same epoch.
@@ -122,19 +142,19 @@ void ShardedFleet::BuildCluster(int index, FleetCluster& cluster, Simulation& si
     cluster.visit_multiplier =
         1 + static_cast<int>(Mix64(seed_ ^ Fnv1a64("fleet.hostweight") ^
                                    static_cast<uint64_t>(index)) %
-                             static_cast<uint64_t>(options_.cloud_weight_max));
+                             static_cast<uint64_t>(kCloudWeightMax));
   }
   WebsiteProfile profile;
   profile.name = "site-" + std::to_string(index);
   profile.domain = "site" + std::to_string(index) + ".example.com";
   cluster.sites.push_back(std::make_unique<Website>(sim, profile));
-  cluster.host->ksm().Start(options_.ksm_interval);
+  cluster.host->ksm().Start(kKsmInterval);
   // Snapshot this host's memory contents mid-run for the cross-host
   // reconcile. A plain scheduled event on the host's own loop:
   // shard-local, so exact virtual-time capture with no cross-thread read.
   ksm_snapshots_.emplace_back();
   HostMachine* host = cluster.host.get();
-  sim.loop().ScheduleAt(options_.ksm_snapshot_time, [this, index, host] {
+  sim.loop().ScheduleAt(kKsmSnapshotTime, [this, index, host] {
     ksm_snapshots_[static_cast<size_t>(index)] = host->ksm().Snapshot();
   });
 }

@@ -14,7 +14,7 @@
 //     slots; when a shard's last slot finishes, the shard-finished hook
 //     stops that shard's daemons (a periodic daemon would otherwise keep its
 //     loop from ever going idle). A shard-local event snapshots each host's
-//     memory contents at ksm_snapshot_time; ReconcileKsm() runs the
+//     memory contents 30 s into the run; ReconcileKsm() runs the
 //     deterministic cross-host reconcile (src/hv/ksm_fleet.h) over them in
 //     host creation order.
 //   * Crossed topology: the post-visit hook interleaves a windowed cloud
@@ -41,12 +41,12 @@ namespace nymix {
 // cloud fetch (directory/consensus-style round) whose service lives on the
 // NEXT shard, reached over a CrossShardChannel ring. Fetches depart only
 // on promised send windows (SendSchedule; one request window and one reply
-// window per cloud_window period), which is what lets the executor's
-// adaptive horizon run each shard a full half-window of dense local work
-// per epoch instead of trickling along at channel latency. Crossed fleets
-// are also heterogeneous: each host draws a seeded visit multiplier in
-// [1, cloud_weight_max], so shard load skews unless a BalancedPlacement
-// (shard_plan.h) repacks hosts by observed weight.
+// window every 5 s), which is what lets the executor's adaptive horizon run
+// each shard a full half-window of dense local work per epoch instead of
+// trickling along at channel latency. Crossed fleets are also
+// heterogeneous: each host draws a seeded visit multiplier in [1, 3], so
+// shard load skews unless a BalancedPlacement (shard_plan.h) repacks hosts
+// by observed weight.
 //
 // A crossed fleet on a 1-shard plan degrades to kIsolated (there is no
 // second shard to host the cloud), so small plans remain runnable.
@@ -59,13 +59,6 @@ struct FleetOptions {
   int nym_count = 8;
   int nyms_per_host = 8;  // §5.2: a 16 GB desktop comfortably fits 8 nymboxes
   FleetTopology topology = FleetTopology::kIsolated;
-  // Crossed-topology shape: the window period shared by the request and
-  // reply send schedules, the ring channel's wire parameters, and the
-  // upper bound of the per-host visit multiplier.
-  SimDuration cloud_window = Seconds(5);
-  SimDuration cloud_latency = Millis(200);
-  uint64_t cloud_bandwidth_bps = 50'000'000;
-  int cloud_weight_max = 3;
   // Host -> shard assignment. Empty = round-robin by creation index (the
   // historical partition). A non-empty placement must have exactly one
   // entry per host; it becomes part of the experiment definition and its
@@ -73,15 +66,6 @@ struct FleetOptions {
   ShardPlacement placement;
   int visits_per_generation = 2;
   int generations = 2;  // one churn (terminate + replace) per slot
-  SimDuration ksm_interval = Seconds(2);
-  // Virtual time at which each host snapshots its memory contents for
-  // the cross-host reconcile (shard-local event, so it is exact and
-  // thread-count-invariant). Mid-run by default: reconciling at the end
-  // would see only wiped memory, since every nym terminates.
-  SimDuration ksm_snapshot_time = Seconds(30);
-  // Per-cluster test Tor deployment; small so flow competition stays
-  // host-local (the real contention is each host's uplink anyway).
-  TorNetwork::Config tor = MakeClusterTorConfig();
 
   // Per-shard base images, which may all be one image. Used when the count
   // matches the shard plan; otherwise every shard boots the interned
@@ -89,14 +73,6 @@ struct FleetOptions {
   // so the run's event stream — and trace bytes — do not depend on which
   // caller supplied the images.
   std::vector<std::shared_ptr<const BaseImage>> images;
-
-  static TorNetwork::Config MakeClusterTorConfig() {
-    TorNetwork::Config config;
-    config.relay_count = 6;
-    config.guard_count = 2;
-    config.exit_count = 2;
-    return config;
-  }
 };
 
 class ShardedFleet : private FleetHooks {
@@ -154,7 +130,7 @@ class ShardedFleet : private FleetHooks {
   uint64_t ksm_pages_sharing() const;
 
   // Deterministic cross-host KSM reconcile over the per-host memory
-  // contents snapshotted at ksm_snapshot_time, in host creation order.
+  // contents snapshotted mid-run, in host creation order.
   FleetKsmStats ReconcileKsm() const;
 
   int host_count() const { return driver_.host_count(); }
@@ -183,7 +159,7 @@ class ShardedFleet : private FleetHooks {
   FleetOptions options_;
   uint64_t seed_ = 0;
   bool crossed_ = false;  // kCrossed effective (needs >= 2 shards)
-  // Per host, captured at ksm_snapshot_time by a shard-local event.
+  // Per host, captured mid-run by a shard-local event.
   std::vector<std::vector<MemoryContents>> ksm_snapshots_;
   std::vector<CloudEdge> cloud_edges_;  // index = client shard
   // Last: its constructor calls back into the hooks above.

@@ -53,7 +53,7 @@ FleetDriver::FleetDriver(ShardedSimulation& sharded, Config config, uint64_t see
     Simulation& sim = sharded_.shard(shard);
     auto cluster = std::make_unique<FleetCluster>();
     cluster->shard = shard;
-    cluster->host = std::make_unique<HostMachine>(sim, HostConfig{});
+    cluster->host = std::make_unique<HostMachine>(sim);
     cluster->tor = std::make_unique<TorNetwork>(sim, config_.tor);
     cluster->manager = std::make_unique<NymManager>(
         *cluster->host, images[static_cast<size_t>(shard)], cluster->tor.get(), nullptr);

@@ -6,6 +6,15 @@ namespace nymix {
 
 namespace {
 
+// Archive pipeline throughput (serialize+compress+encrypt on save, the
+// reverse on load), bytes/s.
+constexpr uint64_t kArchiveProcessingBps = 50 * kMiB;
+
+SimDuration ArchiveProcessingTime(uint64_t logical_size) {
+  return SecondsF(static_cast<double>(logical_size) /
+                  static_cast<double>(kArchiveProcessingBps));
+}
+
 // Copies every file from one MemFs into another (restore path).
 void CopyInto(const MemFs& source, MemFs& destination) {
   source.ForEachFile([&destination](const std::string& path, const Blob& blob) {
@@ -16,8 +25,8 @@ void CopyInto(const MemFs& source, MemFs& destination) {
 }  // namespace
 
 NymManager::NymManager(HostMachine& host, std::shared_ptr<const BaseImage> image, TorNetwork* tor,
-                       DissentServers* dissent, Config config)
-    : host_(host), image_(std::move(image)), tor_(tor), dissent_(dissent), config_(config) {
+                       DissentServers* dissent)
+    : host_(host), image_(std::move(image)), tor_(tor), dissent_(dissent) {
   NYMIX_CHECK(image_ != nullptr);
 }
 
@@ -70,9 +79,8 @@ std::unique_ptr<Anonymizer> NymManager::MakeAnonymizer(const CreateOptions& opti
       return std::make_unique<IncognitoVpn>(attachment);
     case AnonymizerKind::kTor: {
       NYMIX_CHECK_MSG(tor_ != nullptr, "no Tor network deployed");
-      TorClientConfig tor_config;
-      tor_config.exit_pin_seed = options.circuit_reuse_key;
-      auto client = std::make_unique<TorClient>(attachment, *tor_, seed, tor_config);
+      auto client =
+          std::make_unique<TorClient>(attachment, *tor_, seed, options.circuit_reuse_key);
       if (options.guard_seed.has_value()) {
         client->SeedGuardSelection(*options.guard_seed);
       }
@@ -395,6 +403,21 @@ Result<NymArchive> NymManager::ArchiveNym(Nym& nym, const std::string& password)
   return archive;
 }
 
+SaveReceipt NymManager::CompleteSave(Nym& nym, const NymArchive& archive, SimTime save_started) {
+  SaveReceipt save;
+  save.sequence = archive.sequence;
+  save.logical_size = archive.logical_size;
+  save.sealed_bytes = archive.sealed.size();
+  save.anonvm_fraction = NymArchiver::AnonVmFraction(nym.anon_vm_->disk().fs().writable(),
+                                                     nym.comm_vm_->disk().fs().writable());
+  save.duration = host_.sim().now() - save_started;
+  if (TraceRecorder* tracer = host_.sim().loop().tracer()) {
+    tracer->AddComplete("core", "save_nym", nym.name(), save_started, save.duration);
+  }
+  nym.save_sequence_ = archive.sequence + 1;
+  return save;
+}
+
 void NymManager::CreateCloudAccount(Nym& nym, CloudService& cloud, const std::string& account,
                                     const std::string& password,
                                     std::function<void(Status)> done) {
@@ -421,8 +444,7 @@ void NymManager::SaveNymToCloud(Nym& nym, CloudService& cloud, const std::string
     done(archive.status());
     return;
   }
-  SimDuration processing = SecondsF(static_cast<double>(archive->logical_size) /
-                                    static_cast<double>(config_.archive_processing_bps));
+  SimDuration processing = ArchiveProcessingTime(archive->logical_size);
   auto shared = std::make_shared<NymArchive>(std::move(*archive));
   host_.sim().loop().ScheduleAfter(processing, [this, &nym, &cloud, account, account_password,
                                                 archive_password, shared, t0,
@@ -457,18 +479,7 @@ void NymManager::SaveNymToCloud(Nym& nym, CloudService& cloud, const std::string
             return;
           }
           cloud.LogAccess(host_.sim().now(), receipt->observed_source, "put " + blind);
-          SaveReceipt save;
-          save.sequence = shared->sequence;
-          save.logical_size = shared->logical_size;
-          save.sealed_bytes = shared->sealed.size();
-          save.anonvm_fraction = NymArchiver::AnonVmFraction(
-              nym.anon_vm_->disk().fs().writable(), nym.comm_vm_->disk().fs().writable());
-          save.duration = host_.sim().now() - t0;
-          if (TraceRecorder* tracer = host_.sim().loop().tracer()) {
-            tracer->AddComplete("core", "save_nym", nym.name(), t0, save.duration);
-          }
-          nym.save_sequence_ = shared->sequence + 1;
-          done(save);
+          done(CompleteSave(nym, *shared, t0));
         });
   });
 }
@@ -481,8 +492,7 @@ void NymManager::SaveNymToLocal(Nym& nym, LocalStore& store, const std::string& 
     done(archive.status());
     return;
   }
-  SimDuration processing = SecondsF(static_cast<double>(archive->logical_size) /
-                                    static_cast<double>(config_.archive_processing_bps));
+  SimDuration processing = ArchiveProcessingTime(archive->logical_size);
   auto shared = std::make_shared<NymArchive>(std::move(*archive));
   host_.sim().loop().ScheduleAfter(processing, [this, &nym, &store, shared, t0,
                                                 done = std::move(done)] {
@@ -491,33 +501,14 @@ void NymManager::SaveNymToLocal(Nym& nym, LocalStore& store, const std::string& 
       done(put);
       return;
     }
-    SaveReceipt save;
-    save.sequence = shared->sequence;
-    save.logical_size = shared->logical_size;
-    save.sealed_bytes = shared->sealed.size();
-    save.anonvm_fraction = NymArchiver::AnonVmFraction(nym.anon_vm_->disk().fs().writable(),
-                                                       nym.comm_vm_->disk().fs().writable());
-    save.duration = host_.sim().now() - t0;
-    if (TraceRecorder* tracer = host_.sim().loop().tracer()) {
-      tracer->AddComplete("core", "save_nym", nym.name(), t0, save.duration);
-    }
-    nym.save_sequence_ = shared->sequence + 1;
-    done(save);
+    done(CompleteSave(nym, *shared, t0));
   });
 }
 
 void NymManager::LoadCommon(const std::string& name, const std::string& password,
-                            const CreateOptions& options, Result<NymArchive> archive,
-                            SimTime load_started, Status auth, CreateCallback done) {
-  if (!auth.ok()) {
-    done(auth, NymStartupReport{});
-    return;
-  }
-  if (!archive.ok()) {
-    done(archive.status(), NymStartupReport{});
-    return;
-  }
-  auto contents = NymArchiver::Open(archive->sealed, name, password, archive->sequence);
+                            const CreateOptions& options, const NymArchive& archive,
+                            SimTime load_started, CreateCallback done) {
+  auto contents = NymArchiver::Open(archive.sealed, name, password, archive.sequence);
   if (!contents.ok()) {
     done(contents.status(), NymStartupReport{});
     return;
@@ -530,7 +521,7 @@ void NymManager::LoadCommon(const std::string& name, const std::string& password
   RestoredState restored;
   restored.anon_writable = std::move(contents->anonvm_writable);
   restored.comm_writable = std::move(contents->commvm_writable);
-  restored.next_sequence = archive->sequence + 1;
+  restored.next_sequence = archive.sequence + 1;
   SimDuration ephemeral_phase = host_.sim().now() - load_started;
   BootNym(*wired, &restored, ephemeral_phase, std::move(done));
 }
@@ -578,9 +569,7 @@ void NymManager::LoadNymFromCloud(const std::string& name, CloudService& cloud,
                     }
                     cloud.LogAccess(host_.sim().now(), receipt->observed_source,
                                     "get " + BlindObjectName(name, archive_password));
-                    SimDuration decrypt =
-                        SecondsF(static_cast<double>(stored.logical_size) /
-                                 static_cast<double>(config_.archive_processing_bps));
+                    SimDuration decrypt = ArchiveProcessingTime(stored.logical_size);
                     host_.sim().loop().ScheduleAfter(
                         decrypt, [this, name, archive_password, options, t0, stored, loader_nym,
                                   done = std::move(done)]() mutable {
@@ -589,7 +578,7 @@ void NymManager::LoadNymFromCloud(const std::string& name, CloudService& cloud,
                           archive.sealed = stored.data;
                           archive.logical_size = stored.logical_size;
                           archive.sequence = stored.sequence;
-                          LoadCommon(name, archive_password, options, archive, t0, OkStatus(),
+                          LoadCommon(name, archive_password, options, archive, t0,
                                      std::move(done));
                         });
                   });
@@ -605,12 +594,11 @@ void NymManager::LoadNymFromLocal(const std::string& name, LocalStore& store,
     done(archive.status(), NymStartupReport{});
     return;
   }
-  SimDuration decrypt = SecondsF(static_cast<double>(archive->logical_size) /
-                                 static_cast<double>(config_.archive_processing_bps));
+  SimDuration decrypt = ArchiveProcessingTime(archive->logical_size);
   auto shared = std::make_shared<NymArchive>(std::move(*archive));
   host_.sim().loop().ScheduleAfter(decrypt, [this, name, password, options, shared, t0,
                                              done = std::move(done)]() mutable {
-    LoadCommon(name, password, options, *shared, t0, OkStatus(), std::move(done));
+    LoadCommon(name, password, options, *shared, t0, std::move(done));
   });
 }
 

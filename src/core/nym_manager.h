@@ -44,16 +44,8 @@ struct SaveReceipt {
 
 class NymManager {
  public:
-  struct Config {
-    // Archive pipeline throughput (serialize+compress+encrypt), bytes/s.
-    uint64_t archive_processing_bps = 50 * kMiB;
-  };
-
   NymManager(HostMachine& host, std::shared_ptr<const BaseImage> image, TorNetwork* tor,
-             DissentServers* dissent)
-      : NymManager(host, std::move(image), tor, dissent, Config{}) {}
-  NymManager(HostMachine& host, std::shared_ptr<const BaseImage> image, TorNetwork* tor,
-             DissentServers* dissent, Config config);
+             DissentServers* dissent);
   ~NymManager();
 
   struct CreateOptions {
@@ -64,7 +56,7 @@ class NymManager {
     // Chain composition (kChained): inner wrapped by outer.
     AnonymizerKind chain_inner = AnonymizerKind::kDissent;
     AnonymizerKind chain_outer = AnonymizerKind::kTor;
-    // Leak plant (src/adversary): forwarded to TorClientConfig::exit_pin_seed
+    // Leak plant (src/adversary): forwarded to TorClient's exit_pin_seed
     // so every nym sharing the key reuses the same exit per destination —
     // the "reused circuit" isolation failure. Never set on clean paths.
     std::optional<uint64_t> circuit_reuse_key;
@@ -163,15 +155,17 @@ class NymManager {
   std::unique_ptr<Anonymizer> MakeAnonymizer(const CreateOptions& options,
                                              const ClientAttachment& attachment);
   Result<NymArchive> ArchiveNym(Nym& nym, const std::string& password);
+  // A stored save's receipt: traces the save and advances the nym's
+  // save sequence past the archive's.
+  SaveReceipt CompleteSave(Nym& nym, const NymArchive& archive, SimTime save_started);
   void LoadCommon(const std::string& name, const std::string& password,
-                  const CreateOptions& options, Result<NymArchive> archive,
-                  SimTime load_started, Status auth, CreateCallback done);
+                  const CreateOptions& options, const NymArchive& archive,
+                  SimTime load_started, CreateCallback done);
 
   HostMachine& host_;
   std::shared_ptr<const BaseImage> image_;
   TorNetwork* tor_;
   DissentServers* dissent_;
-  Config config_;
   std::vector<std::unique_ptr<Nym>> nyms_;
   // Creation options per live nym, so RecoverNym can rebuild a crashed nym
   // exactly as it was wired (string-keyed: deterministic iteration).

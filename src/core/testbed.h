@@ -18,7 +18,7 @@ class Testbed {
  public:
   explicit Testbed(uint64_t seed = 1)
       : sim_(seed),
-        host_(sim_, HostConfig{}),
+        host_(sim_),
         tor_(sim_),
         dissent_(sim_),
         image_(BaseImage::CreateDistribution("nymix", 42, 64 * kMiB)),

@@ -56,27 +56,6 @@ Sha256Digest HmacSha256(ByteSpan key, ByteSpan message) {
   return KeyedHmac(key).Mac(message);
 }
 
-Bytes HkdfSha256(ByteSpan input_key, ByteSpan salt, ByteSpan info, size_t length) {
-  NYMIX_CHECK(length <= 255 * kSha256DigestSize);
-  Sha256Digest prk = HmacSha256(salt, input_key);
-  KeyedHmac expand(ByteSpan(prk.data(), prk.size()));
-
-  Bytes output;
-  output.reserve(length);
-  Bytes previous;
-  uint8_t counter = 1;
-  while (output.size() < length) {
-    Bytes block_input = previous;
-    block_input.insert(block_input.end(), info.begin(), info.end());
-    block_input.push_back(counter++);
-    Sha256Digest block = expand.Mac(block_input);
-    previous.assign(block.begin(), block.end());
-    size_t take = std::min(previous.size(), length - output.size());
-    output.insert(output.end(), previous.begin(), previous.begin() + take);
-  }
-  return output;
-}
-
 Bytes Pbkdf2Sha256(ByteSpan password, ByteSpan salt, uint32_t iterations, size_t length) {
   NYMIX_CHECK(iterations > 0);
   KeyedHmac prf(password);

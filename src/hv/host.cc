@@ -3,11 +3,18 @@
 #include <algorithm>
 
 namespace nymix {
+namespace {
 
-HostMachine::HostMachine(Simulation& sim, HostConfig config)
+// Host uplink shaping: "round trip latency of 80ms and ... rate limited
+// to 10 Mbit/s" (§5.2).
+constexpr SimDuration kUplinkOneWayLatency = Millis(40);
+constexpr uint64_t kUplinkBandwidthBps = 10'000'000;
+
+}  // namespace
+
+HostMachine::HostMachine(Simulation& sim)
     : sim_(sim),
-      config_(config),
-      cpu_(sim.loop(), config.cores, config.virtualization_overhead),
+      cpu_(sim.loop(), kHostCores, kHostVirtualizationOverhead),
       ksm_(sim.loop(),
            [this] {
              std::vector<const GuestMemory*> memories;
@@ -19,8 +26,7 @@ HostMachine::HostMachine(Simulation& sim, HostConfig config)
              }
              return memories;
            }),
-      uplink_(sim.CreateLink("host-uplink", config.uplink_one_way_latency,
-                             config.uplink_bandwidth_bps)),
+      uplink_(sim.CreateLink("host-uplink", kUplinkOneWayLatency, kUplinkBandwidthBps)),
       public_ip_(sim.internet().AllocatePublicIp()) {
   sim.internet().AttachUplink(uplink_);
   router_ = std::make_unique<NatGateway>("host-router", uplink_, public_ip_);
@@ -33,7 +39,7 @@ Result<VirtualMachine*> HostMachine::CreateVm(VmConfig config,
   // host RAM ("the host allocates disk and RAM from its own stash of RAM,
   // thus limiting the maximum number of nyms", §5.2).
   uint64_t needed = config.ram_bytes + config.disk_capacity;
-  if (ReservedMemoryBytes() + needed > config_.ram_bytes) {
+  if (ReservedMemoryBytes() + needed > kHostRamBytes) {
     return ResourceExhaustedError("host RAM exhausted creating " + config.name);
   }
   vms_.push_back(
@@ -69,7 +75,7 @@ std::vector<VirtualMachine*> HostMachine::vms() const {
 }
 
 uint64_t HostMachine::ReservedMemoryBytes() const {
-  uint64_t total = config_.baseline_bytes;
+  uint64_t total = kHostBaselineBytes;
   for (const auto& vm : vms_) {
     if (vm->state() == VmState::kStopped) {
       continue;
@@ -80,7 +86,7 @@ uint64_t HostMachine::ReservedMemoryBytes() const {
 }
 
 uint64_t HostMachine::AllocatedMemoryBytes() const {
-  uint64_t total = config_.baseline_bytes;
+  uint64_t total = kHostBaselineBytes;
   for (const auto& vm : vms_) {
     if (vm->state() == VmState::kStopped) {
       continue;
@@ -99,7 +105,7 @@ uint64_t HostMachine::UsedMemoryBytes() const {
 
 uint64_t HostMachine::FreeMemoryBytes() const {
   uint64_t used = UsedMemoryBytes();
-  return used >= config_.ram_bytes ? 0 : config_.ram_bytes - used;
+  return used >= kHostRamBytes ? 0 : kHostRamBytes - used;
 }
 
 Link* HostMachine::CreateVmUplink(const std::string& name) {

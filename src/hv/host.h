@@ -16,24 +16,17 @@
 
 namespace nymix {
 
-struct HostConfig {
-  // The evaluation desktop: "Intel I7 quad core ... 16 GB of RAM" (§5.2).
-  uint64_t ram_bytes = 16 * kGiB;
-  uint32_t cores = 4;
-  double virtualization_overhead = 0.20;
-  // Hypervisor + host desktop working set before any nym exists.
-  uint64_t baseline_bytes = 1100 * kMiB;
-  // Host uplink shaping: "round trip latency of 80ms and ... rate limited
-  // to 10 Mbit/s" (§5.2).
-  SimDuration uplink_one_way_latency = Millis(40);
-  uint64_t uplink_bandwidth_bps = 10'000'000;
-};
+// The evaluation desktop: "Intel I7 quad core ... 16 GB of RAM" (§5.2).
+inline constexpr uint64_t kHostRamBytes = 16 * kGiB;
+inline constexpr uint32_t kHostCores = 4;
+inline constexpr double kHostVirtualizationOverhead = 0.20;
+// Hypervisor + host desktop working set before any nym exists.
+inline constexpr uint64_t kHostBaselineBytes = 1100 * kMiB;
 
 class HostMachine {
  public:
-  HostMachine(Simulation& sim, HostConfig config);
+  explicit HostMachine(Simulation& sim);
 
-  const HostConfig& config() const { return config_; }
   Simulation& sim() { return sim_; }
   CpuScheduler& cpu() { return cpu_; }
   KsmDaemon& ksm() { return ksm_; }
@@ -80,7 +73,6 @@ class HostMachine {
 
  private:
   Simulation& sim_;
-  HostConfig config_;
   CpuScheduler cpu_;
   KsmDaemon ksm_;
   std::vector<std::unique_ptr<VirtualMachine>> vms_;

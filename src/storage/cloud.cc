@@ -1,11 +1,15 @@
 #include "src/storage/cloud.h"
 
 namespace nymix {
+namespace {
 
-CloudService::CloudService(Simulation& sim, const std::string& domain, Config config)
-    : domain_(domain), config_(config) {
-  access_link_ = sim.CreateLink("cloud-" + domain, config_.access_latency,
-                                config_.access_bandwidth_bps);
+constexpr uint64_t kAccessBandwidthBps = 100'000'000;
+constexpr SimDuration kAccessLatency = Millis(15);
+
+}  // namespace
+
+CloudService::CloudService(Simulation& sim, const std::string& domain) : domain_(domain) {
+  access_link_ = sim.CreateLink("cloud-" + domain, kAccessLatency, kAccessBandwidthBps);
   ip_ = sim.internet().RegisterHost(domain, this, access_link_);
 }
 
@@ -39,7 +43,7 @@ Status CloudService::Put(const std::string& user, const std::string& object,
       usage += existing.logical_size;
     }
   }
-  if (usage + stored.logical_size > config_.free_quota_bytes) {
+  if (usage + stored.logical_size > kCloudFreeQuotaBytes) {
     return ResourceExhaustedError("free-tier quota exceeded for " + user);
   }
   it->second.objects[object] = std::move(stored);

@@ -27,19 +27,13 @@ struct CloudAccessLogEntry {
   std::string action;           // "login", "put nym1", ...
 };
 
+// Free-tier quota per account ("free-to-use cloud storage options, such
+// as DropBox or Google Drive", §3.5). Counted in logical bytes.
+inline constexpr uint64_t kCloudFreeQuotaBytes = 2 * kGiB;
+
 class CloudService : public InternetHost {
  public:
-  struct Config {
-    uint64_t access_bandwidth_bps = 100'000'000;
-    SimDuration access_latency = Millis(15);
-    // Free-tier quota per account ("free-to-use cloud storage options,
-    // such as DropBox or Google Drive", §3.5). Counted in logical bytes.
-    uint64_t free_quota_bytes = 2 * kGiB;
-  };
-
-  CloudService(Simulation& sim, const std::string& domain)
-      : CloudService(sim, domain, Config{}) {}
-  CloudService(Simulation& sim, const std::string& domain, Config config);
+  CloudService(Simulation& sim, const std::string& domain);
 
   const std::string& domain() const { return domain_; }
   Ipv4Address ip() const { return ip_; }
@@ -70,7 +64,6 @@ class CloudService : public InternetHost {
   };
 
   std::string domain_;
-  Config config_;
   Link* access_link_;
   Ipv4Address ip_;
   std::map<std::string, Account> accounts_;

@@ -53,8 +53,7 @@ uint64_t SyntheticEstimate(const MemFs& fs) {
 Result<NymArchive> NymArchiver::Seal(const MemFs& anonvm_writable, const MemFs& commvm_writable,
                                      std::string_view nym_name, std::string_view password,
                                      uint32_t sequence) {
-  Bytes plaintext;
-  plaintext.insert(plaintext.end(), {'N', 'A', 'R', 'C'});
+  Bytes plaintext = {'N', 'A', 'R', 'C'};
   AppendLengthPrefixed(plaintext, SerializeMemFs(anonvm_writable));
   AppendLengthPrefixed(plaintext, SerializeMemFs(commvm_writable));
 

@@ -13,8 +13,7 @@ constexpr uint8_t kKindSynthetic = 1;
 }  // namespace
 
 Bytes SerializeMemFs(const MemFs& fs) {
-  Bytes out;
-  out.insert(out.end(), kMagic, kMagic + 4);
+  Bytes out(kMagic, kMagic + 4);
   AppendU32(out, static_cast<uint32_t>(fs.FileCount()));
   fs.ForEachFile([&out](const std::string& path, const Blob& blob) {
     AppendLengthPrefixed(out, BytesFromString(path));

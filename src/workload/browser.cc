@@ -7,6 +7,18 @@ namespace nymix {
 
 namespace {
 
+constexpr std::string_view kCacheDir = "/home/user/.cache/chromium";
+constexpr std::string_view kProfileDir = "/home/user/.config/chromium";
+// Parse/layout/paint after the fetch completes.
+constexpr SimDuration kRenderTime = Millis(900);
+
+std::string InDir(std::string_view dir, std::string_view leaf) {
+  std::string path(dir);
+  path += '/';
+  path += leaf;
+  return path;
+}
+
 // Parses "key value" lines into a map.
 std::map<std::string, std::string> ParseKvFile(const VmDisk& disk, const std::string& path) {
   std::map<std::string, std::string> out;
@@ -42,19 +54,15 @@ std::string RenderKvFile(const std::map<std::string, std::string>& entries) {
 }  // namespace
 
 BrowserModel::BrowserModel(Simulation& sim, VirtualMachine* anon_vm, Anonymizer* anonymizer,
-                           uint64_t seed, Config config)
-    : sim_(sim),
-      anon_vm_(anon_vm),
-      anonymizer_(anonymizer),
-      config_(std::move(config)),
-      prng_(seed) {
+                           uint64_t seed)
+    : sim_(sim), anon_vm_(anon_vm), anonymizer_(anonymizer), prng_(seed) {
   NYMIX_CHECK(anon_vm_ != nullptr);
   NYMIX_CHECK(anonymizer_ != nullptr);
   // A browser over a restored (quasi-persistent) disk picks its state back
   // up from the profile directory.
-  cookies_ = ParseKvFile(anon_vm_->disk(), config_.profile_dir + "/cookies");
-  credentials_ = ParseKvFile(anon_vm_->disk(), config_.profile_dir + "/logins");
-  auto entries = anon_vm_->disk().fs().List(config_.cache_dir);
+  cookies_ = ParseKvFile(anon_vm_->disk(), InDir(kProfileDir, "cookies"));
+  credentials_ = ParseKvFile(anon_vm_->disk(), InDir(kProfileDir, "logins"));
+  auto entries = anon_vm_->disk().fs().List(kCacheDir);
   if (entries.ok()) {
     for (const auto& entry : *entries) {
       if (entry.name.rfind("f_", 0) == 0) {
@@ -77,7 +85,7 @@ std::string BrowserModel::CookieFor(const std::string& domain) {
   std::string cookie = HexEncode(prng_.NextBytes(8));
   cookies_[domain] = cookie;
   NYMIX_CHECK(anon_vm_->disk()
-                  .WriteFile(config_.profile_dir + "/cookies",
+                  .WriteFile(InDir(kProfileDir, "cookies"),
                              Blob::FromString(RenderKvFile(cookies_)))
                   .ok());
   return cookie;
@@ -88,42 +96,42 @@ void BrowserModel::ImportCookies(const std::map<std::string, std::string>& cooki
     cookies_[domain] = value;
   }
   NYMIX_CHECK(anon_vm_->disk()
-                  .WriteFile(config_.profile_dir + "/cookies",
+                  .WriteFile(InDir(kProfileDir, "cookies"),
                              Blob::FromString(RenderKvFile(cookies_)))
                   .ok());
 }
 
 Status BrowserModel::ClearCookies() {
   cookies_.clear();
-  if (anon_vm_->disk().fs().Exists(config_.profile_dir + "/cookies")) {
-    return anon_vm_->disk().fs().Unlink(config_.profile_dir + "/cookies");
+  if (anon_vm_->disk().fs().Exists(InDir(kProfileDir, "cookies"))) {
+    return anon_vm_->disk().fs().Unlink(InDir(kProfileDir, "cookies"));
   }
   return OkStatus();
 }
 
 namespace {
 
-std::string LsoPath(const BrowserModel::Config& config, const std::string& domain) {
-  return config.profile_dir + "/flash_lso/" + domain;
+std::string LsoPath(const std::string& domain) {
+  return InDir(kProfileDir, "flash_lso/" + domain);
 }
 
-std::string CacheStainPath(const BrowserModel::Config& config, const std::string& domain) {
+std::string CacheStainPath(const std::string& domain) {
   // Hides among cache entries with a name the eviction scan skips.
-  return config.cache_dir + "/ec_" + domain;
+  return InDir(kCacheDir, "ec_" + domain);
 }
 
 }  // namespace
 
 bool BrowserModel::HasEvercookie(const std::string& domain) const {
-  return anon_vm_->disk().fs().Exists(LsoPath(config_, domain)) ||
-         anon_vm_->disk().fs().Exists(CacheStainPath(config_, domain));
+  return anon_vm_->disk().fs().Exists(LsoPath(domain)) ||
+         anon_vm_->disk().fs().Exists(CacheStainPath(domain));
 }
 
 std::string BrowserModel::PlantOrReadEvercookie(const std::string& domain) {
   // Read whichever copy survived; a missing copy is silently repaired —
   // the essence of the evercookie.
   std::string value;
-  for (const std::string& path : {LsoPath(config_, domain), CacheStainPath(config_, domain)}) {
+  for (const std::string& path : {LsoPath(domain), CacheStainPath(domain)}) {
     auto blob = anon_vm_->disk().fs().ReadFile(path);
     if (blob.ok() && !blob->is_synthetic()) {
       value = StringFromBytes(blob->Materialize());
@@ -133,7 +141,7 @@ std::string BrowserModel::PlantOrReadEvercookie(const std::string& domain) {
   if (value.empty()) {
     value = HexEncode(prng_.NextBytes(8));
   }
-  for (const std::string& path : {LsoPath(config_, domain), CacheStainPath(config_, domain)}) {
+  for (const std::string& path : {LsoPath(domain), CacheStainPath(domain)}) {
     NYMIX_CHECK(anon_vm_->disk().WriteFile(path, Blob::FromString(value)).ok());
   }
   return value;
@@ -152,7 +160,7 @@ Result<std::string> BrowserModel::StoredAccount(const std::string& domain) const
 }
 
 uint64_t BrowserModel::CacheBytes() const {
-  auto entries = anon_vm_->disk().fs().List(config_.cache_dir);
+  auto entries = anon_vm_->disk().fs().List(kCacheDir);
   if (!entries.ok()) {
     return 0;
   }
@@ -164,13 +172,13 @@ uint64_t BrowserModel::CacheBytes() const {
 }
 
 size_t BrowserModel::CacheEntryCount() const {
-  auto entries = anon_vm_->disk().fs().List(config_.cache_dir);
+  auto entries = anon_vm_->disk().fs().List(kCacheDir);
   return entries.ok() ? entries->size() : 0;
 }
 
 std::vector<std::string> BrowserModel::History() const {
   std::vector<std::string> out;
-  auto blob = anon_vm_->disk().fs().ReadFile(config_.profile_dir + "/history");
+  auto blob = anon_vm_->disk().fs().ReadFile(InDir(kProfileDir, "history"));
   if (!blob.ok()) {
     return out;
   }
@@ -191,12 +199,12 @@ std::vector<std::string> BrowserModel::History() const {
 
 Status BrowserModel::AppendHistory(const std::string& domain) {
   std::string text;
-  auto blob = anon_vm_->disk().fs().ReadFile(config_.profile_dir + "/history");
+  auto blob = anon_vm_->disk().fs().ReadFile(InDir(kProfileDir, "history"));
   if (blob.ok()) {
     text = StringFromBytes(blob->Materialize());
   }
   text += domain + "\n";
-  return anon_vm_->disk().WriteFile(config_.profile_dir + "/history", Blob::FromString(text));
+  return anon_vm_->disk().WriteFile(InDir(kProfileDir, "history"), Blob::FromString(text));
 }
 
 void BrowserModel::WriteCacheEntry(const WebsiteProfile& profile, uint64_t bytes) {
@@ -207,29 +215,29 @@ void BrowserModel::WriteCacheEntry(const WebsiteProfile& profile, uint64_t bytes
   std::snprintf(name, sizeof(name), "f_%08llu", static_cast<unsigned long long>(next_cache_file_));
   ++next_cache_file_;
   Status status = anon_vm_->disk().WriteFile(
-      config_.cache_dir + "/" + name,
+      InDir(kCacheDir, name),
       Blob::Synthetic(bytes, prng_.NextU64(), profile.cache_entropy));
   if (!status.ok()) {
     // Disk full: evict and retry once; give up silently if still full
     // (the browser drops cache entries, it does not crash).
     EvictCacheIfNeeded();
     (void)anon_vm_->disk().WriteFile(
-        config_.cache_dir + "/" + name,
+        InDir(kCacheDir, name),
         Blob::Synthetic(bytes, prng_.NextU64(), profile.cache_entropy));
   }
   EvictCacheIfNeeded();
 }
 
 void BrowserModel::EvictCacheIfNeeded() {
-  while (CacheBytes() > config_.cache_capacity) {
-    auto entries = anon_vm_->disk().fs().List(config_.cache_dir);
+  while (CacheBytes() > kBrowserCacheCapacity) {
+    auto entries = anon_vm_->disk().fs().List(kCacheDir);
     if (!entries.ok() || entries->empty()) {
       return;
     }
     // Entries sort lexicographically; the zero-padded names make the first
     // entry the oldest (LRU by insertion).
     const std::string oldest = (*entries)[0].name;
-    if (!anon_vm_->disk().fs().Unlink(config_.cache_dir + "/" + oldest).ok()) {
+    if (!anon_vm_->disk().fs().Unlink(InDir(kCacheDir, oldest)).ok()) {
       return;
     }
   }
@@ -280,7 +288,7 @@ void BrowserModel::Visit(Website& site, std::function<void(Result<SimTime>)> don
           }
           anon_vm_->memory().DirtyPages(profile.memory_dirty_bytes / kPageSize);
           sim_.loop().ScheduleAfter(
-              config_.render_time,
+              kRenderTime,
               [this, alive = std::weak_ptr<char>(alive_), profile, visit_start,
                fetch_done = std::move(fetch_done)] {
                 if (alive.expired()) {
@@ -333,7 +341,7 @@ void BrowserModel::Login(Website& site, const std::string& account, const std::s
     return;
   }
   credentials_[profile.domain] = account;
-  Status status = anon_vm_->disk().WriteFile(config_.profile_dir + "/logins",
+  Status status = anon_vm_->disk().WriteFile(InDir(kProfileDir, "logins"),
                                              Blob::FromString(RenderKvFile(credentials_)));
   if (!status.ok()) {
     done(status);

@@ -18,19 +18,13 @@
 
 namespace nymix {
 
+// Chromium's default disk-cache cap (§5.3); LRU eviction keeps the cache
+// at or below it.
+inline constexpr uint64_t kBrowserCacheCapacity = 83 * kMiB;
+
 class BrowserModel {
  public:
-  struct Config {
-    uint64_t cache_capacity = 83 * kMiB;  // Chromium default (§5.3)
-    std::string cache_dir = "/home/user/.cache/chromium";
-    std::string profile_dir = "/home/user/.config/chromium";
-    SimDuration render_time = Millis(900);  // parse/layout/paint after fetch
-  };
-
-  BrowserModel(Simulation& sim, VirtualMachine* anon_vm, Anonymizer* anonymizer, uint64_t seed)
-      : BrowserModel(sim, anon_vm, anonymizer, seed, Config{}) {}
-  BrowserModel(Simulation& sim, VirtualMachine* anon_vm, Anonymizer* anonymizer, uint64_t seed,
-               Config config);
+  BrowserModel(Simulation& sim, VirtualMachine* anon_vm, Anonymizer* anonymizer, uint64_t seed);
 
   // Routes name resolution through the CommVM's DNS proxy (§4.1). Without
   // one, resolution is folded into the anonymizer's Fetch.
@@ -87,7 +81,6 @@ class BrowserModel {
   VirtualMachine* anon_vm_;
   Anonymizer* anonymizer_;
   DnsProxy* dns_ = nullptr;
-  Config config_;
   Prng prng_;
   std::map<std::string, std::string> cookies_;      // domain -> cookie id
   std::map<std::string, std::string> credentials_;  // domain -> account

@@ -320,7 +320,7 @@ TEST(DissentTest, JoinAssignsSlotAndFetchWorks) {
   harness.sim.loop().RunUntilIdle();
   EXPECT_TRUE(client.ready());
   ASSERT_TRUE(client.slot().has_value());
-  EXPECT_LT(*client.slot(), servers.config().group_size);
+  EXPECT_LT(*client.slot(), kDissentGroupSize);
   EXPECT_EQ(servers.members_joined(), 1u);
   EXPECT_GT(ToSeconds(joined_at), 1.0);  // key ceremony dominates
 
@@ -361,7 +361,7 @@ TEST(DissentTest, PostAnonymousMessageThroughRealRound) {
   // The message came back out of a genuinely-combined DC-net round.
   EXPECT_EQ(StringFromBytes(*mixed), "meet at the square");
   // One round of batching latency was paid.
-  EXPECT_GE(harness.sim.now() - start, servers.config().round_interval);
+  EXPECT_GE(harness.sim.now() - start, kDissentRoundInterval);
   // Oversized messages are rejected before transmission.
   bool rejected = false;
   client.PostAnonymousMessage(Bytes(4096, 0), [&](Result<Bytes> r) {

@@ -11,7 +11,7 @@ namespace {
 struct CoreRig {
   explicit CoreRig(uint64_t seed = 1)
       : sim(seed),
-        host(sim, HostConfig{}),
+        host(sim),
         tor(sim),
         dissent(sim),
         image(BaseImage::CreateDistribution("nymix", 42, 64 * kMiB)),
@@ -130,14 +130,14 @@ TEST(NymManagerTest, TerminateWipesEverything) {
   Nym* nym = rig.CreateNymOrDie("throwaway");
   ASSERT_TRUE(rig.VisitAndWait(nym, rig.sites.ByName("BBC")).ok());
   uint64_t used_with_nym = rig.host.UsedMemoryBytes();
-  EXPECT_GT(used_with_nym, rig.host.config().baseline_bytes + 400 * kMiB);
+  EXPECT_GT(used_with_nym, kHostBaselineBytes + 400 * kMiB);
 
   ASSERT_TRUE(rig.manager.TerminateNym(nym).ok());
   EXPECT_EQ(rig.manager.nyms().size(), 0u);
   EXPECT_EQ(rig.host.vm_count(), 0u);
   rig.host.ksm().ScanNow();
   // All nym memory returned: amnesia.
-  EXPECT_EQ(rig.host.UsedMemoryBytes(), rig.host.config().baseline_bytes);
+  EXPECT_EQ(rig.host.UsedMemoryBytes(), kHostBaselineBytes);
   EXPECT_FALSE(rig.manager.TerminateNym(nym).ok());
 }
 
@@ -397,6 +397,52 @@ TEST(NymManagerTest, LocalSaveRestoreAndForensics) {
   // No ephemeral download nym needed for local loads.
   EXPECT_LT(ToSeconds(report.ephemeral_nym), 2.0);
   EXPECT_TRUE((*restored)->browser()->HasCookieFor("bbc.co.uk"));
+}
+
+TEST(NymManagerTest, LocalSaveSequenceAndLoadFailures) {
+  CoreRig rig;
+  LocalStore usb("usb-3");
+  auto save = [&](Nym* nym) {
+    Result<SaveReceipt> receipt = InternalError("pending");
+    bool done = false;
+    rig.manager.SaveNymToLocal(*nym, usb, "pw", [&](Result<SaveReceipt> r) {
+      receipt = std::move(r);
+      done = true;
+    });
+    rig.sim.RunUntil([&] { return done; });
+    return receipt;
+  };
+  auto load = [&](const std::string& password) {
+    Result<Nym*> loaded = InternalError("pending");
+    bool done = false;
+    rig.manager.LoadNymFromLocal("local-nym", usb, password, {},
+                                 [&](Result<Nym*> nym, NymStartupReport) {
+                                   loaded = std::move(nym);
+                                   done = true;
+                                 });
+    rig.sim.RunUntil([&] { return done; });
+    return loaded;
+  };
+
+  Nym* nym = rig.CreateNymOrDie("local-nym");
+  Result<SaveReceipt> first = save(nym);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->sequence, 0u);
+  Result<SaveReceipt> second = save(nym);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->sequence, 1u);
+
+  // A live nym of the same name blocks the load.
+  EXPECT_EQ(load("pw").status().code(), StatusCode::kAlreadyExists);
+  ASSERT_TRUE(rig.manager.TerminateNym(nym).ok());
+
+  // A wrong password fails to open the archive and wires nothing.
+  EXPECT_EQ(load("wrong").status().code(), StatusCode::kUnauthenticated);
+  EXPECT_EQ(rig.manager.FindNym("local-nym"), nullptr);
+
+  Result<Nym*> restored = load("pw");
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ((*restored)->save_sequence(), 2u);
 }
 
 TEST(NymManagerTest, GuardSeedMakesLoaderUseSameGuard) {

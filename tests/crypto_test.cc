@@ -112,27 +112,6 @@ TEST(HmacTest, EmptyKeyAndMessage) {
   EXPECT_EQ(DigestHex(tag), "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad");
 }
 
-TEST(HkdfTest, Rfc5869Case1) {
-  Bytes ikm(22, 0x0b);
-  Bytes salt = MustHex("000102030405060708090a0b0c");
-  Bytes info = MustHex("f0f1f2f3f4f5f6f7f8f9");
-  Bytes okm = HkdfSha256(ikm, salt, info, 42);
-  EXPECT_EQ(HexEncode(okm),
-            "3cb25f25faacd57a90434f64d0362f2a"
-            "2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
-            "34007208d5b887185865");
-}
-
-TEST(HkdfTest, LengthsAndDeterminism) {
-  Bytes ikm = BytesFromString("master");
-  EXPECT_EQ(HkdfSha256(ikm, {}, {}, 1).size(), 1u);
-  EXPECT_EQ(HkdfSha256(ikm, {}, {}, 64).size(), 64u);
-  EXPECT_EQ(HkdfSha256(ikm, {}, BytesFromString("a"), 32),
-            HkdfSha256(ikm, {}, BytesFromString("a"), 32));
-  EXPECT_NE(HkdfSha256(ikm, {}, BytesFromString("a"), 32),
-            HkdfSha256(ikm, {}, BytesFromString("b"), 32));
-}
-
 TEST(Pbkdf2Test, Rfc7914Vector) {
   Bytes dk = Pbkdf2Sha256(BytesFromString("passwd"), BytesFromString("salt"), 1, 64);
   EXPECT_EQ(HexEncode(dk),

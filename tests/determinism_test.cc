@@ -202,7 +202,7 @@ std::string RunFleetScenario(uint64_t seed, FlowAuditor* audit = nullptr) {
   tor_config.guard_count = 2;
   tor_config.exit_count = 2;
   for (size_t c = 0; c < clusters.size(); ++c) {
-    clusters[c].host = std::make_unique<HostMachine>(sim, HostConfig{});
+    clusters[c].host = std::make_unique<HostMachine>(sim);
     clusters[c].tor = std::make_unique<TorNetwork>(sim, tor_config);
     clusters[c].manager =
         std::make_unique<NymManager>(*clusters[c].host, image, clusters[c].tor.get(), nullptr);

@@ -49,7 +49,7 @@ TEST(ExperimentShapeTest, PeacekeeperActualBeatsExpectedPastCoreCount) {
     avg += score;
   }
   avg /= 6;
-  double expected = Peacekeeper::ExpectedScore(single, 6, bed.host().config().cores);
+  double expected = Peacekeeper::ExpectedScore(single, 6, kHostCores);
   EXPECT_GT(avg, expected * 1.01);
   EXPECT_LT(avg, single);
 }

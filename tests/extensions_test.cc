@@ -135,7 +135,7 @@ TEST(RemanenceTest, ConventionalShutdownLeavesResidue) {
   // hypervisors do) leaves the guest's dirty pages scannable — the Dunn
   // et al. remanence the paper cites.
   Simulation sim(6);
-  HostMachine host(sim, HostConfig{});
+  HostMachine host(sim);
   auto image = BaseImage::CreateDistribution("nymix", 42, 64 * kMiB);
   auto vm = host.CreateVm(VmConfig::AnonVm("leaky"), image, nullptr);
   ASSERT_TRUE(vm.ok());
@@ -317,14 +317,14 @@ TEST(LifecycleFuzzTest, RandomOperationSequencesKeepInvariants) {
       // Invariants after every step.
       ASSERT_EQ(bed.manager().nyms().size(), live.size());
       ASSERT_EQ(bed.host().vm_count(), 2 * live.size());
-      ASSERT_LE(bed.host().UsedMemoryBytes(), bed.host().config().ram_bytes);
+      ASSERT_LE(bed.host().UsedMemoryBytes(), kHostRamBytes);
     }
     // Drain and verify full cleanup.
     for (Nym* nym : live) {
       ASSERT_TRUE(bed.manager().TerminateNym(nym).ok());
     }
     bed.host().ksm().ScanNow();
-    EXPECT_EQ(bed.host().UsedMemoryBytes(), bed.host().config().baseline_bytes);
+    EXPECT_EQ(bed.host().UsedMemoryBytes(), kHostBaselineBytes);
     EXPECT_EQ(bed.host().ColdBootScanBytes(), 0u);
   }
 }

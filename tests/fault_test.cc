@@ -540,7 +540,7 @@ TEST(TorFaultTest, DeadGuardTimesOutThenFailsOver) {
 
   ASSERT_TRUE(ready.ok()) << ready.status().ToString();
   EXPECT_TRUE(client.ready());
-  // Two timed-out attempts hit the guard_failure_threshold, the dead guard
+  // Two timed-out attempts hit the guard-failure threshold, the dead guard
   // was marked failed, and the re-derived guard finished the build.
   ASSERT_TRUE(client.entry_guard_index().has_value());
   EXPECT_NE(*client.entry_guard_index(), 0u);
@@ -567,12 +567,10 @@ TEST(TorFaultTest, GuardFailoverIsDeterministic) {
 }
 
 TEST(TorFaultTest, AllGuardsDeadAbandonsWithStatus) {
+  // Stock settings: a 10 s build timeout, retried after 500 ms x2 backoff,
+  // 4 attempts in all.
   TorFaultHarness harness;
-  TorClientConfig config;
-  config.circuit_build_timeout = Seconds(2);
-  config.circuit_retry.initial_delay = Millis(200);
-  config.circuit_retry.max_attempts = 4;
-  TorClient client(harness.Attachment(), harness.network, /*seed=*/7, config);
+  TorClient client(harness.Attachment(), harness.network, /*seed=*/7);
   harness.AttachGuest(&client);
   for (size_t g : harness.network.GuardIndices()) {
     harness.network.CrashRelay(g);

@@ -335,7 +335,7 @@ TEST(VmTest, HomogeneousFingerprint) {
 
 TEST(HostTest, CreateAndDestroyVms) {
   Simulation sim(1);
-  HostMachine host(sim, HostConfig{});
+  HostMachine host(sim);
   auto image = TestImage();
   auto vm = host.CreateVm(VmConfig::AnonVm("anon-1"), image, nullptr);
   ASSERT_TRUE(vm.ok());
@@ -348,21 +348,25 @@ TEST(HostTest, CreateAndDestroyVms) {
 
 TEST(HostTest, AdmissionControlOnRam) {
   Simulation sim(1);
-  HostConfig config;
-  config.ram_bytes = 2 * kGiB;
-  HostMachine host(sim, config);
+  HostMachine host(sim);
   auto image = TestImage();
-  // Baseline 1.1 GiB + 512 MiB fits; the second one does not.
-  ASSERT_TRUE(host.CreateVm(VmConfig::AnonVm("a"), image, nullptr).ok());
-  auto second = host.CreateVm(VmConfig::AnonVm("b"), image, nullptr);
-  EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
+  // Each AnonVM reserves 384 MiB RAM + 128 MiB disk. Over the 1100 MiB
+  // baseline, the 16 GiB host fits 29 of them; the 30th does not.
+  for (int i = 0; i < 29; ++i) {
+    ASSERT_TRUE(host.CreateVm(VmConfig::AnonVm("a" + std::to_string(i)), image, nullptr).ok())
+        << i;
+  }
+  EXPECT_EQ(host.ReservedMemoryBytes(), kHostBaselineBytes + 29 * 512 * kMiB);
+  auto last = host.CreateVm(VmConfig::AnonVm("a29"), image, nullptr);
+  EXPECT_EQ(last.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(host.vm_count(), 29u);
 }
 
 TEST(HostTest, MemoryAccountingWithKsm) {
   Simulation sim(1);
-  HostMachine host(sim, HostConfig{});
+  HostMachine host(sim);
   auto image = TestImage();
-  EXPECT_EQ(host.UsedMemoryBytes(), host.config().baseline_bytes);
+  EXPECT_EQ(host.UsedMemoryBytes(), kHostBaselineBytes);
   auto a = host.CreateVm(VmConfig::AnonVm("a"), image, nullptr);
   auto b = host.CreateVm(VmConfig::AnonVm("b"), image, nullptr);
   ASSERT_TRUE(a.ok() && b.ok());
@@ -370,7 +374,7 @@ TEST(HostTest, MemoryAccountingWithKsm) {
   (*b)->Boot(nullptr);
   sim.loop().RunUntilIdle();
   uint64_t before_ksm = host.UsedMemoryBytes();
-  EXPECT_EQ(before_ksm, host.config().baseline_bytes + 2 * 384 * kMiB);
+  EXPECT_EQ(before_ksm, kHostBaselineBytes + 2 * 384 * kMiB);
   host.ksm().ScanNow();
   uint64_t after_ksm = host.UsedMemoryBytes();
   EXPECT_LT(after_ksm, before_ksm);
@@ -378,12 +382,12 @@ TEST(HostTest, MemoryAccountingWithKsm) {
   // Writable-disk bytes count against host RAM.
   ASSERT_TRUE((*a)->disk().WriteFile("/cache/item", Blob::Synthetic(10 * kMiB, 1)).ok());
   EXPECT_EQ(host.AllocatedMemoryBytes(),
-            host.config().baseline_bytes + 2 * 384 * kMiB + 10 * kMiB);
+            kHostBaselineBytes + 2 * 384 * kMiB + 10 * kMiB);
 }
 
 TEST(HostTest, DhcpVisibleOnUplinkCapture) {
   Simulation sim(1);
-  HostMachine host(sim, HostConfig{});
+  HostMachine host(sim);
   PacketCapture capture;
   host.uplink()->AttachCapture(&capture);
   host.EmitDhcp();
@@ -394,7 +398,7 @@ TEST(HostTest, DhcpVisibleOnUplinkCapture) {
 
 TEST(HostTest, VmUplinksRouteThroughHostNat) {
   Simulation sim(1);
-  HostMachine host(sim, HostConfig{});
+  HostMachine host(sim);
   PacketCapture capture;
   host.uplink()->AttachCapture(&capture);
   Link* vm_uplink = host.CreateVmUplink("comm-1-uplink");

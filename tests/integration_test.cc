@@ -202,7 +202,7 @@ TEST(LifecycleTest, EightConcurrentNymsBrowseAndTearDownClean) {
     ASSERT_TRUE(bed.manager().TerminateNym(nym).ok());
   }
   bed.host().ksm().ScanNow();
-  EXPECT_EQ(bed.host().UsedMemoryBytes(), bed.host().config().baseline_bytes);
+  EXPECT_EQ(bed.host().UsedMemoryBytes(), kHostBaselineBytes);
 }
 
 TEST(LifecycleTest, SaveWhileSecondNymBrowsesDoesNotInterfere) {

@@ -42,22 +42,22 @@ TEST(CloudTest, ObjectStorage) {
 
 TEST(CloudTest, FreeTierQuotaEnforced) {
   Simulation sim(1);
-  CloudService::Config config;
-  config.free_quota_bytes = 10 * kMiB;
-  CloudService cloud(sim, "drop.example.com", config);
+  CloudService cloud(sim, "drop.example.com");
   ASSERT_TRUE(cloud.CreateAccount("user", "pw").ok());
 
+  // Quota counts logical bytes, so the objects need not hold any data.
   StoredObject big;
-  big.logical_size = 6 * kMiB;
+  big.logical_size = 1536 * kMiB;
   ASSERT_TRUE(cloud.Put("user", "nym-a", big).ok());
-  EXPECT_EQ(*cloud.UsageBytes("user"), 6 * kMiB);
-  // A second 6 MiB object would exceed the 10 MiB free tier.
+  EXPECT_EQ(*cloud.UsageBytes("user"), 1536 * kMiB);
+  // A second 1.5 GiB object would exceed the 2 GiB free tier.
+  ASSERT_EQ(kCloudFreeQuotaBytes, 2 * kGiB);
   EXPECT_EQ(cloud.Put("user", "nym-b", big).code(), StatusCode::kResourceExhausted);
   // Overwriting replaces, it doesn't add.
   StoredObject bigger;
-  bigger.logical_size = 9 * kMiB;
+  bigger.logical_size = 1946 * kMiB;  // ~1.9 GiB
   EXPECT_TRUE(cloud.Put("user", "nym-a", bigger).ok());
-  EXPECT_EQ(*cloud.UsageBytes("user"), 9 * kMiB);
+  EXPECT_EQ(*cloud.UsageBytes("user"), 1946 * kMiB);
   // Deleting frees quota.
   ASSERT_TRUE(cloud.Delete("user", "nym-a").ok());
   EXPECT_TRUE(cloud.Put("user", "nym-b", big).ok());
