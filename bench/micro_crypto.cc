@@ -1,7 +1,7 @@
 // Micro-benchmarks for the crypto substrate: the archive pipeline's
 // throughput justifies NymManager's kArchiveProcessingBps model constant
-// (src/core/nym_manager.cc), and PBKDF2 cost shows the password-guessing
-// barrier.
+// (src/core/nym_manager.cc), PBKDF2 cost shows the password-guessing
+// barrier, and batched SHA-256 plus Merkle builds the base-image cost.
 #include <benchmark/benchmark.h>
 
 #include "src/crypto/aead.h"
@@ -26,6 +26,23 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(1024)->Arg(64 * 1024)->Arg(1024 * 1024);
+
+void BM_Sha256Each(benchmark::State& state) {
+  // 16384 records, the release image's block count, of the three lengths
+  // the image build hashes: 16-byte block records, 33-byte Merkle leaves
+  // and 65-byte interior nodes. items/s reads as messages/s.
+  constexpr size_t kCount = 16384;
+  size_t length = static_cast<size_t>(state.range(0));
+  Bytes messages = TestData(kCount * length);
+  std::vector<Sha256Digest> out(kCount);
+  for (auto _ : state) {
+    Sha256::HashEach(messages, length, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kCount);
+}
+BENCHMARK(BM_Sha256Each)->Arg(16)->Arg(33)->Arg(65);
 
 void BM_ChaCha20(benchmark::State& state) {
   Bytes data = TestData(static_cast<size_t>(state.range(0)));

@@ -143,7 +143,6 @@ TorNetwork::TorNetwork(Simulation& sim, Config config) : sim_(sim), config_(conf
     info.ip = ip;
     info.is_guard = i < config_.guard_count;
     info.is_exit = i >= config_.relay_count - config_.exit_count;
-    info.bandwidth_bps = kRelayBandwidthBps;
     infos_.push_back(info);
   }
   directory_ip_ = sim.internet().RegisterHost("dirauth.tor.net", &directory_);

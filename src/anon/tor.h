@@ -25,7 +25,6 @@ struct TorRelayInfo {
   Ipv4Address ip;
   bool is_guard = false;
   bool is_exit = false;
-  uint64_t bandwidth_bps = 100'000'000;
 };
 
 // A relay answers circuit-building cells after a small crypto-processing
@@ -77,7 +76,6 @@ class TorNetwork {
   explicit TorNetwork(Simulation& sim) : TorNetwork(sim, Config{}) {}
   TorNetwork(Simulation& sim, Config config);
 
-  const Config& config() const { return config_; }
   const std::vector<TorRelayInfo>& relays() const { return infos_; }
   std::vector<size_t> GuardIndices() const;
   std::vector<size_t> ExitIndices() const;

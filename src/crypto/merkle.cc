@@ -1,5 +1,7 @@
 #include "src/crypto/merkle.h"
 
+#include <cstring>
+
 namespace nymix {
 
 Sha256Digest MerkleTree::HashLeaf(const Sha256Digest& block_digest) {
@@ -27,22 +29,33 @@ MerkleTree MerkleTree::Build(const std::vector<Sha256Digest>& block_digests) {
     return tree;
   }
 
-  std::vector<Sha256Digest> level;
-  level.reserve(block_digests.size());
-  for (const auto& digest : block_digests) {
-    level.push_back(HashLeaf(digest));
+  // Each level is one HashEach over its records laid end to end, the same
+  // bytes HashLeaf and HashInterior hash one at a time.
+  constexpr size_t kLeafRecord = 1 + kSha256DigestSize;
+  constexpr size_t kInteriorRecord = 1 + 2 * kSha256DigestSize;
+  Bytes records(block_digests.size() * kLeafRecord);
+  for (size_t i = 0; i < block_digests.size(); ++i) {
+    uint8_t* record = records.data() + i * kLeafRecord;
+    record[0] = 0x00;
+    std::memcpy(record + 1, block_digests[i].data(), kSha256DigestSize);
   }
-  tree.levels_.push_back(level);
+  std::vector<Sha256Digest> level(block_digests.size());
+  Sha256::HashEach(records, kLeafRecord, level);
+  tree.levels_.push_back(std::move(level));
 
   while (tree.levels_.back().size() > 1) {
     const auto& below = tree.levels_.back();
-    std::vector<Sha256Digest> above;
-    above.reserve((below.size() + 1) / 2);
-    for (size_t i = 0; i < below.size(); i += 2) {
-      const Sha256Digest& left = below[i];
-      const Sha256Digest& right = (i + 1 < below.size()) ? below[i + 1] : below[i];
-      above.push_back(HashInterior(left, right));
+    std::vector<Sha256Digest> above((below.size() + 1) / 2);
+    records.resize(above.size() * kInteriorRecord);
+    for (size_t i = 0; i < above.size(); ++i) {
+      const Sha256Digest& left = below[2 * i];
+      const Sha256Digest& right = (2 * i + 1 < below.size()) ? below[2 * i + 1] : left;
+      uint8_t* record = records.data() + i * kInteriorRecord;
+      record[0] = 0x01;
+      std::memcpy(record + 1, left.data(), kSha256DigestSize);
+      std::memcpy(record + 1 + kSha256DigestSize, right.data(), kSha256DigestSize);
     }
+    Sha256::HashEach(records, kInteriorRecord, above);
     tree.levels_.push_back(std::move(above));
   }
   tree.root_ = tree.levels_.back()[0];

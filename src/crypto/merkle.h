@@ -1,7 +1,9 @@
 // Merkle hash tree over fixed-size blocks (§3.4 future work, implemented):
 // Nymix verifies every block loaded from the read-only host OS partition
 // against a well-known root and shuts the nym down on any mismatch, so a
-// tampered USB image cannot silently stain all future AnonVMs.
+// tampered USB image cannot silently stain all future AnonVMs. Building
+// the tree hashes each level as one batch (Sha256::HashEach); proving and
+// verifying one leaf stay on the one-message path.
 #ifndef SRC_CRYPTO_MERKLE_H_
 #define SRC_CRYPTO_MERKLE_H_
 
@@ -33,6 +35,9 @@ class MerkleTree {
 
   const Sha256Digest& root() const { return root_; }
   uint64_t leaf_count() const { return leaf_count_; }
+  // levels()[0] = leaf hashes, levels().back() = {root}; empty when there
+  // are no leaves.
+  const std::vector<std::vector<Sha256Digest>>& levels() const { return levels_; }
 
   Result<MerkleProof> ProveLeaf(uint64_t leaf_index) const;
 
@@ -47,7 +52,6 @@ class MerkleTree {
 
  private:
   uint64_t leaf_count_ = 0;
-  // levels_[0] = leaf hashes, levels_.back() = {root}.
   std::vector<std::vector<Sha256Digest>> levels_;
   Sha256Digest root_ = {};
 };

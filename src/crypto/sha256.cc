@@ -1,6 +1,9 @@
 #include "src/crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "src/util/check.h"
 
 namespace nymix {
 
@@ -19,45 +22,43 @@ constexpr uint32_t kRoundConstants[64] = {
     0xc67178f2,
 };
 
-uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
+constexpr uint32_t kInitialState[8] = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+};
 
-}  // namespace
-
-Sha256::Sha256() {
-  state_[0] = 0x6a09e667;
-  state_[1] = 0xbb67ae85;
-  state_[2] = 0x3c6ef372;
-  state_[3] = 0xa54ff53a;
-  state_[4] = 0x510e527f;
-  state_[5] = 0x9b05688c;
-  state_[6] = 0x1f83d9ab;
-  state_[7] = 0x5be0cd19;
+uint32_t LoadBigEndian32(const uint8_t* bytes) {
+  return (static_cast<uint32_t>(bytes[0]) << 24) | (static_cast<uint32_t>(bytes[1]) << 16) |
+         (static_cast<uint32_t>(bytes[2]) << 8) | static_cast<uint32_t>(bytes[3]);
 }
 
-void Sha256::ProcessBlock(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
-           (static_cast<uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<uint32_t>(block[4 * i + 3]);
-  }
+// The message schedule and 64 rounds of FIPS 180-4 section 6.2.2 on `Word`:
+// uint32_t for the streaming hasher, or a vector whose lanes hash
+// independent messages. On entry w[0..15] holds the block's words.
+// Always inlined, so each build of the lane kernel compiles it for its own
+// instruction set. The rotations are written out because a helper
+// returning a 256-bit vector changes the ABI without AVX (-Wpsabi): no
+// vector value may cross a call.
+template <typename Word>
+[[gnu::always_inline]] inline void Compress(Word* state, Word* w) {
   for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+    Word x = w[i - 15];
+    Word y = w[i - 2];
+    Word s0 = ((x >> 7) | (x << 25)) ^ ((x >> 18) | (x << 14)) ^ (x >> 3);
+    Word s1 = ((y >> 17) | (y << 15)) ^ ((y >> 19) | (y << 13)) ^ (y >> 10);
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  Word a = state[0], b = state[1], c = state[2], d = state[3];
+  Word e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
+    Word s1 = ((e >> 6) | (e << 26)) ^ ((e >> 11) | (e << 21)) ^ ((e >> 25) | (e << 7));
+    Word ch = (e & f) ^ (~e & g);
+    Word temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+    Word s0 = ((a >> 2) | (a << 30)) ^ ((a >> 13) | (a << 19)) ^ ((a >> 22) | (a << 10));
+    Word maj = (a & b) ^ (a & c) ^ (b & c);
+    Word temp2 = s0 + maj;
     h = g;
     g = f;
     f = e;
@@ -68,14 +69,107 @@ void Sha256::ProcessBlock(const uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+constexpr size_t kLanes = 8;
+typedef uint32_t LaneWord __attribute__((vector_size(4 * kLanes)));
+
+// HashEach's kernel: messages first..first+7 run in the lanes of one
+// LaneWord state; lanes past the end rehash the last message unused.
+[[gnu::always_inline]] inline void HashLanes(ByteSpan messages, size_t length,
+                                             std::span<Sha256Digest> out) {
+  NYMIX_CHECK(messages.size() == out.size() * length);
+  // Past its full blocks, every message pads to the same tail (FIPS 180-4
+  // section 5.1.1) but for the first length % 64 bytes: 0x80, zeros, and
+  // the bit length in the last block's final eight bytes.
+  size_t full_blocks = length / 64;
+  size_t tail_blocks = length % 64 < 56 ? 1 : 2;
+  size_t block_count = full_blocks + tail_blocks;
+  uint8_t tail[128] = {};
+  tail[length % 64] = 0x80;
+  uint64_t bit_length = static_cast<uint64_t>(length) * 8;
+  for (int i = 0; i < 8; ++i) {
+    tail[64 * tail_blocks - 1 - i] = static_cast<uint8_t>(bit_length >> (8 * i));
+  }
+  for (size_t first = 0; first < out.size(); first += kLanes) {
+    size_t used = std::min(kLanes, out.size() - first);
+    LaneWord state[8];
+    for (int i = 0; i < 8; ++i) {
+      state[i] = LaneWord{} + kInitialState[i];
+    }
+    for (size_t block = 0; block < block_count; ++block) {
+      alignas(LaneWord) uint32_t words[16][kLanes];
+      for (size_t lane = 0; lane < kLanes; ++lane) {
+        const uint8_t* message = messages.data() + (first + std::min(lane, used - 1)) * length;
+        uint8_t padded[64];
+        const uint8_t* bytes = padded;
+        if (block < full_blocks) {
+          bytes = message + 64 * block;
+        } else {
+          std::memcpy(padded, tail + 64 * (block - full_blocks), 64);
+          if (block == full_blocks && length % 64 > 0) {
+            std::memcpy(padded, message + 64 * block, length % 64);
+          }
+        }
+        for (int i = 0; i < 16; ++i) {
+          words[i][lane] = LoadBigEndian32(bytes + 4 * i);
+        }
+      }
+      LaneWord w[64];
+      std::memcpy(w, words, sizeof(words));
+      Compress(state, w);
+    }
+    alignas(LaneWord) uint32_t digest_words[8][kLanes];
+    std::memcpy(digest_words, state, sizeof(digest_words));
+    for (size_t lane = 0; lane < used; ++lane) {
+      for (int i = 0; i < 8; ++i) {
+        uint32_t word = digest_words[i][lane];
+        uint8_t* bytes = out[first + lane].data() + 4 * i;
+        bytes[0] = static_cast<uint8_t>(word >> 24);
+        bytes[1] = static_cast<uint8_t>(word >> 16);
+        bytes[2] = static_cast<uint8_t>(word >> 8);
+        bytes[3] = static_cast<uint8_t>(word);
+      }
+    }
+  }
+}
+
+void HashLanesBaseline(ByteSpan messages, size_t length, std::span<Sha256Digest> out) {
+  HashLanes(messages, length, out);
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void HashLanesAvx2(ByteSpan messages, size_t length,
+                                           std::span<Sha256Digest> out) {
+  HashLanes(messages, length, out);
+}
+#endif
+
+}  // namespace
+
+Sha256::Sha256() {
+  std::memcpy(state_, kInitialState, sizeof(state_));
+}
+
+void Sha256::ProcessBlock(const uint8_t* block) {
+  // Byte-wise rather than through LoadBigEndian32: GCC vectorizes this
+  // form, and PBKDF2 pays for every cycle here.
+  uint32_t w[64];
+  for (int i = 0; i < 16; ++i) {
+    w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
+           (static_cast<uint32_t>(block[4 * i + 1]) << 16) |
+           (static_cast<uint32_t>(block[4 * i + 2]) << 8) |
+           static_cast<uint32_t>(block[4 * i + 3]);
+  }
+  Compress(state_, w);
 }
 
 void Sha256::Update(ByteSpan data) {
@@ -136,6 +230,25 @@ Sha256Digest Sha256::Hash(ByteSpan data) {
 
 Sha256Digest Sha256::Hash(std::string_view text) {
   return Hash(ByteSpan(reinterpret_cast<const uint8_t*>(text.data()), text.size()));
+}
+
+void Sha256::HashEach(ByteSpan messages, size_t length, std::span<Sha256Digest> out) {
+  // Picked once, from the CPU's feature bits.
+  static const Sha256LaneKernel kernel =
+      Sha256Avx2Kernel() != nullptr ? Sha256Avx2Kernel() : Sha256BaselineKernel();
+  kernel(messages, length, out);
+}
+
+Sha256LaneKernel Sha256BaselineKernel() { return HashLanesBaseline; }
+
+Sha256LaneKernel Sha256Avx2Kernel() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) {
+    return HashLanesAvx2;
+  }
+#endif
+  return nullptr;
 }
 
 Bytes DigestToBytes(const Sha256Digest& digest) {

@@ -10,12 +10,15 @@ namespace nymix {
 
 namespace {
 
-// Stable per-block digest material: 16 bytes of (seed, index).
-Sha256Digest BlockDigestFor(uint64_t seed, uint64_t block_index) {
-  Bytes material;
-  AppendU64(material, seed);
-  AppendU64(material, block_index);
-  return Sha256::Hash(material);
+// Stable per-block digest material: 16 bytes of (seed, index), both
+// little-endian.
+constexpr size_t kBlockRecord = 16;
+
+void StoreBlockRecord(uint64_t seed, uint64_t block_index, uint8_t* out) {
+  for (int i = 0; i < 8; ++i) {
+    out[i] = static_cast<uint8_t>(seed >> (8 * i));
+    out[8 + i] = static_cast<uint8_t>(block_index >> (8 * i));
+  }
 }
 
 std::shared_ptr<const MemFs> DistributionFs(const std::string& name, uint64_t seed) {
@@ -121,11 +124,12 @@ std::shared_ptr<const BaseImage> BaseImage::CreateDistribution(std::string name,
   static auto* interned =
       new InternTable<std::tuple<std::string, uint64_t, uint64_t>, BaseImage>();
   return interned->FindOrBuild({name, seed, size_bytes}, [&] {
-    std::vector<Sha256Digest> digests;
-    digests.reserve(size_bytes / kDiskBlockSize);
-    for (uint64_t i = 0; i < size_bytes / kDiskBlockSize; ++i) {
-      digests.push_back(BlockDigestFor(seed, i));
+    std::vector<Sha256Digest> digests(size_bytes / kDiskBlockSize);
+    Bytes records(digests.size() * kBlockRecord);
+    for (uint64_t i = 0; i < digests.size(); ++i) {
+      StoreBlockRecord(seed, i, records.data() + i * kBlockRecord);
     }
+    Sha256::HashEach(records, kBlockRecord, digests);
     return std::shared_ptr<const BaseImage>(new BaseImage(
         name, seed, size_bytes, DistributionFs(name, seed), std::move(digests), std::nullopt));
   });
@@ -135,7 +139,9 @@ std::shared_ptr<const BaseImage> BaseImage::TamperedCopy(uint64_t block_index,
                                                          uint64_t new_seed) const {
   NYMIX_CHECK(block_index < block_digests_.size());
   std::vector<Sha256Digest> digests = block_digests_;
-  digests[block_index] = BlockDigestFor(new_seed ^ 0xdeadbeefULL, block_index);
+  uint8_t record[kBlockRecord];
+  StoreBlockRecord(new_seed ^ 0xdeadbeefULL, block_index, record);
+  digests[block_index] = Sha256::Hash(ByteSpan(record, kBlockRecord));
   return std::shared_ptr<const BaseImage>(
       new BaseImage(name_, seed_, size_bytes_, fs_, std::move(digests), merkle_));
 }

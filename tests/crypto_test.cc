@@ -73,6 +73,35 @@ TEST(Sha256Test, EmptyUpdateAfterPartialBlockIsANoOp) {
   EXPECT_EQ(hasher.Finish(), Sha256::Hash(data));
 }
 
+TEST(Sha256Test, HashEachMatchesHash) {
+  // Counts 0-17 leave every tail size past a multiple of eight lanes; the
+  // lengths put records in one to four blocks, with the padding's 0x80 and
+  // bit length on either side of each block boundary.
+  std::vector<std::pair<const char*, Sha256LaneKernel>> kernels = {
+      {"baseline", Sha256BaselineKernel()}};
+  if (Sha256Avx2Kernel() != nullptr) {
+    kernels.emplace_back("avx2", Sha256Avx2Kernel());
+  }
+  Prng prng(25);
+  for (size_t length : {0, 1, 16, 33, 55, 56, 63, 64, 65, 119, 120, 200}) {
+    for (size_t count = 0; count <= 17; ++count) {
+      Bytes messages = prng.NextBytes(count * length);
+      std::vector<Sha256Digest> expected;
+      for (size_t i = 0; i < count; ++i) {
+        expected.push_back(Sha256::Hash(ByteSpan(messages).subspan(i * length, length)));
+      }
+      for (const auto& [name, kernel] : kernels) {
+        std::vector<Sha256Digest> out(count);
+        kernel(messages, length, out);
+        EXPECT_EQ(out, expected) << name << " length=" << length << " count=" << count;
+      }
+      std::vector<Sha256Digest> out(count);
+      Sha256::HashEach(messages, length, out);
+      EXPECT_EQ(out, expected) << "HashEach length=" << length << " count=" << count;
+    }
+  }
+}
+
 TEST(Sha256Test, DigestPrefixIsBigEndianPrefix) {
   Sha256Digest digest = Sha256::Hash("abc");
   EXPECT_EQ(DigestPrefix64(digest), 0xba7816bf8f01cfeaULL);
@@ -406,6 +435,44 @@ TEST(MerkleTest, RootChangesWithAnyLeaf) {
 TEST(MerkleTest, ProveLeafOutOfRangeFails) {
   MerkleTree tree = MerkleTree::Build(MakeLeaves(4));
   EXPECT_FALSE(tree.ProveLeaf(4).ok());
+}
+
+TEST(MerkleTest, LevelsMatchScalarDefinition) {
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 40; ++n) {
+    sizes.push_back(n);
+  }
+  sizes.push_back(16384);
+  for (size_t n : sizes) {
+    auto leaves = MakeLeaves(n);
+    MerkleTree tree = MerkleTree::Build(leaves);
+    if (n == 0) {
+      EXPECT_TRUE(tree.levels().empty());
+      EXPECT_EQ(tree.root(), Sha256::Hash(ByteSpan()));
+      continue;
+    }
+    std::vector<Sha256Digest> level;
+    for (const Sha256Digest& leaf : leaves) {
+      level.push_back(MerkleTree::HashLeaf(leaf));
+    }
+    size_t depth = 0;
+    for (;; ++depth) {
+      ASSERT_LT(depth, tree.levels().size()) << "n=" << n;
+      EXPECT_EQ(tree.levels()[depth], level) << "n=" << n << " depth=" << depth;
+      if (level.size() == 1) {
+        break;
+      }
+      std::vector<Sha256Digest> above;
+      for (size_t i = 0; i < level.size(); i += 2) {
+        // An odd last node pairs with itself.
+        above.push_back(
+            MerkleTree::HashInterior(level[i], i + 1 < level.size() ? level[i + 1] : level[i]));
+      }
+      level = std::move(above);
+    }
+    EXPECT_EQ(tree.levels().size(), depth + 1) << "n=" << n;
+    EXPECT_EQ(tree.root(), level[0]) << "n=" << n;
+  }
 }
 
 TEST(MerkleTest, BuildFromBlocks) {

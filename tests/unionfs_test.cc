@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/core/fleet_driver.h"
 #include "src/unionfs/disk_image.h"
 #include "src/unionfs/mem_fs.h"
 #include "src/unionfs/path.h"
@@ -282,6 +283,17 @@ TEST(BaseImageTest, VerifyAllBlocksMatchesPerBlockVerification) {
     EXPECT_EQ(twice->VerifyBlock(i), i != 11 && i != 12) << "block " << i;
   }
   EXPECT_TRUE(image->VerifyAllBlocks());
+}
+
+TEST(BaseImageTest, FleetReleaseImageRootIsPinned) {
+  // The root every fleet nym verifies its base image against, computed
+  // independently (Python hashlib) from the little-endian (seed, index)
+  // block records and the 0x00/0x01-prefixed Merkle nodes.
+  auto image =
+      BaseImage::CreateDistribution(kFleetImageName, kFleetImageSeed, kFleetImageSizeBytes);
+  EXPECT_EQ(HexEncode(ByteSpan(image->merkle_root().data(), image->merkle_root().size())),
+            "0c320f2038bf43f9039d28abf6cfbd861832bffd702391d88a7377f9ccac1ec2");
+  EXPECT_TRUE(image->verified());
 }
 
 TEST(VmDiskTest, UnionStackWithConfigLayer) {
