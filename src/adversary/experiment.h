@@ -96,6 +96,7 @@ class AdversaryExperiment : private FleetHooks {
   int host_count() const { return driver_.host_count(); }
 
   // Tap access for the metadata-only negative tests.
+  // nymlint:allow(dead-api): tests read one host's entry tap to check what the adversary recorded
   const PassiveObserver& entry_observer(int host) const {
     return *taps_[static_cast<size_t>(host)].entry;
   }

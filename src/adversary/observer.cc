@@ -2,16 +2,6 @@
 
 namespace nymix {
 
-std::string_view TapSiteName(TapSite site) {
-  switch (site) {
-    case TapSite::kEntry:
-      return "entry";
-    case TapSite::kExit:
-      return "exit";
-  }
-  return "unknown";
-}
-
 void PassiveObserver::OnPacket(const Link& link, const PacketMetadata& meta) {
   (void)link;
   ++packets_seen_;

@@ -22,7 +22,6 @@
 namespace nymix {
 
 enum class TapSite { kEntry, kExit };
-std::string_view TapSiteName(TapSite site);
 
 // One bulk flow as seen from one vantage point. Derived purely from the
 // tap's FlowMetadata — the analyzer side never learns more than a wire tap

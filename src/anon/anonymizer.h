@@ -23,7 +23,6 @@
 namespace nymix {
 
 enum class AnonymizerKind { kIncognito, kTor, kDissent, kSweet, kChained };
-std::string_view AnonymizerKindName(AnonymizerKind kind);
 
 struct ClientAttachment {
   Simulation* sim = nullptr;

@@ -89,6 +89,7 @@ class DissentClient : public Anonymizer {
   std::optional<size_t> slot() const { return slot_; }
   // Rounds consumed by completed fetches (each round moves one slot's worth
   // of payload through the group link).
+  // nymlint:allow(dead-api): tests check that a Dissent post consumed protocol rounds
   uint64_t rounds_used() const { return *rounds_used_; }
 
  private:

@@ -23,6 +23,7 @@ class SweetTunnel : public Anonymizer {
   double OverheadFactor() const override;
   bool ProtectsNetworkIdentity() const override { return true; }
 
+  // nymlint:allow(dead-api): tests check a SWEET fetch shows the site the mail gateway, not the host
   Ipv4Address mail_gateway_ip() const { return gateway_ip_; }
 
  private:

@@ -45,29 +45,12 @@ constexpr SimDuration kFetchStallTimeout = Seconds(30);
 
 }  // namespace
 
-std::string_view AnonymizerKindName(AnonymizerKind kind) {
-  switch (kind) {
-    case AnonymizerKind::kIncognito:
-      return "Incognito";
-    case AnonymizerKind::kTor:
-      return "Tor";
-    case AnonymizerKind::kDissent:
-      return "Dissent";
-    case AnonymizerKind::kSweet:
-      return "SWEET";
-    case AnonymizerKind::kChained:
-      return "Chained";
-  }
-  return "?";
-}
-
 // ------------------------------------------------------------------ relays
 
 TorRelay::TorRelay(EventLoop& loop, std::string nickname)
     : loop_(loop), nickname_(std::move(nickname)) {}
 
 void TorRelay::OnDatagram(const Packet& packet, const std::function<void(Packet)>& reply) {
-  ++cells_processed_;
   sources_seen_.insert(packet.src_ip);
   std::string text = StringFromBytes(packet.payload);
 

@@ -79,10 +79,12 @@ struct CowSnapshot {
 uint64_t DiskFingerprint(const MemFs& disk);
 
 // Captures the running installed-OS nym's COW layer.
+// nymlint:allow(dead-api): paper Table 1 workflow: saving an installed OS's copy-on-write state
 Result<CowSnapshot> SaveCowState(const Nym& os_nym, const InstalledOsMedia& media);
 
 // Re-applies a snapshot onto a freshly booted installed-OS nym; refuses if
 // the underlying disk changed since the snapshot.
+// nymlint:allow(dead-api): paper Table 1 workflow: restoring an installed OS's copy-on-write state
 Status RestoreCowState(Nym& os_nym, const InstalledOsMedia& media,
                        const CowSnapshot& snapshot);
 

@@ -29,8 +29,9 @@ class IntersectionObserver {
   // anonymity set from the adversary's viewpoint). Before any posting
   // round, everyone ever seen is possible.
   std::set<std::string> CandidateSet() const;
+  // nymlint:allow(dead-api): tests read the intersection attack's remaining anonymity set
   size_t AnonymitySetSize() const { return CandidateSet().size(); }
-  size_t rounds_observed() const { return rounds_.size(); }
+  // nymlint:allow(dead-api): tests check how many rounds the intersection observer scored
   size_t posting_rounds() const;
 
  private:

@@ -39,15 +39,9 @@ void Nym::InstallPolicy() {
     }
   });
 
-  // AnonVM: only wire traffic is expected; anything else is counted and
-  // dropped (defense in depth — there is no other NIC to receive on).
-  anon_vm_->SetPacketHandler([this](const Packet& packet, Link& link, bool from_a) {
-    (void)packet;
-    (void)from_a;
-    if (&link != wire_) {
-      ++anonvm_unsolicited_dropped_;
-    }
-  });
+  // AnonVM: only wire traffic is expected; anything else is dropped
+  // (defense in depth — there is no other NIC to receive on).
+  anon_vm_->SetPacketHandler([](const Packet&, Link&, bool) {});
 }
 
 }  // namespace nymix

@@ -44,12 +44,9 @@ class Nym {
 
   // Save/restore bookkeeping: the AEAD sequence number of the next save.
   uint32_t save_sequence() const { return save_sequence_; }
-  void set_save_sequence(uint32_t sequence) { save_sequence_ = sequence; }
 
   // Raw AnonVM packets the CommVM refused to forward (leak attempts).
   uint64_t leak_packets_dropped() const { return leak_packets_dropped_; }
-  // Unsolicited packets arriving at the AnonVM from anywhere but the wire.
-  uint64_t anonvm_unsolicited_dropped() const { return anonvm_unsolicited_dropped_; }
 
   // Installs the nymbox communication policy on both VMs. Called by the
   // manager after VMs and links exist.
@@ -72,7 +69,6 @@ class Nym {
   std::unique_ptr<BrowserModel> browser_;
   uint32_t save_sequence_ = 0;
   uint64_t leak_packets_dropped_ = 0;
-  uint64_t anonvm_unsolicited_dropped_ = 0;
   bool terminated_ = false;
 };
 

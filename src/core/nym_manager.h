@@ -129,6 +129,7 @@ class NymManager {
                         const std::string& archive_password, const CreateOptions& options,
                         CreateCallback done);
 
+  // nymlint:allow(dead-api): paper section 3.5 workflow: loading a nym from local (USB) storage
   void LoadNymFromLocal(const std::string& name, LocalStore& store,
                         const std::string& password, const CreateOptions& options,
                         CreateCallback done);

@@ -38,15 +38,6 @@ std::vector<std::string> SaniService::MountedFilesystems() const {
   return labels;
 }
 
-Result<std::vector<DirEntry>> SaniService::ListHostDirectory(const std::string& label,
-                                                             const std::string& path) const {
-  auto it = mounts_.find(label);
-  if (it == mounts_.end()) {
-    return NotFoundError("no such mount: " + label);
-  }
-  return it->second->List(path);
-}
-
 Result<Blob> SaniService::ReadHostFile(const std::string& label,
                                        const std::string& path) const {
   auto it = mounts_.find(label);
@@ -73,19 +64,6 @@ Status SaniService::RegisterNym(Nym& nym) {
     return attach;
   }
   nym_shares_[nym.name()] = std::move(share);
-  return OkStatus();
-}
-
-Status SaniService::UnregisterNym(Nym& nym) {
-  auto it = nym_shares_.find(nym.name());
-  if (it == nym_shares_.end()) {
-    return NotFoundError("nym not registered: " + nym.name());
-  }
-  NYMIX_CHECK(sani_vm_->DetachShare("transfer-" + nym.name()).ok());
-  if (nym.anon_vm() != nullptr) {
-    (void)nym.anon_vm()->DetachShare("incoming");
-  }
-  nym_shares_.erase(it);
   return OkStatus();
 }
 

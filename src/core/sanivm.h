@@ -24,17 +24,14 @@ class SaniService {
   // Mounts a host filesystem (installed OS partition, camera SD card)
   // read-only under /mnt/<label> inside the SaniVM.
   Status MountHostFilesystem(const std::string& label, std::shared_ptr<const MemFs> fs);
+  // nymlint:allow(dead-api): tests check which host filesystems the SaniVM mounted
   std::vector<std::string> MountedFilesystems() const;
 
-  // Browses a mounted filesystem.
-  Result<std::vector<DirEntry>> ListHostDirectory(const std::string& label,
-                                                  const std::string& path) const;
   Result<Blob> ReadHostFile(const std::string& label, const std::string& path) const;
 
   // Creates the per-nym transfer directory + VirtFS share (§3.6: "Nymix
   // creates a unique directory within the SaniVM for each nym").
   Status RegisterNym(Nym& nym);
-  Status UnregisterNym(Nym& nym);
 
   struct TransferOutcome {
     RiskReport analysis;                // what was found before scrubbing
@@ -52,17 +49,20 @@ class SaniService {
   // user moves files into this directory and launches the scrubbing
   // workflow") ----------------------------------------------------------
   // Copies a host file into the nym's pending directory inside the SaniVM.
+  // nymlint:allow(dead-api): paper section 3.6 workflow: staging a host file for a nym's sanitization
   Status StageForNym(Nym& nym, const std::string& label, const std::string& host_path);
   // Files sitting in the nym's pending directory, not yet scrubbed.
   std::vector<std::string> PendingFiles(const Nym& nym) const;
   // Scrubs every pending file and moves the results into the nym's share;
   // the pending directory is emptied. Files that fail analysis/scrubbing
   // are left pending and reported via their Status.
+  // nymlint:allow(dead-api): paper section 3.6 workflow: scrubbing the staged files into the nym
   std::vector<Result<TransferOutcome>> ProcessPending(Nym& nym, const ScrubOptions& options);
 
   // Pure analysis (the risk list shown to the user before they choose).
   Result<RiskReport> AnalyzeHostFile(const std::string& label, const std::string& path) const;
 
+  // nymlint:allow(dead-api): tests count completed SaniVM transfers
   size_t transfers_completed() const { return transfers_completed_; }
 
  private:

@@ -8,6 +8,7 @@
 
 namespace nymix {
 
+// nymlint:allow(dead-api): RFC 4231 known-answer vectors check the keyed HMAC that PBKDF2 runs on
 Sha256Digest HmacSha256(ByteSpan key, ByteSpan message);
 
 // PBKDF2-HMAC-SHA256. `iterations` trades brute-force cost for CPU time.

@@ -62,15 +62,6 @@ MerkleTree MerkleTree::Build(const std::vector<Sha256Digest>& block_digests) {
   return tree;
 }
 
-MerkleTree MerkleTree::BuildFromBlocks(const std::vector<Bytes>& blocks) {
-  std::vector<Sha256Digest> digests;
-  digests.reserve(blocks.size());
-  for (const auto& block : blocks) {
-    digests.push_back(Sha256::Hash(block));
-  }
-  return Build(digests);
-}
-
 Result<MerkleProof> MerkleTree::ProveLeaf(uint64_t leaf_index) const {
   if (leaf_index >= leaf_count_) {
     return InvalidArgumentError("leaf index out of range");

@@ -30,13 +30,11 @@ class MerkleTree {
   // splicing. Odd nodes are paired with themselves.
   static MerkleTree Build(const std::vector<Sha256Digest>& block_digests);
 
-  // Convenience: hash each block then build.
-  static MerkleTree BuildFromBlocks(const std::vector<Bytes>& blocks);
-
   const Sha256Digest& root() const { return root_; }
   uint64_t leaf_count() const { return leaf_count_; }
   // levels()[0] = leaf hashes, levels().back() = {root}; empty when there
   // are no leaves.
+  // nymlint:allow(dead-api): tests compare every tree level against a reference build
   const std::vector<std::vector<Sha256Digest>>& levels() const { return levels_; }
 
   Result<MerkleProof> ProveLeaf(uint64_t leaf_index) const;

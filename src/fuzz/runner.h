@@ -45,6 +45,7 @@ RunReport RunScenario(const Scenario& scenario, const RunnerOptions& options = {
 // survivor can be re-emitted as a tests/golden/ JSON/NBT pair. Supported
 // for the simulation-backed families that merge shard observability
 // (parallel, adversary); other families return InvalidArgumentError.
+// nymlint:allow(dead-api): the tests/golden corpus is written by golden_gen and checked through it
 Status RunScenarioGolden(
     const Scenario& scenario,
     const std::function<void(const TraceRecorder& trace, const MetricsRegistry& metrics)>& emit);

@@ -57,17 +57,6 @@ CpuTaskId CpuScheduler::Submit(std::vector<CpuPhase> phases, bool virtualized,
   return id;
 }
 
-bool CpuScheduler::CancelTask(CpuTaskId id) {
-  Settle();
-  auto it = tasks_.find(id);
-  if (it == tasks_.end()) {
-    return false;
-  }
-  tasks_.erase(it);
-  Reschedule();
-  return true;
-}
-
 size_t CpuScheduler::runnable_tasks() const {
   return static_cast<size_t>(
       std::count_if(tasks_.begin(), tasks_.end(), [](const auto& entry) {

@@ -40,9 +40,6 @@ class CpuScheduler {
   CpuTaskId Submit(std::vector<CpuPhase> phases, bool virtualized,
                    std::function<void(SimTime)> done);
 
-  bool CancelTask(CpuTaskId id);
-
-  size_t active_tasks() const { return tasks_.size(); }
   size_t runnable_tasks() const;
 
  private:

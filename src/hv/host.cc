@@ -103,11 +103,6 @@ uint64_t HostMachine::UsedMemoryBytes() const {
   return allocated > saved ? allocated - saved : 0;
 }
 
-uint64_t HostMachine::FreeMemoryBytes() const {
-  uint64_t used = UsedMemoryBytes();
-  return used >= kHostRamBytes ? 0 : kHostRamBytes - used;
-}
-
 Link* HostMachine::CreateVmUplink(const std::string& name) {
   // Guest-to-host virtual link: fast and local.
   Link* link = sim_.CreateLink(name, Micros(100), 1'000'000'000ULL);

@@ -2,20 +2,6 @@
 
 namespace nymix {
 
-std::string_view VmRoleName(VmRole role) {
-  switch (role) {
-    case VmRole::kAnonVm:
-      return "AnonVM";
-    case VmRole::kCommVm:
-      return "CommVM";
-    case VmRole::kSaniVm:
-      return "SaniVM";
-    case VmRole::kInstalledOs:
-      return "InstalledOS";
-  }
-  return "?";
-}
-
 VmConfig VmConfig::AnonVm(std::string name) {
   VmConfig config;
   config.name = std::move(name);

@@ -21,7 +21,6 @@
 namespace nymix {
 
 enum class VmRole { kAnonVm, kCommVm, kSaniVm, kInstalledOs };
-std::string_view VmRoleName(VmRole role);
 
 enum class VmState { kCreated, kBooting, kRunning, kPaused, kStopped, kCrashed };
 
@@ -98,6 +97,7 @@ class VirtualMachine : public PacketSink {
   void SendPacket(Link* link, Packet packet);
   void OnPacket(const Packet& packet, Link& link, bool from_a) override;
   uint64_t packets_received() const { return packets_received_; }
+  // nymlint:allow(dead-api): tests check a stopped VM drops its packets
   uint64_t packets_dropped_not_running() const { return packets_dropped_not_running_; }
 
   // --- VirtFS shares (§4.3) -------------------------------------------

@@ -29,14 +29,4 @@ bool PacketCapture::OnlyContains(const std::vector<std::string>& allowed) const 
   });
 }
 
-std::vector<CapturedPacket> PacketCapture::FromIp(Ipv4Address ip) const {
-  std::vector<CapturedPacket> out;
-  for (const auto& captured : packets_) {
-    if (captured.packet.src_ip == ip) {
-      out.push_back(captured);
-    }
-  }
-  return out;
-}
-
 }  // namespace nymix

@@ -24,9 +24,9 @@ class PacketCapture {
 
   const std::vector<CapturedPacket>& packets() const { return packets_; }
   size_t size() const { return packets_.size(); }
-  void Clear() { packets_.clear(); }
 
   // Count of packets whose annotation matches exactly.
+  // nymlint:allow(dead-api): tests count captured packets by annotation
   size_t CountAnnotation(std::string_view annotation) const;
 
   // Distinct annotations seen with their counts (the §5.1 audit table).
@@ -34,9 +34,6 @@ class PacketCapture {
 
   // True if every captured packet's annotation is in `allowed`.
   bool OnlyContains(const std::vector<std::string>& allowed) const;
-
-  // Packets from / to a given IP.
-  std::vector<CapturedPacket> FromIp(Ipv4Address ip) const;
 
  private:
   std::vector<CapturedPacket> packets_;

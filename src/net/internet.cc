@@ -26,16 +26,6 @@ Ipv4Address Internet::RegisterHost(const std::string& name, InternetHost* host,
   return ip;
 }
 
-void Internet::UnregisterHost(const std::string& name) {
-  auto it = dns_.find(name);
-  if (it == dns_.end()) {
-    return;
-  }
-  hosts_.erase(it->second);
-  access_links_.erase(it->second);
-  dns_.erase(it);
-}
-
 Link* Internet::AccessLink(Ipv4Address ip) const {
   auto it = access_links_.find(ip);
   return it == access_links_.end() ? nullptr : it->second;

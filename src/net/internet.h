@@ -43,7 +43,6 @@ class Internet : public PacketSink {
   // the host traverse it in addition to the client-side links.
   Ipv4Address RegisterHost(const std::string& name, InternetHost* host,
                            Link* access_link = nullptr);
-  void UnregisterHost(const std::string& name);
 
   // Server-side link for flow routes (nullptr if unconstrained).
   Link* AccessLink(Ipv4Address ip) const;
@@ -67,6 +66,7 @@ class Internet : public PacketSink {
 
   void OnPacket(const Packet& packet, Link& link, bool from_a) override;
 
+  // nymlint:allow(dead-api): tests check unroutable packets are dropped
   uint64_t dropped_no_route() const { return dropped_no_route_; }
 
  private:

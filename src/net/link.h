@@ -103,7 +103,6 @@ class Link {
   void AttachA(PacketSink* sink) { a_ = sink; }
   void AttachB(PacketSink* sink) { b_ = sink; }
   PacketSink* side_a() const { return a_; }
-  PacketSink* side_b() const { return b_; }
 
   // Taps observe both directions (the §5.1 Wireshark position).
   void AttachCapture(PacketCapture* capture) { capture_ = capture; }
@@ -123,7 +122,6 @@ class Link {
   // The seed should come from FaultInjector::SeedFor so one experiment seed
   // governs every link's loss stream.
   void SetFaultProfile(const LinkFaultProfile& profile, uint64_t seed);
-  const LinkFaultProfile& fault_profile() const { return fault_profile_; }
   double loss_probability() const { return fault_profile_.loss_probability; }
 
   // A down link drops everything (flap it from a FaultInjector schedule).
@@ -161,8 +159,10 @@ class Link {
   // a recompute, exactly as before the incremental scheduler existed.
   void set_flow_scheduler(FlowScheduler* scheduler) { scheduler_ = scheduler; }
 
+  // nymlint:allow(dead-api): tests count delivered packets
   uint64_t packets_delivered() const { return delivered_; }
   // Total drops across all reasons (back-compat with pre-fault callers).
+  // nymlint:allow(dead-api): tests count dropped packets, in total and by reason
   uint64_t packets_dropped() const;
   uint64_t packets_dropped(LinkDropReason reason) const {
     return dropped_by_reason_[static_cast<size_t>(reason)];

@@ -30,7 +30,6 @@ void NatGateway::OnPacket(const Packet& packet, Link& link, bool from_a) {
     Packet translated = packet;
     translated.dst_ip = it->second.inside_ip;
     translated.dst_port = it->second.inside_port;
-    ++translated_in_;
     it->second.inside_link->SendFromB(std::move(translated));
     return;
   }
@@ -47,7 +46,6 @@ void NatGateway::OnPacket(const Packet& packet, Link& link, bool from_a) {
   Packet translated = packet;
   translated.src_ip = public_ip_;
   translated.src_port = it->second;
-  ++translated_out_;
   outside_->SendFromA(std::move(translated));
 }
 

@@ -155,23 +155,4 @@ void MetricsRegistry::WriteJson(std::ostream& out, const std::string& indent) co
   out << "\n" << indent << "}";
 }
 
-void MetricsRegistry::WriteCsv(std::ostream& out) const {
-  out << "kind,name,field,value\n";
-  for (const auto& [name, counter] : counters_) {
-    out << "counter," << name << ",value," << counter.value() << "\n";
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    out << "gauge," << name << ",value," << JsonNumber(gauge.value()) << "\n";
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    out << "histogram," << name << ",count," << histogram.count() << "\n";
-    out << "histogram," << name << ",sum," << JsonNumber(histogram.sum()) << "\n";
-    out << "histogram," << name << ",min," << JsonNumber(histogram.min()) << "\n";
-    out << "histogram," << name << ",max," << JsonNumber(histogram.max()) << "\n";
-    out << "histogram," << name << ",p50," << JsonNumber(histogram.Percentile(50)) << "\n";
-    out << "histogram," << name << ",p95," << JsonNumber(histogram.Percentile(95)) << "\n";
-    out << "histogram," << name << ",p99," << JsonNumber(histogram.Percentile(99)) << "\n";
-  }
-}
-
 }  // namespace nymix

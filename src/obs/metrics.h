@@ -1,5 +1,5 @@
 // MetricsRegistry: named counters, gauges and log-scale histograms with a
-// stable JSON/CSV dump — the machine-readable side of the observability
+// stable JSON dump — the machine-readable side of the observability
 // subsystem (the Chrome trace is the human-readable side).
 //
 // Instruments are owned by the registry and handed out as stable pointers,
@@ -90,6 +90,7 @@ class MetricsRegistry {
   Gauge* GetGauge(const std::string& name) { return &gauges_[name]; }
   Histogram* GetHistogram(const std::string& name) { return &histograms_[name]; }
 
+  // nymlint:allow(dead-api): tests check the disabled observability path registers no instruments
   size_t instrument_count() const {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
@@ -118,9 +119,6 @@ class MetricsRegistry {
   // min, max, mean, p50, p95, p99}}} — keys in lexicographic order, so the
   // document is stable across runs.
   void WriteJson(std::ostream& out, const std::string& indent = "") const;
-
-  // CSV lines "kind,name,field,value", same ordering guarantee.
-  void WriteCsv(std::ostream& out) const;
 
  private:
   bool enabled_ = false;

@@ -201,14 +201,6 @@ void TraceRecorder::RestoreForDecode(std::vector<Event> events,
   offset_ = 0;
 }
 
-void TraceRecorder::Clear() {
-  events_.clear();
-  track_tids_.clear();
-  next_tid_ = 1;
-  offset_ = 0;
-  max_ts_ = 0;
-}
-
 void TraceRecorder::WriteChromeJson(std::ostream& out) const {
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;

@@ -72,7 +72,6 @@ class TraceRecorder {
   void NextTimeline(SimDuration gap = Seconds(1));
 
   size_t event_count() const { return events_.size(); }
-  void Clear();
 
   // Read-only views of the recorded state, for serialization (src/store).
   const std::vector<Event>& events() const { return events_; }

@@ -95,8 +95,6 @@ class CrossShardChannel {
   // with LinkDropReason::kDown while down).
   void SetDown(bool down);
 
-  uint64_t packets_forwarded() const { return seq_to_b_ + seq_to_a_; }
-
   // Epoch barrier: moves all buffered deliveries into `out` (a->b first,
   // then b->a) and clears the outboxes. Called from the coordinator thread
   // only; outboxes are single-writer because each direction is filled only

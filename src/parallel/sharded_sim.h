@@ -123,7 +123,6 @@ class ShardedSimulation {
   // Executor introspection (for benches and tests).
   uint64_t epochs() const { return epochs_; }
   uint64_t cross_deliveries() const { return cross_deliveries_; }
-  SimDuration lookahead() const { return lookahead_; }
 
   // The parallel.* self-metric family: barrier wait (wall ms lost between
   // the first and last shard finishing an epoch), shard skew (spread of

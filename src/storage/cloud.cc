@@ -50,19 +50,6 @@ Status CloudService::Put(const std::string& user, const std::string& object,
   return OkStatus();
 }
 
-Result<uint64_t> CloudService::UsageBytes(const std::string& user) const {
-  auto it = accounts_.find(user);
-  if (it == accounts_.end()) {
-    return UnauthenticatedError("no such account");
-  }
-  uint64_t usage = 0;
-  for (const auto& [name, object] : it->second.objects) {
-    (void)name;
-    usage += object.logical_size;
-  }
-  return usage;
-}
-
 Result<StoredObject> CloudService::Get(const std::string& user, const std::string& object) const {
   auto it = accounts_.find(user);
   if (it == accounts_.end()) {

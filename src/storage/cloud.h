@@ -45,8 +45,6 @@ class CloudService : public InternetHost {
   Status Authenticate(const std::string& user, const std::string& password) const;
 
   Status Put(const std::string& user, const std::string& object, StoredObject stored);
-  // Logical bytes the account currently stores (quota accounting).
-  Result<uint64_t> UsageBytes(const std::string& user) const;
   Result<StoredObject> Get(const std::string& user, const std::string& object) const;
   Status Delete(const std::string& user, const std::string& object);
   Result<std::vector<std::string>> List(const std::string& user) const;

@@ -30,6 +30,7 @@ class LocalStore {
   // What device confiscation reveals: presence of suspicious encrypted
   // blobs (contrast: a cloud-stored nym leaves nothing on the device).
   std::vector<ForensicEntry> InspectDevice() const;
+  // nymlint:allow(dead-api): paper section 3.5 deniability check: tests assert what a searched USB stick shows
   bool HasSuspiciousState() const { return !archives_.empty(); }
 
  private:

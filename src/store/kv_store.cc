@@ -99,10 +99,6 @@ void KvStore::Put(std::string_view key, ByteSpan value) {
   entries_[std::string(key)] = Bytes(value.begin(), value.end());
 }
 
-void KvStore::PutString(std::string_view key, std::string_view value) {
-  Put(key, BytesFromString(value));
-}
-
 void KvStore::Delete(std::string_view key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return;
@@ -110,19 +106,12 @@ void KvStore::Delete(std::string_view key) {
   entries_.erase(it);
 }
 
-bool KvStore::Contains(std::string_view key) const { return entries_.find(key) != entries_.end(); }
-
 Result<ByteSpan> KvStore::Get(std::string_view key) const {
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     return NotFoundError("kv store: no such key: " + std::string(key));
   }
   return ByteSpan(it->second);
-}
-
-Result<std::string> KvStore::GetString(std::string_view key) const {
-  NYMIX_ASSIGN_OR_RETURN(ByteSpan value, Get(key));
-  return StringFromBytes(value);
 }
 
 void KvStore::Compact() {

@@ -4,24 +4,6 @@
 
 namespace nymix {
 
-std::unique_ptr<MemFs> MemFs::Clone() const {
-  auto copy = std::make_unique<MemFs>();
-  CloneInto(root_, copy->root_);
-  copy->total_bytes_ = total_bytes_;
-  copy->file_count_ = file_count_;
-  return copy;
-}
-
-void MemFs::CloneInto(const Node& from, Node& to) {
-  to.is_directory = from.is_directory;
-  to.content = from.content;
-  for (const auto& [name, child] : from.children) {
-    auto cloned = std::make_unique<Node>();
-    CloneInto(*child, *cloned);
-    to.children.emplace(name, std::move(cloned));
-  }
-}
-
 const MemFs::Node* MemFs::Find(const std::vector<std::string>& components) const {
   const Node* node = &root_;
   for (const auto& component : components) {
@@ -139,49 +121,6 @@ Status MemFs::Unlink(std::string_view path) {
   return OkStatus();
 }
 
-Status MemFs::Remove(std::string_view path, bool recursive) {
-  NYMIX_ASSIGN_OR_RETURN(auto components, SplitPath(path));
-  if (components.empty()) {
-    return InvalidArgumentError("cannot remove '/'");
-  }
-  NYMIX_ASSIGN_OR_RETURN(Node * parent, FindParent(components, /*create=*/false));
-  auto it = parent->children.find(components.back());
-  if (it == parent->children.end()) {
-    return NotFoundError("no such path: " + std::string(path));
-  }
-  Node* node = it->second.get();
-  if (node->is_directory && !node->children.empty() && !recursive) {
-    return FailedPreconditionError("directory not empty: " + std::string(path));
-  }
-  size_t removed_files = 0;
-  uint64_t removed_bytes = SubtreeBytes(*node, removed_files);
-  total_bytes_ -= removed_bytes;
-  file_count_ -= removed_files;
-  parent->children.erase(it);
-  return OkStatus();
-}
-
-Status MemFs::Rename(std::string_view from, std::string_view to) {
-  NYMIX_ASSIGN_OR_RETURN(auto from_components, SplitPath(from));
-  NYMIX_ASSIGN_OR_RETURN(auto to_components, SplitPath(to));
-  if (from_components.empty() || to_components.empty()) {
-    return InvalidArgumentError("cannot rename '/'");
-  }
-  NYMIX_ASSIGN_OR_RETURN(Node * from_parent, FindParent(from_components, /*create=*/false));
-  auto it = from_parent->children.find(from_components.back());
-  if (it == from_parent->children.end()) {
-    return NotFoundError("no such path: " + std::string(from));
-  }
-  if (Exists(to)) {
-    return AlreadyExistsError("destination exists: " + std::string(to));
-  }
-  std::unique_ptr<Node> node = std::move(it->second);
-  from_parent->children.erase(it);
-  NYMIX_ASSIGN_OR_RETURN(Node * to_parent, FindParent(to_components, /*create=*/true));
-  to_parent->children.emplace(to_components.back(), std::move(node));
-  return OkStatus();
-}
-
 bool MemFs::Exists(std::string_view path) const {
   auto components = SplitPath(path);
   if (!components.ok()) {
@@ -242,19 +181,6 @@ void MemFs::WipeAll() {
   root_.children.clear();
   total_bytes_ = 0;
   file_count_ = 0;
-}
-
-uint64_t MemFs::SubtreeBytes(const Node& node, size_t& files) {
-  if (!node.is_directory) {
-    ++files;
-    return node.content.size();
-  }
-  uint64_t total = 0;
-  for (const auto& [name, child] : node.children) {
-    (void)name;
-    total += SubtreeBytes(*child, files);
-  }
-  return total;
 }
 
 }  // namespace nymix

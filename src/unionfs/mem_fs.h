@@ -27,9 +27,6 @@ class MemFs {
  public:
   MemFs() = default;
 
-  // Deep copy (used to fork the base image state into a new VM layer stack).
-  std::unique_ptr<MemFs> Clone() const;
-
   // Creates a directory; with `recursive`, creates missing ancestors.
   Status Mkdir(std::string_view path, bool recursive = false);
 
@@ -40,11 +37,6 @@ class MemFs {
 
   // Removes a file (NOT_FOUND if absent or a directory).
   Status Unlink(std::string_view path);
-
-  // Removes a file or directory; non-empty directories need `recursive`.
-  Status Remove(std::string_view path, bool recursive = false);
-
-  Status Rename(std::string_view from, std::string_view to);
 
   bool Exists(std::string_view path) const;
   bool IsDirectory(std::string_view path) const;
@@ -83,8 +75,6 @@ class MemFs {
   // Walks to the parent directory, optionally creating missing directories.
   Result<Node*> FindParent(const std::vector<std::string>& components, bool create);
 
-  static void CloneInto(const Node& from, Node& to);
-  static uint64_t SubtreeBytes(const Node& node, size_t& files);
 
   Node root_ = MakeDirectoryNode();
   uint64_t total_bytes_ = 0;

@@ -26,18 +26,6 @@ Result<std::vector<std::string>> SplitPath(std::string_view path) {
   return components;
 }
 
-std::string JoinPath(const std::vector<std::string>& components) {
-  if (components.empty()) {
-    return "/";
-  }
-  std::string out;
-  for (const auto& component : components) {
-    out += '/';
-    out += component;
-  }
-  return out;
-}
-
 std::string ParentPath(std::string_view path) {
   size_t slash = path.rfind('/');
   if (slash == std::string_view::npos || slash == 0) {

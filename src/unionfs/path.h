@@ -15,9 +15,6 @@ namespace nymix {
 // ".", "..", and relative paths.
 Result<std::vector<std::string>> SplitPath(std::string_view path);
 
-// Joins components back into an absolute path string.
-std::string JoinPath(const std::vector<std::string>& components);
-
 // Parent directory of a path string ("/a/b" -> "/a", "/a" -> "/").
 std::string ParentPath(std::string_view path);
 

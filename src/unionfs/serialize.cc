@@ -51,6 +51,9 @@ Result<std::unique_ptr<MemFs>> DeserializeMemFs(ByteSpan data) {
       NYMIX_ASSIGN_OR_RETURN(uint64_t size, ReadU64(data, offset));
       NYMIX_ASSIGN_OR_RETURN(uint64_t seed, ReadU64(data, offset));
       NYMIX_ASSIGN_OR_RETURN(uint32_t entropy_micro, ReadU32(data, offset));
+      if (entropy_micro > 1'000'000) {
+        return DataLossError("synthetic entry entropy above 1.0");
+      }
       NYMIX_RETURN_IF_ERROR(fs->WriteFile(
           path, Blob::Synthetic(size, seed, static_cast<double>(entropy_micro) / 1e6)));
     } else {

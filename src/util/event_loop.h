@@ -69,6 +69,7 @@ class EventLoop {
   // cancelled entries that still sit in the heap awaiting their lazy pop:
   // the count is taken from the callback table, which cancellation updates
   // eagerly.
+  // nymlint:allow(dead-api): the reference model in tests/flow_model.h runs the loop until it drains
   size_t pending_events() const { return callbacks_.size(); }
 
   // Lifetime total of events executed, counted whether or not metrics are
@@ -82,7 +83,6 @@ class EventLoop {
   // executed, queue depth at dispatch, and per-event wall time (the
   // simulator profiling itself).
   void set_observability(Observability* obs);
-  Observability* observability() const { return obs_; }
   // Bumped on every set_observability call. Layers that cache instrument
   // pointers (FlowScheduler, KsmDaemon) compare this against the epoch they
   // cached under, so the hot path pays an integer compare instead of a

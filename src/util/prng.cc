@@ -1,7 +1,5 @@
 #include "src/util/prng.h"
 
-#include <cmath>
-
 #include "src/util/check.h"
 
 namespace nymix {
@@ -75,22 +73,6 @@ uint64_t Prng::NextInRange(uint64_t lo, uint64_t hi) {
 
 double Prng::NextDouble() {
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-double Prng::NextGaussian(double mean, double stddev) {
-  if (have_spare_gaussian_) {
-    have_spare_gaussian_ = false;
-    return mean + stddev * spare_gaussian_;
-  }
-  double u1 = NextDouble();
-  double u2 = NextDouble();
-  while (u1 <= 1e-12) {
-    u1 = NextDouble();
-  }
-  double mag = std::sqrt(-2.0 * std::log(u1));
-  spare_gaussian_ = mag * std::sin(2.0 * M_PI * u2);
-  have_spare_gaussian_ = true;
-  return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
 }
 
 Bytes Prng::NextBytes(size_t count) {

@@ -32,13 +32,11 @@ class Prng {
   uint64_t NextBelow(uint64_t bound);
 
   // Uniform in [lo, hi] inclusive; lo must be <= hi.
+  // nymlint:allow(dead-api): property and determinism tests draw bounded sizes from it
   uint64_t NextInRange(uint64_t lo, uint64_t hi);
 
   // Uniform double in [0, 1).
   double NextDouble();
-
-  // Gaussian sample (Box-Muller) with the given mean / stddev.
-  double NextGaussian(double mean, double stddev);
 
   // Fills a buffer with pseudo-random bytes.
   Bytes NextBytes(size_t count);

@@ -19,7 +19,6 @@ constexpr SimDuration Seconds(int64_t n) { return n * 1000 * 1000; }
 constexpr SimDuration SecondsF(double s) { return static_cast<SimDuration>(s * 1e6); }
 
 constexpr double ToSeconds(SimDuration d) { return static_cast<double>(d) / 1e6; }
-constexpr double ToMillis(SimDuration d) { return static_cast<double>(d) / 1e3; }
 
 class SimClock {
  public:

@@ -265,7 +265,6 @@ void BrowserModel::Visit(Website& site, std::function<void(Result<SimTime>)> don
     evercookie = PlantOrReadEvercookie(profile.domain);
   }
 
-  ++visits_performed_;
   SimTime visit_start = sim_.now();
   auto perform = [this, &site, profile, revisit, download, upload, cookie, account, evercookie,
                   visit_start](std::function<void(Result<SimTime>)> fetch_done) {

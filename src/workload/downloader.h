@@ -17,6 +17,7 @@ class KernelMirror : public InternetHost {
   explicit KernelMirror(Simulation& sim);
 
   Ipv4Address ip() const { return ip_; }
+  // nymlint:allow(dead-api): tests count mirror downloads
   size_t downloads_served() const { return downloads_served_; }
   void CountDownload() { ++downloads_served_; }
 

@@ -150,14 +150,6 @@ size_t Website::DistinctEvercookies() const {
   return stains.size();
 }
 
-size_t Website::DistinctSources() const {
-  std::set<Ipv4Address> sources;
-  for (const auto& record : tracker_log_) {
-    sources.insert(record.observed_source);
-  }
-  return sources.size();
-}
-
 void Website::OnDatagram(const Packet& packet, const std::function<void(Packet)>& reply) {
   Packet response;
   response.src_ip = packet.dst_ip;
@@ -179,13 +171,6 @@ Website& WebsiteDirectory::ByName(const std::string& name) {
   auto it = std::find_if(sites_.begin(), sites_.end(),
                          [&](const auto& site) { return site->profile().name == name; });
   NYMIX_CHECK_MSG(it != sites_.end(), name.c_str());
-  return **it;
-}
-
-Website& WebsiteDirectory::ByDomain(const std::string& domain) {
-  auto it = std::find_if(sites_.begin(), sites_.end(),
-                         [&](const auto& site) { return site->profile().domain == domain; });
-  NYMIX_CHECK_MSG(it != sites_.end(), domain.c_str());
   return **it;
 }
 

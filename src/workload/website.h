@@ -74,7 +74,6 @@ class Website : public InternetHost {
   // working Nymix shows this site one identity per nym and nothing linking
   // them.
   size_t DistinctCookies() const;
-  size_t DistinctSources() const;
   // Stain-based linking: sessions sharing an evercookie are the same
   // browser instance no matter what the cookie jar says.
   size_t DistinctEvercookies() const;
@@ -94,7 +93,6 @@ class WebsiteDirectory {
   WebsiteDirectory(Simulation& sim, const std::vector<WebsiteProfile>& profiles);
 
   Website& ByName(const std::string& name);
-  Website& ByDomain(const std::string& domain);
   std::vector<Website*> all();
 
  private:

@@ -490,13 +490,5 @@ TEST(ChainTest, TorOverDissentComposition) {
   EXPECT_TRUE(chain.ProtectsNetworkIdentity());
 }
 
-TEST(AnonymizerTest, KindNames) {
-  EXPECT_EQ(AnonymizerKindName(AnonymizerKind::kTor), "Tor");
-  EXPECT_EQ(AnonymizerKindName(AnonymizerKind::kDissent), "Dissent");
-  EXPECT_EQ(AnonymizerKindName(AnonymizerKind::kIncognito), "Incognito");
-  EXPECT_EQ(AnonymizerKindName(AnonymizerKind::kSweet), "SWEET");
-  EXPECT_EQ(AnonymizerKindName(AnonymizerKind::kChained), "Chained");
-}
-
 }  // namespace
 }  // namespace nymix

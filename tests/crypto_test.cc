@@ -475,13 +475,5 @@ TEST(MerkleTest, LevelsMatchScalarDefinition) {
   }
 }
 
-TEST(MerkleTest, BuildFromBlocks) {
-  std::vector<Bytes> blocks = {BytesFromString("a"), BytesFromString("b")};
-  MerkleTree tree = MerkleTree::BuildFromBlocks(blocks);
-  auto proof = tree.ProveLeaf(0);
-  ASSERT_TRUE(proof.ok());
-  EXPECT_TRUE(MerkleTree::VerifyProof(tree.root(), Sha256::Hash("a"), *proof));
-}
-
 }  // namespace
 }  // namespace nymix

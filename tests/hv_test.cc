@@ -210,17 +210,6 @@ TEST(CpuSchedulerTest, IdlePhasesOverlap) {
   EXPECT_GE(makespan, 4.0 - 0.01);
 }
 
-TEST(CpuSchedulerTest, CancelRemovesTask) {
-  EventLoop loop;
-  CpuScheduler cpu(loop, 1, 0.0);
-  bool done = false;
-  CpuTaskId id = cpu.Submit({CpuPhase::Compute(Seconds(10))}, false, [&](SimTime) { done = true; });
-  loop.RunUntil(Seconds(1));
-  EXPECT_TRUE(cpu.CancelTask(id));
-  loop.RunUntilIdle();
-  EXPECT_FALSE(done);
-}
-
 TEST(CpuSchedulerTest, EmptyTaskCompletesImmediately) {
   EventLoop loop;
   CpuScheduler cpu(loop, 1, 0.0);

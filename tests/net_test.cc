@@ -489,13 +489,5 @@ TEST(InternetTest, UnroutableDstDropped) {
   EXPECT_EQ(sim.internet().dropped_no_route(), 1u);
 }
 
-TEST(InternetTest, UnregisterRemovesHost) {
-  Simulation sim(1);
-  EchoHost echo;
-  sim.internet().RegisterHost("temp.example.com", &echo);
-  sim.internet().UnregisterHost("temp.example.com");
-  EXPECT_FALSE(sim.internet().Resolve("temp.example.com").ok());
-}
-
 }  // namespace
 }  // namespace nymix

@@ -533,5 +533,108 @@ TEST(NymlintDriver, EveryRuleNameIsKnown) {
   EXPECT_FALSE(IsKnownRule("not-a-rule"));
 }
 
+// --- dead-api (flow stage) -------------------------------------------------
+
+constexpr char kApi[] = R"cc(namespace nymix {
+int Used() { return 1; }
+int TestOnly() { return 2; }
+}  // namespace nymix
+)cc";
+constexpr char kEntryPoint[] = "int main() { return nymix::Used(); }\n";
+constexpr char kTestCaller[] = "int Probe() { return nymix::TestOnly(); }\n";
+
+// The flow stage with an empty identity registry: dead-api is the only
+// flow rule with anything to say.
+LintResult FlowLint(const std::vector<SourceFile>& files) {
+  FlowOptions flow;
+  flow.enabled = true;
+  flow.registry_path = "tools/nymlint/identity_registry.txt";
+  return RunLint(files, flow);
+}
+
+TEST(NymlintDeadApi, FunctionOnlyTestsReachIsFlagged) {
+  LintResult result = FlowLint({SourceFile{"src/api.cc", kApi},
+                                SourceFile{"bench/main.cc", kEntryPoint},
+                                SourceFile{"tests/api_test.cc", kTestCaller}});
+  ASSERT_EQ(result.diagnostics.size(), 1u) << RulesFired(result).size();
+  EXPECT_EQ(result.diagnostics[0].rule, "dead-api");
+  EXPECT_EQ(result.diagnostics[0].path, "src/api.cc");
+  EXPECT_EQ(result.diagnostics[0].line, 3);
+  EXPECT_NE(result.diagnostics[0].message.find("'TestOnly'"), std::string::npos);
+
+  // A subtree run reads no entry point, so it judges nothing dead.
+  LintResult subtree = FlowLint({SourceFile{"src/api.cc", kApi}});
+  EXPECT_FALSE(Fired(subtree, "dead-api"));
+}
+
+TEST(NymlintDeadApi, BenchOrNymbenchReferenceClearsIt) {
+  LintResult from_bench = FlowLint({SourceFile{"src/api.cc", kApi},
+                                    SourceFile{"bench/main.cc", kEntryPoint},
+                                    SourceFile{"bench/probe.cc", kTestCaller}});
+  EXPECT_TRUE(from_bench.diagnostics.empty()) << RulesFired(from_bench).size();
+
+  // nymbench/ counts as a reference root but is never linted: its rand()
+  // raises nothing.
+  LintResult from_nymbench = FlowLint(
+      {SourceFile{"src/api.cc", kApi}, SourceFile{"bench/main.cc", kEntryPoint},
+       SourceFile{"nymbench/nymbench.cc",
+                  std::string(kTestCaller) + "int Noise() { return std::rand(); }\n"}});
+  EXPECT_TRUE(from_nymbench.diagnostics.empty()) << RulesFired(from_nymbench).size();
+  EXPECT_EQ(from_nymbench.files_scanned, 2u);
+}
+
+TEST(NymlintDeadApi, SameNamedMemberInAnotherClassKeepsIt) {
+  LintResult result = FlowLint({SourceFile{"src/api.h", R"cc(namespace nymix {
+class Meter {
+ public:
+  int Reset() { return 0; }
+};
+class Gauge {
+ public:
+  int Reset();
+};
+}  // namespace nymix
+)cc"},
+                                SourceFile{"src/api.cc", "int nymix::Gauge::Reset() { return 1; }\n"},
+                                SourceFile{"bench/main.cc", "int main() { return 0; }\n"}});
+  EXPECT_FALSE(Fired(result, "dead-api"));
+}
+
+TEST(NymlintDeadApi, AllowWithReasonSuppresses) {
+  LintResult result = FlowLint({SourceFile{"src/api.cc", R"cc(namespace nymix {
+int Used() { return 1; }
+// nymlint:allow(dead-api): test hook, tests read it to check the count
+int TestOnly() { return 2; }
+}  // namespace nymix
+)cc"},
+                                SourceFile{"bench/main.cc", kEntryPoint}});
+  EXPECT_TRUE(result.diagnostics.empty()) << RulesFired(result).size();
+  EXPECT_EQ(result.suppressions_used, 1u);
+}
+
+TEST(NymlintDeadApi, AllowWithoutReasonIsReported) {
+  LintResult result = FlowLint({SourceFile{"src/api.cc", R"cc(namespace nymix {
+int Used() { return 1; }
+// nymlint:allow(dead-api)
+int TestOnly() { return 2; }
+}  // namespace nymix
+)cc"},
+                                SourceFile{"bench/main.cc", kEntryPoint}});
+  EXPECT_TRUE(Fired(result, "suppression-missing-reason"));
+}
+
+TEST(NymlintDeadApi, AllowOnFunctionWithACallerIsUnused) {
+  LintResult result = FlowLint({SourceFile{"src/api.cc", R"cc(namespace nymix {
+int Used() { return 1; }
+// nymlint:allow(dead-api): test hook, tests read it to check the count
+int TestOnly() { return 2; }
+}  // namespace nymix
+)cc"},
+                                SourceFile{"bench/main.cc", kEntryPoint},
+                                SourceFile{"tools/probe.cc", kTestCaller}});
+  EXPECT_TRUE(Fired(result, "suppression-unused"));
+  EXPECT_FALSE(Fired(result, "dead-api"));
+}
+
 }  // namespace
 }  // namespace nymlint

@@ -19,6 +19,11 @@ namespace {
 
 Bytes B(std::string_view text) { return BytesFromString(text); }
 
+// A stored value as text; the store itself holds bytes.
+std::string Text(Result<ByteSpan> value) {
+  return value.ok() ? StringFromBytes(*value) : "<missing>";
+}
+
 // --- CRC-32C ---------------------------------------------------------------
 
 TEST(Crc32cTest, KnownVectors) {
@@ -157,33 +162,32 @@ TEST(RecordLogTest, InsaneLengthFieldIsCorruption) {
 
 TEST(KvStoreTest, PutGetDelete) {
   KvStore store;
-  store.PutString("nym/alice", "anon state");
-  store.PutString("nym/bob", "other state");
+  store.Put("nym/alice", B("anon state"));
+  store.Put("nym/bob", B("other state"));
   EXPECT_EQ(store.size(), 2u);
-  EXPECT_TRUE(store.Contains("nym/alice"));
-  ASSERT_TRUE(store.GetString("nym/alice").ok());
-  EXPECT_EQ(*store.GetString("nym/alice"), "anon state");
+  ASSERT_TRUE(store.Get("nym/alice").ok());
+  EXPECT_EQ(Text(store.Get("nym/alice")), "anon state");
 
-  store.PutString("nym/alice", "updated");  // overwrite wins
-  EXPECT_EQ(*store.GetString("nym/alice"), "updated");
+  store.Put("nym/alice", B("updated"));  // overwrite wins
+  EXPECT_EQ(Text(store.Get("nym/alice")), "updated");
   EXPECT_EQ(store.size(), 2u);
 
   store.Delete("nym/bob");
-  EXPECT_FALSE(store.Contains("nym/bob"));
+  EXPECT_FALSE(store.Get("nym/bob").ok());
   EXPECT_FALSE(store.Get("nym/bob").ok());
   EXPECT_EQ(store.size(), 1u);
 }
 
 TEST(KvStoreTest, OpenRoundTrip) {
   KvStore store;
-  store.PutString("a", "1");
-  store.PutString("b", "2");
+  store.Put("a", B("1"));
+  store.Put("b", B("2"));
   store.Delete("a");
   Result<KvStore> reopened = KvStore::Open(store.log());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened->size(), 1u);
-  EXPECT_EQ(*reopened->GetString("b"), "2");
-  EXPECT_FALSE(reopened->Contains("a"));
+  EXPECT_EQ(Text(reopened->Get("b")), "2");
+  EXPECT_FALSE(reopened->Get("a").ok());
   // Replaying a log reproduces the byte-identical log.
   EXPECT_EQ(reopened->log(), store.log());
 }
@@ -192,9 +196,9 @@ TEST(KvStoreTest, LogImageIsDeterministic) {
   KvStore a;
   KvStore b;
   for (KvStore* store : {&a, &b}) {
-    store->PutString("x", "same");
+    store->Put("x", B("same"));
     store->Delete("x");
-    store->PutString("y", "ops");
+    store->Put("y", B("ops"));
   }
   EXPECT_EQ(a.log(), b.log());
 }
@@ -202,28 +206,28 @@ TEST(KvStoreTest, LogImageIsDeterministic) {
 TEST(KvStoreTest, CompactDropsHistoryKeepsContent) {
   KvStore store;
   for (int i = 0; i < 10; ++i) {
-    store.PutString("hot", "version " + std::to_string(i));
+    store.Put("hot", B("version " + std::to_string(i)));
   }
-  store.PutString("doomed", "bytes");
+  store.Put("doomed", B("bytes"));
   store.Delete("doomed");
   size_t before = store.log().size();
   store.Compact();
   EXPECT_LT(store.log().size(), before);
   EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(*store.GetString("hot"), "version 9");
+  EXPECT_EQ(Text(store.Get("hot")), "version 9");
 
   // Compaction normalizes: stores with equal content but different
   // histories compact to the same bytes.
   KvStore direct;
-  direct.PutString("hot", "version 9");
+  direct.Put("hot", B("version 9"));
   direct.Compact();
   EXPECT_EQ(store.log(), direct.log());
 }
 
 TEST(KvStoreTest, RecoverTornTail) {
   KvStore store;
-  store.PutString("survives", "yes");
-  store.PutString("torn", "this record will be ripped");
+  store.Put("survives", B("yes"));
+  store.Put("torn", B("this record will be ripped"));
   Bytes data = store.log();
   data.resize(data.size() - 5);
 
@@ -232,8 +236,8 @@ TEST(KvStoreTest, RecoverTornTail) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_FALSE(recovered->clean);
   EXPECT_GT(recovered->lost_bytes, 0u);
-  EXPECT_TRUE(recovered->store.Contains("survives"));
-  EXPECT_FALSE(recovered->store.Contains("torn"));
+  EXPECT_TRUE(recovered->store.Get("survives").ok());
+  EXPECT_FALSE(recovered->store.Get("torn").ok());
 }
 
 TEST(KvStoreTest, RecoverRejectsForeignBytes) {
@@ -243,11 +247,11 @@ TEST(KvStoreTest, RecoverRejectsForeignBytes) {
 TEST(KvStoreTest, SaveLoadFile) {
   std::string path = testing::TempDir() + "/kv_store_test.nymlog";
   KvStore store;
-  store.PutString("k", "v");
+  store.Put("k", B("v"));
   ASSERT_TRUE(store.Save(path).ok());
   Result<KvStore> loaded = KvStore::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(*loaded->GetString("k"), "v");
+  EXPECT_EQ(Text(loaded->Get("k")), "v");
 }
 
 // --- NBT codec -------------------------------------------------------------

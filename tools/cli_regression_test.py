@@ -24,10 +24,12 @@ and tool below parses argv with one FlagSet (src/util/flags.h):
     and a usage line instead of opening it as a path, and answers --help.
   * golden_gen never takes a flag for its output directory: an unknown
     flag before the directory writes nothing.
+  * nymlint (its own parser) rejects an empty valued flag, an unknown flag
+    and a missing explicit baseline with exit 2, and answers --help.
 
 Binary paths come from argv (ctest passes $<TARGET_FILE:...>):
   cli_regression_test.py SCALE_FLEET_BIN NYMFUZZ_BIN CORPUS_DIR ABLATION_ADVERSARY_BIN BENCH_DIR
-                         NBT2JSON_BIN GOLDEN_GEN_BIN
+                         NBT2JSON_BIN GOLDEN_GEN_BIN NYMLINT_BIN
 
 Only the standard library is used.
 """
@@ -46,6 +48,7 @@ ABLATION_ADVERSARY = None
 BENCH_DIR = None
 NBT2JSON = None
 GOLDEN_GEN = None
+NYMLINT = None
 
 # Benches that take no flags beyond --stats-out/--trace-out/--trace-format.
 BENCH_STATS_ONLY = [
@@ -239,6 +242,43 @@ class GoldenGenCliTest(unittest.TestCase):
             self.assertEqual(os.listdir(os.path.join(tmp, "out")), [])
 
 
+class NymlintCliTest(unittest.TestCase):
+    EMPTY_VALUES = ["--out=", "--sarif=", "--baseline=", "--registry=", "--write-baseline=",
+                    "--root="]
+
+    def run_in(self, tmp, *args):
+        return subprocess.run([NYMLINT, *args], capture_output=True, text=True, cwd=tmp)
+
+    def test_empty_values_exit_2_instead_of_falling_back(self):
+        for arg in self.EMPTY_VALUES:
+            with self.subTest(arg=arg), tempfile.TemporaryDirectory() as tmp:
+                proc = self.run_in(tmp, arg)
+                self.assertEqual(proc.returncode, 2, proc.stderr)
+                self.assertIn(arg + " needs a value", proc.stderr)
+                self.assertEqual(proc.stdout, "")
+                self.assertEqual(os.listdir(tmp), [], "usage error wrote an artifact")
+
+    def test_unknown_flag_exits_2(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            proc = self.run_in(tmp, "--no-such-flag")
+            self.assertEqual(proc.returncode, 2, proc.stderr)
+            self.assertIn("unknown flag --no-such-flag", proc.stderr)
+
+    def test_help_exits_0_with_usage(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            proc = self.run_in(tmp, "--help")
+            self.assertEqual(proc.returncode, 0, proc.stderr)
+            self.assertTrue(proc.stdout.startswith("usage: nymlint"), proc.stdout)
+            self.assertIn("nymbench/", proc.stdout)
+
+    def test_missing_explicit_baseline_exits_2(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            os.mkdir(os.path.join(tmp, "src"))
+            proc = self.run_in(tmp, "--root=" + tmp, "--baseline=missing.json", "src")
+            self.assertEqual(proc.returncode, 2, proc.stderr)
+            self.assertIn("cannot open baseline missing.json", proc.stderr)
+
+
 class EveryBinaryHelpTest(unittest.TestCase):
     """--help and an unknown flag, table-driven over every FlagSet binary."""
 
@@ -267,12 +307,14 @@ class EveryBinaryHelpTest(unittest.TestCase):
 
 def main():
     global SCALE_FLEET, NYMFUZZ, CORPUS_DIR, ABLATION_ADVERSARY, BENCH_DIR, NBT2JSON, GOLDEN_GEN
-    if len(sys.argv) != 8:
+    global NYMLINT
+    if len(sys.argv) != 9:
         print("usage: cli_regression_test.py SCALE_FLEET_BIN NYMFUZZ_BIN CORPUS_DIR "
-              "ABLATION_ADVERSARY_BIN BENCH_DIR NBT2JSON_BIN GOLDEN_GEN_BIN", file=sys.stderr)
+              "ABLATION_ADVERSARY_BIN BENCH_DIR NBT2JSON_BIN GOLDEN_GEN_BIN NYMLINT_BIN",
+              file=sys.stderr)
         return 2
     (SCALE_FLEET, NYMFUZZ, CORPUS_DIR, ABLATION_ADVERSARY, BENCH_DIR, NBT2JSON,
-     GOLDEN_GEN) = sys.argv[1:8]
+     GOLDEN_GEN, NYMLINT) = sys.argv[1:9]
     sys.argv = sys.argv[:1]
     unittest.main()
 

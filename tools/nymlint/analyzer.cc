@@ -160,8 +160,85 @@ std::string JsonEscape(const std::string& text) {
   return out;
 }
 
+// Files whose identifiers count as uses for dead-api: everything but
+// tests/. nymbench/ is read for this alone; it is never linted.
+bool IsReferenceRoot(const FileWork& file) {
+  return (file.scope & (kSrc | kBench | kTools | kExamples)) != 0 ||
+         file.file->path.rfind("nymbench/", 0) == 0;
+}
+
+// dead-api: a function defined under src/ whose bare name appears in no
+// reference root except as the name of its own declarations and
+// definitions. Matching bare names errs toward keeping code: an overload,
+// an override or any same-named call elsewhere keeps the function alive.
+// A run that reads no `int main(` in a reference root has no program to
+// judge against (a subtree run, a fixture), so the rule stays silent.
+std::vector<Diagnostic> FindDeadApi(const SymbolModel& model,
+                                    const std::vector<FileWork>& work) {
+  std::map<std::string, size_t> mentions;
+  bool has_entry_point = false;
+  for (const FileWork& file : work) {
+    if (!IsReferenceRoot(file)) {
+      continue;
+    }
+    const std::vector<Token>& tokens = file.significant;
+    for (size_t i = 0; i < tokens.size(); ++i) {
+      if (tokens[i].kind != TokenKind::kIdentifier) {
+        continue;
+      }
+      ++mentions[tokens[i].text];
+      has_entry_point = has_entry_point ||
+                        (tokens[i].text == "main" && i > 0 && tokens[i - 1].text == "int" &&
+                         i + 1 < tokens.size() && tokens[i + 1].text == "(");
+    }
+  }
+  if (!has_entry_point) {
+    return {};
+  }
+
+  struct Api {
+    const FunctionInfo* anchor = nullptr;  // first declaration, else definition
+    const std::string* path = nullptr;
+    size_t own_names = 0;
+    bool defined = false;
+  };
+  std::map<std::string, Api> apis;  // by qualified name
+  for (const FileModel& file : model.files) {
+    if (ScopeForPath(file.path) != kSrc) {
+      continue;
+    }
+    for (const FunctionInfo& fn : file.functions) {
+      if (fn.bare_name == fn.class_name || fn.bare_name[0] == '~' ||
+          fn.bare_name == "operator" || fn.bare_name == "main") {
+        continue;
+      }
+      Api& api = apis[fn.qualified_name];
+      ++api.own_names;
+      bool definition = fn.body_begin > 0;  // `{}` bodies included
+      api.defined = api.defined || definition;
+      if (api.anchor == nullptr || (!definition && api.anchor->body_begin > 0)) {
+        api.anchor = &fn;
+        api.path = &file.path;
+      }
+    }
+  }
+
+  std::vector<Diagnostic> out;
+  for (const auto& [name, api] : apis) {
+    if (api.defined && mentions[api.anchor->bare_name] <= api.own_names) {
+      out.push_back(Diagnostic{
+          *api.path, api.anchor->line, api.anchor->col, "dead-api",
+          "'" + name +
+              "' is defined in src/ but nothing in src/, bench/, tools/, examples/ or "
+              "nymbench/ names it; delete it, or keep it with // nymlint:allow(dead-api): "
+              "<reason>"});
+    }
+  }
+  return out;
+}
+
 // Runs pass 2 of the analyzer: model build, registry parse, dataflow,
-// baseline filtering. Surviving findings are appended to
+// baseline filtering, dead-api. Surviving findings are appended to
 // result.diagnostics by the caller after suppression filtering.
 void RunFlowStage(const FlowOptions& options, std::vector<FileWork>& work,
                   std::map<std::string, FileWork*>& by_path, LintResult& result) {
@@ -212,6 +289,14 @@ void RunFlowStage(const FlowOptions& options, std::vector<FileWork>& work,
     }
     result.diagnostics.push_back(finding.diag);
     result.flow_findings.push_back(std::move(finding));
+  }
+
+  for (Diagnostic& diag : FindDeadApi(model, work)) {
+    if (ApplySuppressions(by_path[diag.path]->suppressions, diag)) {
+      ++result.suppressions_used;
+    } else {
+      result.diagnostics.push_back(std::move(diag));
+    }
   }
 
   // A baseline entry that no longer matches anything is debt that must be

@@ -1,6 +1,7 @@
 // nymlint CLI. Typical invocations:
 //
 //   nymlint --root=.                        # lint src bench tests tools examples
+//                                           # (nymbench/ is read, never linted)
 //   nymlint --root=. src/net                # lint one subtree
 //   nymlint --root=. --json --out=report.json
 //   nymlint --root=. --sarif=nymlint.sarif  # SARIF 2.1.0 for code scanning
@@ -11,7 +12,12 @@
 // (tools/nymlint/identity_registry.txt by default; override with
 // --registry=PATH, disable with --no-flow). When nymflow_baseline.json
 // exists at the repo root (or --baseline=PATH is given), baselined
-// fingerprints are filtered and stale entries are reported.
+// fingerprints are filtered and stale entries are reported. The stage's
+// dead-api rule counts uses in src/ bench/ tools/ examples/ and the
+// read-only reference root nymbench/; tests/ uses do not count.
+//
+// Every valued flag needs a non-empty value: `--out=` is a usage error,
+// not a silent fallback to stdout.
 //
 // Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
 #include <algorithm>
@@ -70,6 +76,17 @@ bool ReadFile(const fs::path& path, std::string& out) {
   return true;
 }
 
+// The string a `--name=value` argument sets, or nullptr for other arguments.
+std::string* ValuedFlag(const std::string& arg,
+                        const std::vector<std::pair<std::string, std::string*>>& flags) {
+  for (const auto& [prefix, value] : flags) {
+    if (arg.rfind(prefix, 0) == 0) {
+      return value;
+    }
+  }
+  return nullptr;
+}
+
 int ListRules() {
   for (const nymlint::RuleInfo& rule : nymlint::AllRules()) {
     std::cout << rule.name << "\n    " << rule.summary << "\n";
@@ -90,6 +107,14 @@ int main(int argc, char** argv) {
   std::string baseline_path;
   std::string write_baseline_path;
   std::vector<std::string> targets;
+  const std::vector<std::pair<std::string, std::string*>> valued = {
+      {"--root=", &root},
+      {"--out=", &out_path},
+      {"--sarif=", &sarif_path},
+      {"--registry=", &registry_path},
+      {"--baseline=", &baseline_path},
+      {"--write-baseline=", &write_baseline_path},
+  };
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -99,26 +124,21 @@ int main(int argc, char** argv) {
       list_rules = true;
     } else if (arg == "--no-flow") {
       no_flow = true;
-    } else if (arg.rfind("--root=", 0) == 0) {
-      root = arg.substr(7);
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--sarif=", 0) == 0) {
-      sarif_path = arg.substr(8);
-    } else if (arg.rfind("--registry=", 0) == 0) {
-      registry_path = arg.substr(11);
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-    } else if (arg.rfind("--write-baseline=", 0) == 0) {
-      write_baseline_path = arg.substr(17);
+    } else if (std::string* value = ValuedFlag(arg, valued)) {
+      *value = arg.substr(arg.find('=') + 1);
+      if (value->empty()) {
+        std::cerr << "nymlint: " << arg << " needs a value\n";
+        return 2;
+      }
     } else if (arg == "--help" || arg == "-h") {
       std::cout
           << "usage: nymlint [--root=DIR] [--json] [--out=FILE] [--sarif=FILE]\n"
              "               [--registry=FILE] [--baseline=FILE] [--no-flow]\n"
              "               [--write-baseline=FILE] [--list-rules] [paths...]\n"
              "Lints src/ bench/ tests/ tools/ examples/ by default, then runs the\n"
-             "nymflow identity-taint and shard-confinement dataflow stage. See\n"
-             "docs/static-analysis.md for the rule reference.\n";
+             "nymflow identity-taint, shard-confinement and dead-api stage.\n"
+             "nymbench/ is read as a reference root for dead-api, never linted.\n"
+             "See docs/static-analysis.md for the rule reference.\n";
       return 0;
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "nymlint: unknown flag " << arg << "\n";
@@ -131,7 +151,7 @@ int main(int argc, char** argv) {
     return ListRules();
   }
   if (targets.empty()) {
-    targets = {"src", "bench", "tests", "tools", "examples"};
+    targets = {"src", "bench", "tests", "tools", "examples", "nymbench"};
   }
 
   std::vector<std::string> paths;

@@ -626,10 +626,10 @@ const std::vector<RuleInfo>& AllRules() {
        "AmbientSeed() outside src/fuzz/entropy and tools/ (fuzz runs must replay from a "
        "recorded seed)",
        kEverywhere, false},
-      // nymflow dataflow rules (tools/nymlint/flow.h). They run as the
-      // analyzer's second stage, not through the per-file dispatch below,
-      // but live in this table so --list-rules, IsKnownRule, and the
-      // nymlint:allow / nymlint:declassify validators know them.
+      // nymflow stage rules (tools/nymlint/flow.h; dead-api in analyzer.cc).
+      // They run as the analyzer's second stage, not through the per-file
+      // dispatch below, but live in this table so --list-rules, IsKnownRule,
+      // and the nymlint:allow / nymlint:declassify validators know them.
       {"nymflow-identity-taint",
        "identity-bearing value (cookie, evercookie, account, guard) reaches a "
        "cross-boundary sink without a declassifier",
@@ -642,6 +642,10 @@ const std::vector<RuleInfo>& AllRules() {
        kEverywhere, false},
       {"nymflow-stale-baseline",
        "nymflow_baseline.json entry that matches no current finding", kEverywhere, false},
+      {"dead-api",
+       "function defined in src/ that no src/, bench/, tools/, examples/ or nymbench/ "
+       "code names",
+       kSrc, false},
       // Meta rules emitted by the suppression scanner itself; they are not
       // suppressible and exist so --list-rules documents every name that can
       // appear in a report.
